@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race test-tls test-elastic test-recovery test-quota test-autoscale fuzz-short bench bench-probe bench-smoke probe-smoke check
+.PHONY: all build vet fmt-check test test-race test-tls test-elastic test-recovery test-quota test-autoscale fuzz-short bench bench-probe bench-smoke probe-smoke bench-check check
 
 all: build
 
@@ -24,10 +24,10 @@ test:
 	$(GO) test ./...
 
 # The race detector sweep focuses on the concurrent subsystems: the
-# network service (sessions, credits, drain), the shard router, and the
-# software engines.
+# network service (sessions, credits, drain), the shard router and its
+# daemon, and the software engines.
 test-race:
-	$(GO) test -race ./internal/server/... ./internal/shard/... ./internal/wire/... ./internal/softjoin/...
+	$(GO) test -race ./internal/server/... ./internal/shard/... ./internal/wire/... ./internal/softjoin/... ./cmd/streamshard/...
 
 # The secured-wire suite: TLS round trips, auth-token rejection, TLS/
 # plaintext mismatch handling, and the secured shard redial — across the
@@ -122,4 +122,13 @@ bench-smoke:
 probe-smoke:
 	$(GO) test -run '^TestHashKernelOutpacesScan$$' -count=1 -v ./internal/softjoin/
 
-check: build vet fmt-check test
+# The benchmark harness (bench/) is its own module compiled against this
+# one's exported API, so `go build ./...` and `go test ./...` here never
+# see it. This vets and tests it, then smoke-runs the two workloads that
+# cross the result path and the shard router against in-process servers —
+# a root-module change that breaks the harness fails here, not in the
+# benchmark run.
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./... && bash bench/run.sh --workload result_heavy --smoke && bash bench/run.sh --workload sharded_mixed --smoke
+
+check: build vet fmt-check test bench-check

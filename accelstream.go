@@ -50,6 +50,11 @@ const (
 // Result is one join result: an R tuple paired with an S tuple.
 type Result = stream.Result
 
+// ResultBatch is a pooled batch of join results, the unit the service
+// moves between its stages (engine, session, shard router). Receivers of
+// a Batches() channel own each batch and must call its Release.
+type ResultBatch = stream.ResultBatch
+
 // Input is one tuple arrival (a tuple tagged with its stream).
 type Input = core.Input
 

@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/stream"
 )
 
 // registerPprof mounts the net/http/pprof handlers on the metrics mux,
@@ -100,11 +101,21 @@ type routerEngine struct {
 	id  int64
 }
 
+var _ accelstream.SessionResultBatcher = (*routerEngine)(nil)
+
 func (e *routerEngine) Start() error { return nil }
 func (e *routerEngine) PushBatch(batch []accelstream.Input) error {
 	return e.r.SendBatch(batch)
 }
 func (e *routerEngine) Results() <-chan accelstream.Result { return e.r.Results() }
+
+// NextResultBatch offers the server's batch capability: the front session
+// re-encodes the shards' result batches as the router merged them, so no
+// result crosses a channel on its own between a shard's socket and the
+// client's. The session then never calls Results.
+func (e *routerEngine) NextResultBatch(wait bool) (*accelstream.ResultBatch, bool) {
+	return stream.ReceiveBatch(e.r.Batches(), wait)
+}
 func (e *routerEngine) Close() error {
 	// Unregister first: remove blocks while a resize holds the registry,
 	// so the router is never closed under a rebalance in flight.

@@ -64,8 +64,12 @@ type Client struct {
 	wmu sync.Mutex
 	w   *wire.Writer
 
-	credits    chan struct{}
-	results    chan stream.Result
+	credits chan struct{}
+	// batches carries each decoded Results frame as one pooled batch;
+	// results is the per-result view of it, started by the first Results
+	// call.
+	batches    chan *stream.ResultBatch
+	results    stream.ResultsView
 	readerDone chan struct{}
 
 	mu        sync.Mutex
@@ -94,18 +98,28 @@ type Client struct {
 	// the checkpoint's arrival counters for the client to replay from.
 	resumeAck wire.OpenAck
 
-	// resultsRecv counts results delivered into the Results channel; a
+	// resultsRecv counts results delivered into the batch channel; a
 	// shard router's coordinated snapshot uses it as its flush target.
 	resultsRecv atomic.Uint64
 
 	// Credit round-trip instrumentation: send times are queued FIFO and
-	// matched to returning credits (the server acks batches in order).
+	// matched to returning credits. The server acks batches in order and
+	// at most Credits() are outstanding, so a ring of that size never
+	// overflows: sendTime[(sendHead+i)%len] is the i-th oldest unacked
+	// send, sendLen how many are unacked.
 	rttMu    sync.Mutex
 	sendTime []time.Time
+	sendHead int
+	sendLen  int
 	rttSum   time.Duration
 	rttMax   time.Duration
 	rttCount uint64
 }
+
+// clientBatchDepth is how many decoded Results frames may wait between
+// the reader and the consumer: with the server's 1024-result frames it
+// buffers about the 4096 results the per-result channel used to.
+const clientBatchDepth = 4
 
 // DialTimeout is the default connection + handshake deadline used by
 // Dial; override with DialOptions.Timeout.
@@ -180,7 +194,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	c := &Client{
 		conn:       conn,
 		w:          wire.NewWriter(conn),
-		results:    make(chan stream.Result, 4096),
+		batches:    make(chan *stream.ResultBatch, clientBatchDepth),
 		readerDone: make(chan struct{}),
 		baseSeqR:   cfg.BaseSeqR,
 		baseSeqS:   cfg.BaseSeqS,
@@ -241,6 +255,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	}
 	conn.SetDeadline(time.Time{})
 	c.credits = make(chan struct{}, ack.Credits)
+	c.sendTime = make([]time.Time, ack.Credits)
 	for i := 0; i < ack.Credits; i++ {
 		c.credits <- struct{}{}
 	}
@@ -292,8 +307,12 @@ func (c *Client) SendBatch(batch []core.Input) error {
 		}
 		return fmt.Errorf("server: session closed")
 	}
+	now := time.Now()
 	c.rttMu.Lock()
-	c.sendTime = append(c.sendTime, time.Now())
+	if c.sendLen < len(c.sendTime) { // always, while the server honours the window
+		c.sendTime[(c.sendHead+c.sendLen)%len(c.sendTime)] = now
+		c.sendLen++
+	}
 	c.rttMu.Unlock()
 	c.wmu.Lock()
 	c.batchSeq++
@@ -307,9 +326,19 @@ func (c *Client) SendBatch(batch []core.Input) error {
 	return nil
 }
 
-// Results returns the stream of join results. The channel closes when the
-// session ends (after Close's drain completes, or on a fatal error).
-func (c *Client) Results() <-chan stream.Result { return c.results }
+// Batches returns the stream of join results as the reader decoded them:
+// one pooled batch per Results frame, handed over with one channel
+// operation. The receiver owns each batch and must Release it. The
+// channel closes when the session ends (after Close's drain completes, or
+// on a fatal error). Batches and Results are mutually exclusive
+// consumers: whichever is used first owns the stream for the session's
+// lifetime.
+func (c *Client) Batches() <-chan *stream.ResultBatch { return c.batches }
+
+// Results returns the stream of join results one at a time. The first
+// call starts the goroutine that unrolls Batches; the channel closes when
+// the session ends.
+func (c *Client) Results() <-chan stream.Result { return c.results.Of(c.batches, 4096) }
 
 // Close gracefully drains the session: it sends the Close frame, waits
 // for the server to flush all in-flight work and report its final
@@ -436,9 +465,9 @@ func (c *Client) Resumed() (seqR, seqS uint64, ok bool) {
 }
 
 // ResultsReceived returns how many results have been delivered into the
-// Results channel. After Checkpoint returns, this count is exact for the
+// batch channel. After Checkpoint returns, this count is exact for the
 // pre-checkpoint input: results frames are ordered before the
-// CheckpointDone frame on the wire, so a consumer that drains Results
+// CheckpointDone frame on the wire, so a consumer that drains Batches
 // can use the count as a flush barrier.
 func (c *Client) ResultsReceived() uint64 { return c.resultsRecv.Load() }
 
@@ -510,7 +539,7 @@ func (c *Client) BatchRTT() (avg, max time.Duration, samples uint64) {
 // session-ending Closed/Error frames all arrive here.
 func (c *Client) readLoop(r *wire.Reader) {
 	defer close(c.readerDone)
-	defer close(c.results)
+	defer close(c.batches)
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {
@@ -519,17 +548,18 @@ func (c *Client) readLoop(r *wire.Reader) {
 		}
 		switch f.Type {
 		case wire.FrameResults:
-			results, err := wire.DecodeResults(f.Payload)
+			b := frameBatches.Get()
+			results, err := wire.DecodeResultsInto(f.Payload, b.Results)
 			if err != nil {
+				b.Release()
 				c.setErr(err)
 				return
 			}
-			for _, res := range results {
-				c.results <- res
-				// Counted after the hand-off: a coordinated-snapshot flush
-				// barrier reads this as "delivered into the channel".
-				c.resultsRecv.Add(1)
-			}
+			b.Results = results
+			c.batches <- b
+			// Counted after the hand-off: a coordinated-snapshot flush
+			// barrier reads this as "delivered into the channel".
+			c.resultsRecv.Add(uint64(len(results)))
 		case wire.FrameCredit:
 			n, err := wire.DecodeCredit(f.Payload)
 			if err != nil {
@@ -538,9 +568,10 @@ func (c *Client) readLoop(r *wire.Reader) {
 			}
 			now := time.Now()
 			c.rttMu.Lock()
-			for i := 0; i < n && len(c.sendTime) > 0; i++ {
-				rtt := now.Sub(c.sendTime[0])
-				c.sendTime = c.sendTime[1:]
+			for i := 0; i < n && c.sendLen > 0; i++ {
+				rtt := now.Sub(c.sendTime[c.sendHead])
+				c.sendHead = (c.sendHead + 1) % len(c.sendTime)
+				c.sendLen--
 				c.rttSum += rtt
 				c.rttCount++
 				if rtt > c.rttMax {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"accelstream/internal/core"
 	"accelstream/internal/hwjoin"
@@ -21,6 +22,14 @@ import (
 // in-flight work has drained. Config.NewEngine lets an embedder substitute
 // its own implementation (the shard router daemon serves a whole cluster
 // behind this interface).
+//
+// Results and the optional ResultBatcher capability are mutually
+// exclusive consumers of an engine's output: a session drains an engine
+// that implements ResultBatcher only through NextResultBatch and never
+// calls its Results, and drains every other engine only through Results.
+// Nothing else may receive from either while the session runs — Backlog
+// and the Snapshotter counters must be answered from counters, not by
+// touching the output.
 type Engine interface {
 	Start() error
 	PushBatch(batch []core.Input) error
@@ -64,6 +73,25 @@ type Snapshotter interface {
 	ResultsEmitted() uint64
 }
 
+// ResultBatcher is the optional engine capability behind the
+// batch-granular result path. NextResultBatch hands over the engine's
+// next pooled result batch: with wait it blocks until one is ready and
+// reports false once Close has drained the output; without wait it
+// returns (nil, true) at once when nothing is ready, which is how the
+// session learns it may stop packing small batches into a shared frame.
+// The session owns each batch it is handed, encodes frames from it and
+// releases it — no result crosses a channel on its own. Engines without
+// the capability are served through Results(), coalesced into the same
+// batch type.
+//
+// The method name is deliberately not one softjoin.UniFlow exports: an
+// embedder's Engine that embeds *softjoin.UniFlow and overrides Results()
+// (to tap or decorate the stream) would otherwise have the capability
+// promoted onto it and be drained behind its own override's back.
+type ResultBatcher interface {
+	NextResultBatch(wait bool) (b *stream.ResultBatch, ok bool)
+}
+
 // buildEngine instantiates the engine a session requested.
 func buildEngine(cfg wire.OpenConfig) (Engine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -84,7 +112,7 @@ func buildEngine(cfg wire.OpenConfig) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &uniEngine{e}, nil
+		return &uniEngine{UniFlow: e}, nil
 	case wire.EngineSoftBi:
 		e, err := softjoin.NewBiFlow(softjoin.Config{
 			NumCores:   cfg.Cores,
@@ -109,14 +137,37 @@ type kernelReporter interface {
 
 // uniEngine adapts softjoin.UniFlow. Kernel() is promoted from the
 // embedded engine, so uniEngine satisfies kernelReporter.
-type uniEngine struct{ *softjoin.UniFlow }
+type uniEngine struct {
+	*softjoin.UniFlow
+	// taken counts results handed to the session by NextResultBatch.
+	taken atomic.Uint64
+}
 
 func (e *uniEngine) PushBatch(batch []core.Input) error {
 	e.UniFlow.PushBatch(batch)
 	return nil
 }
 
-func (e *uniEngine) Backlog() int { return len(e.UniFlow.Results()) }
+// NextResultBatch implements ResultBatcher over the engine's batch output.
+func (e *uniEngine) NextResultBatch(wait bool) (*stream.ResultBatch, bool) {
+	b, ok := stream.ReceiveBatch(e.UniFlow.Batches(), wait)
+	if b != nil {
+		e.taken.Add(uint64(len(b.Results)))
+	}
+	return b, ok
+}
+
+// Backlog is the results emitted by the cores but not yet taken by the
+// session, from counters: nothing but the session may touch the output.
+func (e *uniEngine) Backlog() int {
+	emitted, taken := e.UniFlow.ResultsEmitted(), e.taken.Load()
+	if taken > emitted {
+		// A batch is counted as emitted only after its hand-off, so the
+		// session can have taken it a moment before the core counts it.
+		return 0
+	}
+	return int(emitted - taken)
+}
 
 // biEngine adapts softjoin.BiFlow, whose ingest API is per tuple.
 type biEngine struct{ *softjoin.BiFlow }

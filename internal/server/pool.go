@@ -34,7 +34,10 @@ type ClientPool struct {
 	open wire.OpenConfig
 	opts DialOptions
 
-	merged  chan stream.Result
+	// merged carries every session's result batches; results is the
+	// per-result view of it, started by the first Results call.
+	merged  chan *stream.ResultBatch
+	results stream.ResultsView
 	drainWG sync.WaitGroup
 
 	mu       sync.Mutex
@@ -58,7 +61,7 @@ func DialPool(addr string, conns int, cfg wire.OpenConfig, opts DialOptions) (*C
 		addr:   addr,
 		open:   cfg,
 		opts:   opts,
-		merged: make(chan stream.Result, 4096),
+		merged: make(chan *stream.ResultBatch, clientBatchDepth),
 		conns:  make([]*Client, conns),
 	}
 	for i := range p.conns {
@@ -97,8 +100,8 @@ func (p *ClientPool) spawnDrain(c *Client) {
 	p.drainWG.Add(1)
 	go func() {
 		defer p.drainWG.Done()
-		for res := range c.Results() {
-			p.merged <- res
+		for b := range c.Batches() {
+			p.merged <- b
 		}
 	}()
 }
@@ -139,9 +142,16 @@ func (p *ClientPool) Credits() int {
 	return n
 }
 
-// Results returns the merged result stream of all sessions. It closes
-// after Close has drained every session.
-func (p *ClientPool) Results() <-chan stream.Result { return p.merged }
+// Batches returns the merged result stream of all sessions, one pooled
+// batch per received Results frame. The receiver owns each batch and must
+// Release it. It closes after Close has drained every session. Batches
+// and Results are mutually exclusive consumers.
+func (p *ClientPool) Batches() <-chan *stream.ResultBatch { return p.merged }
+
+// Results returns the merged result stream one result at a time. The
+// first call starts the goroutine that unrolls Batches; the channel
+// closes after Close has drained every session.
+func (p *ClientPool) Results() <-chan stream.Result { return p.results.Of(p.merged, 4096) }
 
 // SendBatch ships one batch to the next session round-robin, blocking
 // on that session's credit window. A session lost mid-send is replaced

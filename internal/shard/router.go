@@ -23,12 +23,17 @@ import (
 // merged result stream is the disjoint union of the shards' outputs and
 // matches the single-engine oracle without deduplication.
 //
-// SendBatch is single-producer; Results must be drained concurrently
-// until the channel closes (after Close), exactly like server.Client.
+// SendBatch is single-producer; the output (Batches or Results, never
+// both) must be drained concurrently until the channel closes (after
+// Close), exactly like server.Client.
 type Router struct {
 	cfg    Config
 	shards []*shardConn
-	merged chan stream.Result
+	// merged carries every shard session's result batches as received;
+	// results is the per-result view of it, started by the first Results
+	// call.
+	merged  chan *stream.ResultBatch
+	results stream.ResultsView
 
 	// seqR/seqS are the global per-side arrival counters: every batch is
 	// enqueued with the counter values at its front, which become the
@@ -146,6 +151,11 @@ func (b *shardBatch) release(r *Router) {
 	}
 }
 
+// mergedBatchDepth is how many result batches may wait between the
+// per-shard drains and the consumer: with the shards' 1024-result frames
+// it buffers about the 4096 results the per-result merged channel used to.
+const mergedBatchDepth = 4
+
 // Dial connects to every shard endpoint and starts the router. All
 // shards must connect for Dial to succeed; fault tolerance begins after
 // the session is up.
@@ -154,7 +164,7 @@ func Dial(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, merged: make(chan stream.Result, 4096)}
+	r := &Router{cfg: cfg, merged: make(chan *stream.ResultBatch, mergedBatchDepth)}
 	// Build (and thereby validate) the autoscale controller before any
 	// connection is opened, so a bad policy fails the Dial outright.
 	if cfg.Autoscale != nil {
@@ -350,23 +360,24 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// spawnDrain merges one client session's results into the router stream.
-// Each (re)dialed client gets its own drain goroutine; it exits when the
-// client's result channel closes.
+// spawnDrain merges one client session's result batches into the router
+// stream, whole. Each (re)dialed client gets its own drain goroutine; it
+// exits when the client's batch channel closes.
 func (r *Router) spawnDrain(sc *shardConn, c *server.Client) {
 	ds := &drainState{client: c}
 	sc.drain.Store(ds)
 	r.drainWG.Add(1)
 	go func() {
 		defer r.drainWG.Done()
-		for res := range c.Results() {
-			r.merged <- res
+		for b := range c.Batches() {
+			n := uint64(len(b.Results))
+			r.merged <- b
 			// Counted after the hand-off, forwarded last: when the snapshot
 			// flush barrier sees forwarded == the client's received count,
 			// every result is in the merged channel and already counted.
-			sc.results.Add(1)
-			r.resultsOut.Add(1)
-			ds.forwarded.Add(1)
+			sc.results.Add(n)
+			r.resultsOut.Add(n)
+			ds.forwarded.Add(n)
 		}
 	}()
 }
@@ -557,9 +568,17 @@ func (sc *shardConn) markDown() {
 	}
 }
 
-// Results returns the merged result stream. It closes after Close has
-// drained every shard.
-func (r *Router) Results() <-chan stream.Result { return r.merged }
+// Batches returns the merged result stream: the shards' result batches,
+// each forwarded whole with one channel operation. The receiver owns each
+// batch and must Release it. It closes after Close has drained every
+// shard. Batches and Results are mutually exclusive consumers: whichever
+// is used first owns the stream for the router's lifetime.
+func (r *Router) Batches() <-chan *stream.ResultBatch { return r.merged }
+
+// Results returns the merged result stream one result at a time. The
+// first call starts the goroutine that unrolls Batches; the channel
+// closes after Close has drained every shard.
+func (r *Router) Results() <-chan stream.Result { return r.results.Of(r.merged, 4096) }
 
 // snapshotShards reads the current shard generation under the lock; the
 // returned slice is immutable (a rebalance replaces it wholesale).
@@ -569,8 +588,8 @@ func (r *Router) snapshotShards() []*shardConn {
 	return r.shards
 }
 
-// Backlog reports queued-but-undelivered work: merged results not yet
-// consumed plus broadcast batches not yet sent.
+// Backlog reports queued-but-undelivered work: merged result batches not
+// yet consumed plus broadcast batches not yet sent.
 func (r *Router) Backlog() int {
 	n := len(r.merged)
 	for _, sc := range r.snapshotShards() {
@@ -743,7 +762,7 @@ func (r *Router) pauseSenders(shards []*shardConn) {
 // counters. The router resumes streaming on return.
 //
 // Every shard must be up: a snapshot missing a residue class would
-// restore a window with holes. Results must be drained concurrently
+// restore a window with holes. The output must be drained concurrently
 // (exactly as with SendBatch) or the flush barriers cannot complete.
 func (r *Router) SnapshotState() ([]core.Input, uint64, uint64, error) {
 	r.sendMu.Lock()
@@ -900,8 +919,8 @@ func (r *Router) RebalanceMetrics() (completed, aborted, migrated uint64, total 
 
 // Close drains the session: queued batches are flushed to their shards,
 // every shard session is closed gracefully, and the merged channel is
-// closed once the last in-flight result has been delivered. Results must
-// be consumed concurrently or the drain cannot complete.
+// closed once the last in-flight result has been delivered. The output
+// must be consumed concurrently or the drain cannot complete.
 func (r *Router) Close() (Stats, error) {
 	r.mu.Lock()
 	if r.closed {

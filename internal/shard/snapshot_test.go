@@ -212,3 +212,78 @@ func TestRouterSnapshotAfterCloseFails(t *testing.T) {
 		t.Fatal("SnapshotState on a closed router must fail")
 	}
 }
+
+// TestRouterSnapshotWithSlowBatchConsumer drives the router's batch
+// output (the path streamshard's front session uses) with a consumer
+// slower than the shards: batches back up in the merged channel, in each
+// client's batch channel and in the shards' sockets. The coordinated
+// snapshot's flush barrier must still terminate, and because every
+// counter on the way is advanced by len(batch) only after the hand-off,
+// ResultsEmitted at the boundary must equal the oracle's count for the
+// input so far — and the merged stream must stay oracle-equal overall.
+func TestRouterSnapshotWithSlowBatchConsumer(t *testing.T) {
+	const window, fill, suffix, batchSz = 64, 2400, 800, 48
+	addrs := make([]string, 2)
+	for i := range addrs {
+		_, addrs[i] = startShardServer(t)
+	}
+	r, err := Dial(Config{Addrs: addrs, Cores: 2, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 9, KeyDomain: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := gen.Take(fill + suffix)
+
+	var mu sync.Mutex
+	var got []stream.Result
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := range r.Batches() {
+			time.Sleep(100 * time.Microsecond)
+			mu.Lock()
+			got = append(got, b.Results...)
+			mu.Unlock()
+			b.Release()
+		}
+	}()
+
+	sendAll(t, r, inputs[:fill], batchSz)
+	if _, _, _, err := r.SnapshotState(); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := core.NewOracle(window, stream.EquiJoinOnKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFill, err := oracle.Run(inputs[:fill])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.ResultsEmitted(); n != uint64(len(wantFill)) {
+		t.Fatalf("at the snapshot boundary the router had forwarded %d results, the cut implies %d", n, len(wantFill))
+	}
+	var perShard uint64
+	for _, st := range r.Shards() {
+		perShard += st.Results
+	}
+	if perShard != uint64(len(wantFill)) {
+		t.Fatalf("per-shard result counters sum to %d at the boundary, want %d", perShard, len(wantFill))
+	}
+
+	sendAll(t, r, inputs[fill:], batchSz)
+	st, err := r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if st.ResultsOut != uint64(len(got)) {
+		t.Fatalf("router counted %d results, consumer received %d", st.ResultsOut, len(got))
+	}
+	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, got); err != nil {
+		t.Fatal(err)
+	}
+}

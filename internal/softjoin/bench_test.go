@@ -45,16 +45,16 @@ func BenchmarkProbe(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					c := benchCore(window, selInv, kernel)
 					probe := stream.Tuple{Key: 7}
-					slab := getSlab()
+					out := coreBatches.Get()
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						slab.items = slab.items[:0]
-						c.probe(probe, stream.SideR, uint64(i), slab)
+						out.Results = out.Results[:0]
+						c.probe(probe, stream.SideR, out)
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(c.compared.Load())/float64(b.N), "comparisons/op")
-					putSlab(slab)
+					out.Release()
 				})
 			}
 		}
@@ -62,7 +62,7 @@ func BenchmarkProbe(b *testing.B) {
 }
 
 // TestProbeAllocFree pins the emit-path acceptance criterion for both
-// kernels: a probe into a warm slab — matches included — performs zero
+// kernels: a probe into a warm result batch — matches included — performs zero
 // heap allocations. For the hash kernel this covers the index lookup and
 // the match scratch; for the scan kernel the bitmask sweep.
 func TestProbeAllocFree(t *testing.T) {
@@ -70,16 +70,16 @@ func TestProbeAllocFree(t *testing.T) {
 		t.Run(kernel.String(), func(t *testing.T) {
 			c := benchCore(1<<10, 64, kernel)
 			probe := stream.Tuple{Key: 7}
-			slab := getSlab()
-			// Warm the slab (and match scratch) to steady-state capacity.
-			c.probe(probe, stream.SideR, 0, slab)
+			out := coreBatches.Get()
+			// Warm the batch (and match scratch) to steady-state capacity.
+			c.probe(probe, stream.SideR, out)
 			allocs := testing.AllocsPerRun(100, func() {
-				slab.items = slab.items[:0]
-				c.probe(probe, stream.SideR, 1, slab)
+				out.Results = out.Results[:0]
+				c.probe(probe, stream.SideR, out)
 			})
-			putSlab(slab)
+			out.Release()
 			if allocs != 0 {
-				t.Fatalf("%v probe into warm slab: %v allocs/probe, want 0", kernel, allocs)
+				t.Fatalf("%v probe into warm batch: %v allocs/probe, want 0", kernel, allocs)
 			}
 		})
 	}

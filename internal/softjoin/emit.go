@@ -15,8 +15,8 @@ import (
 // (not per tuple or per match) — the software stand-in for the hardware's
 // wide result bus (Figs. 10–13).
 
-// maxPooledItems bounds the capacity a recycled slab/batch/vector may
-// retain. A pathological high-selectivity batch can grow a slab to
+// maxPooledItems bounds the capacity a recycled batch/tag vector may
+// retain. A pathological high-selectivity batch can grow one to
 // megabytes; dropping oversized backing arrays keeps the pools from
 // pinning that memory forever.
 const maxPooledItems = 1 << 15
@@ -48,26 +48,38 @@ func (b *inputBatch) release() {
 	}
 }
 
-// resultSlab is one core's result vector for one input batch: every match
-// the batch produced on that core, tagged with arrival indices, plus the
-// punctuation (the core's processed watermark) riding in the header. The
-// core hands the whole slab to the gatherer with a single channel send.
+// Result vectors are pooled per producing site, so each pool circulates
+// one size class: coreBatches holds the join cores' per-input-batch
+// vectors, releaseBatches the reorder stage's bounded release runs.
+var coreBatches, releaseBatches stream.ResultBatchPool
+
+// resultSlab is what an ordered-mode core hands the reorder stage for one
+// input batch: the batch's result vector, the arrival index of the probing
+// tuple of each result, and the punctuation (the core's processed
+// watermark) riding in the header. Relaxed mode has no tags and no
+// watermarks, so its cores emit the bare *stream.ResultBatch instead.
 type resultSlab struct {
 	core      int
 	processed uint64
-	items     []taggedResult
+	batch     *stream.ResultBatch
+	idx       []uint64 // idx[i] tags batch.Results[i]
 }
 
 var slabPool = sync.Pool{New: func() any { return new(resultSlab) }}
 
-func getSlab() *resultSlab {
+// getSlab returns a pooled slab wrapped around batch, with no tags yet.
+func getSlab(batch *stream.ResultBatch) *resultSlab {
 	s := slabPool.Get().(*resultSlab)
-	s.items = s.items[:0]
+	s.batch = batch
+	s.idx = s.idx[:0]
 	return s
 }
 
+// putSlab releases the slab's result batch and recycles the slab.
 func putSlab(s *resultSlab) {
-	if cap(s.items) <= maxPooledItems {
+	s.batch.Release()
+	s.batch = nil
+	if cap(s.idx) <= maxPooledItems {
 		slabPool.Put(s)
 	}
 }

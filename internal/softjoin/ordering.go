@@ -14,12 +14,12 @@ import (
 // produced them, gated by the slowest core's progress watermark.
 
 // taggedResult is a result annotated with the global arrival index of the
-// probing tuple. Cores accumulate tagged results into per-batch slabs
-// (resultSlab) whose header carries the punctuation: the core's processed
-// watermark after the batch. Because channels preserve per-core FIFO
-// order, receiving a slab guarantees every result that core produced for
-// earlier arrivals has already been received — the property that makes
-// the ordered release safe.
+// probing tuple. Ordered-mode cores emit per-batch slabs (resultSlab):
+// results, their tags, and a header carrying the punctuation — the
+// core's processed watermark after the batch. Because a channel preserves
+// each sender's FIFO order, receiving a slab guarantees every result that
+// core produced for earlier arrivals has already been received — the
+// property that makes the ordered release safe.
 type taggedResult struct {
 	res stream.Result
 	idx uint64

@@ -24,17 +24,17 @@ func TestHashKernelOutpacesScan(t *testing.T) {
 	run := func(kernel stream.ProbeKernel) time.Duration {
 		c := benchCore(window, selInv, kernel)
 		probe := stream.Tuple{Key: 7}
-		slab := getSlab()
-		defer putSlab(slab)
+		out := coreBatches.Get()
+		defer out.Release()
 		// Warm caches and scratch buffers before timing.
-		slab.items = slab.items[:0]
-		c.probe(probe, stream.SideR, 0, slab)
+		out.Results = out.Results[:0]
+		c.probe(probe, stream.SideR, out)
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
 			for i := 0; i < probes; i++ {
-				slab.items = slab.items[:0]
-				c.probe(probe, stream.SideR, uint64(i), slab)
+				out.Results = out.Results[:0]
+				c.probe(probe, stream.SideR, out)
 			}
 			if d := time.Since(start); d < best {
 				best = d

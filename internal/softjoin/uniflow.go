@@ -6,8 +6,9 @@
 //     every incoming tuple (in batches) to N independent join-core
 //     goroutines; each core stores every N-th tuple of each stream into its
 //     local sub-window (round-robin, coordination-free) and probes its
-//     sub-window of the opposite stream; a result-gathering goroutine merges
-//     the per-core result channels.
+//     sub-window of the opposite stream; each core hands its whole result
+//     vector per input batch to the shared result-batch channel (relaxed
+//     mode) or to the reorder stage (ordered mode).
 //   - BiFlow: a handshake-join chain of goroutines for baseline comparison.
 //
 // Unlike the hardware packages, these engines use real concurrency; their
@@ -138,8 +139,9 @@ func (cfg Config) subWindowSize() int {
 }
 
 // UniFlow is the software SplitJoin engine. Build with NewUniFlow, feed it
-// with Push/PushBatch from a single producer goroutine, read Results, and
-// Close it to drain and release all goroutines.
+// with Push/PushBatch from a single producer goroutine, consume Batches
+// (or Results, never both), and Close it to drain and release all
+// goroutines.
 type UniFlow struct {
 	cfg       Config
 	subWindow int
@@ -148,23 +150,29 @@ type UniFlow struct {
 	in      chan *inputBatch
 	pending *inputBatch
 	cores   []*softCore
-	results chan stream.Result
+	// batches is the engine's one output: relaxed-mode cores send their
+	// result vectors straight into it; in ordered mode they send slabs to
+	// the reorder goroutine, which sends released runs into it. results is
+	// the per-result view of it, started by the first Results call.
+	batches chan *stream.ResultBatch
+	slabs   chan *resultSlab // ordered mode only
+	results stream.ResultsView
 
-	wg       sync.WaitGroup
-	gatherWG sync.WaitGroup
-	started  bool
-	closed   bool
+	wg      sync.WaitGroup
+	coreWG  sync.WaitGroup
+	started bool
+	closed  bool
 
 	seqR, seqS uint64
 
 	injected  atomic.Uint64
 	collected atomic.Uint64
-	// slabsDone counts result slabs fully forwarded into e.results by the
-	// gathering side. Together with the per-core slabsSent counters it
-	// gives Quiesce a sound completion test: a core increments slabsSent
-	// before publishing its processed watermark, so once every core shows
+	// slabsDone counts per-core result vectors fully handed into
+	// e.batches. Together with the per-core slabsSent counters it gives
+	// Quiesce a sound completion test: a core increments slabsSent before
+	// publishing its processed watermark, so once every core shows
 	// processed == injected the sum of slabsSent is final, and once
-	// slabsDone catches up every result is in e.results.
+	// slabsDone catches up every result is in e.batches.
 	slabsDone atomic.Uint64
 }
 
@@ -176,7 +184,6 @@ type softCore struct {
 	kernel  stream.ProbeKernel // concrete kernel: KernelHash or KernelScan
 	ordered bool               // ordered mode needs a slab (punctuation) per batch, even empty
 	in      chan *inputBatch
-	out     chan *resultSlab
 	windowR *stream.SlidingWindow
 	windowS *stream.SlidingWindow
 	// Hash-kernel state: one incremental key index per sub-window, kept in
@@ -203,9 +210,14 @@ func NewUniFlow(cfg Config) (*UniFlow, error) {
 		subWindow: cfg.subWindowSize(),
 		kernel:    cfg.resolveKernel(),
 		in:        make(chan *inputBatch, cfg.ChannelDepth),
-		results:   make(chan stream.Result, cfg.ChannelDepth*cfg.BatchSize+1),
+		// One result vector per in-flight input batch per core: depth
+		// mirrors the input side.
+		batches: make(chan *stream.ResultBatch, cfg.NumCores*(cfg.ChannelDepth+1)),
 	}
 	e.seqR, e.seqS = cfg.BaseSeqR, cfg.BaseSeqS
+	if cfg.OrderedResults {
+		e.slabs = make(chan *resultSlab, cap(e.batches))
+	}
 	for i := 0; i < cfg.NumCores; i++ {
 		c := &softCore{
 			part:    core.Partition{NumCores: cfg.NumCores, Position: i},
@@ -214,8 +226,6 @@ func NewUniFlow(cfg Config) (*UniFlow, error) {
 			kernel:  e.kernel,
 			ordered: cfg.OrderedResults,
 			in:      make(chan *inputBatch, cfg.ChannelDepth),
-			// One slab per in-flight batch: depth mirrors the input side.
-			out:     make(chan *resultSlab, cfg.ChannelDepth+1),
 			windowR: stream.NewSlidingWindow(cfg.subWindowSize()),
 			windowS: stream.NewSlidingWindow(cfg.subWindowSize()),
 			countR:  cfg.BaseSeqR,
@@ -361,12 +371,12 @@ func (e *UniFlow) collectState() []core.Input {
 // Quiesce drives the running engine to a punctuation boundary without
 // closing it: pending input is flushed, then it spin-waits until every
 // core has processed every injected tuple and every result slab those
-// batches produced has been forwarded into the Results channel. On
-// return the windows are safe to read, the sequence counters are stable,
-// and Collected() counts every result the input so far can produce —
-// results may still sit buffered in the Results channel, which the
-// consumer must keep draining or Quiesce can block forever. Must be
-// called from the single producer goroutine (no concurrent Push).
+// batches produced has been handed into the output channel. On return
+// the windows are safe to read, the sequence counters are stable, and
+// Collected() counts every result the input so far can produce — results
+// may still sit buffered in the output channel, which the consumer must
+// keep draining or Quiesce can block forever. Must be called from the
+// single producer goroutine (no concurrent Push).
 func (e *UniFlow) Quiesce() error {
 	if !e.started {
 		return fmt.Errorf("softjoin: Quiesce before Start")
@@ -405,7 +415,7 @@ func (e *UniFlow) SnapshotState() ([]core.Input, uint64, uint64, error) {
 	return e.collectState(), e.seqR, e.seqS, nil
 }
 
-// ResultsEmitted returns how many results have been handed to the Results
+// ResultsEmitted returns how many results have been handed to the output
 // channel. At a quiesce boundary this is the exact number of results the
 // input consumed so far produces — the flush target a checkpointing
 // session waits on before declaring a snapshot durable.
@@ -416,7 +426,8 @@ func (e *UniFlow) ResultsEmitted() uint64 { return e.collected.Load() }
 // boundary a rebalance snapshots.
 func (e *UniFlow) Seqs() (seqR, seqS uint64) { return e.seqR, e.seqS }
 
-// Start launches the distributor, the join cores, and the result gatherer.
+// Start launches the distributor, the join cores, and — in ordered mode —
+// the reorder stage.
 func (e *UniFlow) Start() error {
 	if e.started {
 		return fmt.Errorf("softjoin: engine already started")
@@ -427,9 +438,11 @@ func (e *UniFlow) Start() error {
 	for _, c := range e.cores {
 		c := c
 		e.wg.Add(1)
+		e.coreWG.Add(1)
 		go func() {
 			defer e.wg.Done()
-			c.run()
+			defer e.coreWG.Done()
+			c.run(e)
 		}()
 	}
 
@@ -450,65 +463,55 @@ func (e *UniFlow) Start() error {
 		}
 	}()
 
-	// Result gathering. Relaxed mode: one goroutine per core copying each
-	// slab into the shared output and recycling it. Ordered mode: the
-	// per-core goroutines feed a merged channel drained by a single
-	// reordering goroutine.
+	// Relaxed mode has no gathering stage: every core sends its result
+	// vector straight into e.batches, which closes once the last core has
+	// exited.
 	if !e.cfg.OrderedResults {
-		for _, c := range e.cores {
-			c := c
-			e.gatherWG.Add(1)
-			go func() {
-				defer e.gatherWG.Done()
-				for slab := range c.out {
-					for i := range slab.items {
-						e.results <- slab.items[i].res
-					}
-					e.collected.Add(uint64(len(slab.items)))
-					e.slabsDone.Add(1)
-					putSlab(slab)
-				}
-			}()
-		}
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			e.gatherWG.Wait()
-			close(e.results)
+			e.coreWG.Wait()
+			close(e.batches)
 		}()
 		return nil
 	}
 
-	merged := make(chan *resultSlab, len(e.cores))
-	for _, c := range e.cores {
-		c := c
-		e.gatherWG.Add(1)
-		go func() {
-			defer e.gatherWG.Done()
-			for slab := range c.out {
-				merged <- slab
-			}
-		}()
-	}
+	// Ordered mode: the cores feed one shared slab channel drained by a
+	// single reordering goroutine, which emits each release round as one
+	// output batch.
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		e.gatherWG.Wait()
-		close(merged)
+		e.coreWG.Wait()
+		close(e.slabs)
 	}()
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		defer close(e.results)
+		defer close(e.batches)
 		var rb reorderBuffer
 		watermarks := make([]uint64, len(e.cores))
-		emit := func(r stream.Result) {
-			e.collected.Add(1)
-			e.results <- r
+		out := releaseBatches.Get()
+		flush := func() {
+			if len(out.Results) == 0 {
+				return
+			}
+			n := uint64(len(out.Results))
+			e.batches <- out
+			// Counted after the hand-off: ResultsEmitted is a flush
+			// target, so it may only cover results a consumer can reach.
+			e.collected.Add(n)
+			out = releaseBatches.Get()
 		}
-		for slab := range merged {
-			for i := range slab.items {
-				rb.add(slab.items[i])
+		emit := func(r stream.Result) {
+			out.Results = append(out.Results, r)
+			if len(out.Results) == releaseBatchResults {
+				flush()
+			}
+		}
+		for slab := range e.slabs {
+			for i, idx := range slab.idx {
+				rb.add(taggedResult{res: slab.batch.Results[i], idx: idx})
 			}
 			// The slab header is the punctuation: everything this core
 			// produced for arrivals below its watermark is now buffered.
@@ -521,15 +524,24 @@ func (e *UniFlow) Start() error {
 				}
 			}
 			rb.release(low, emit)
-			// Counted only after the release: at a quiesce point every
-			// core's watermark equals the injected count, so the final
-			// release drains the buffer before the count goes final.
+			flush()
+			// Counted only after the release is handed off: at a quiesce
+			// point every core's watermark equals the injected count, so
+			// the final release drains the buffer before the count goes
+			// final.
 			e.slabsDone.Add(1)
 		}
 		rb.flush(emit)
+		flush()
+		out.Release()
 	}()
 	return nil
 }
+
+// releaseBatchResults caps one ordered-mode output batch, so a release
+// round that frees a long run of buffered results reaches the consumer in
+// bounded pieces instead of one vector the pool would refuse to keep.
+const releaseBatchResults = 1024
 
 // run is the join-core loop: for every tuple in every batch, probe the
 // opposite sub-window and store on this core's round-robin turn. The
@@ -537,10 +549,13 @@ func (e *UniFlow) Start() error {
 // residue class this engine stores at all, and the engine-level partition
 // round-robins the stored subsequence over the cores (for the unsharded
 // 1-of-1 shard both collapse to the original per-core turn).
-func (c *softCore) run() {
-	defer close(c.out)
+func (c *softCore) run(e *UniFlow) {
 	shardN := uint64(c.shard.NumCores)
-	slab := getSlab()
+	out := coreBatches.Get()
+	var slab *resultSlab
+	if c.ordered {
+		slab = getSlab(out)
+	}
 	for b := range c.in {
 		batch := b.items
 		// Single-writer counter: keep a local copy across the batch and
@@ -551,45 +566,68 @@ func (c *softCore) run() {
 			t := in.Tuple
 			switch in.Side {
 			case stream.SideR:
-				c.probe(t, stream.SideR, proc, slab)
+				c.probe(t, stream.SideR, out)
 				if c.shard.StoreTurn(c.countR) && c.part.StoreTurn(c.countR/shardN) {
 					c.store(stream.SideR, t)
 				}
 				c.countR++
 			case stream.SideS:
-				c.probe(t, stream.SideS, proc, slab)
+				c.probe(t, stream.SideS, out)
 				if c.shard.StoreTurn(c.countS) && c.part.StoreTurn(c.countS/shardN) {
 					c.store(stream.SideS, t)
 				}
 				c.countS++
 			}
+			if slab != nil {
+				// Tag what this probe appended with its arrival index.
+				for len(slab.idx) < len(out.Results) {
+					slab.idx = append(slab.idx, proc)
+				}
+			}
 			proc++
 		}
-		// Decide (and count) the slab send before publishing the processed
+		// Decide (and count) the send before publishing the processed
 		// watermark: Quiesce reads processed to learn when the slab count
 		// is final, so slabsSent must be visible first.
-		send := c.ordered || len(slab.items) > 0
+		send := c.ordered || len(out.Results) > 0
 		if send {
 			c.slabsSent.Add(1)
 		}
 		c.processed.Store(proc)
 		b.release()
-		// Hand the batch's whole result vector over with a single send;
-		// the punctuation (processed watermark) rides in the slab header.
-		// Relaxed mode has no watermarks, so empty slabs stay here and are
-		// reused for the next batch.
-		if send {
+		// Hand the batch's whole result vector over with a single send.
+		// Relaxed mode has no watermarks, so an empty vector stays here and
+		// is reused for the next batch; ordered mode sends one regardless,
+		// because the punctuation (processed watermark) rides in the slab
+		// header.
+		if !send {
+			continue
+		}
+		if slab != nil {
 			slab.core = c.part.Position
 			slab.processed = proc
-			c.out <- slab
-			slab = getSlab()
+			e.slabs <- slab
+			out = coreBatches.Get()
+			slab = getSlab(out)
+			continue
 		}
+		n := uint64(len(out.Results))
+		e.batches <- out
+		// Counted after the hand-off, slabsDone last: once Quiesce sees
+		// slabsDone catch up, ResultsEmitted already covers the vector.
+		e.collected.Add(n)
+		e.slabsDone.Add(1)
+		out = coreBatches.Get()
 	}
-	putSlab(slab)
+	if slab != nil {
+		putSlab(slab)
+	} else {
+		out.Release()
+	}
 }
 
-// probe matches t (arrival index idx) against the opposite sub-window,
-// appending results to the batch's slab. The kernel decides the shape of
+// probe matches t against the opposite sub-window, appending results to
+// the input batch's result vector. The kernel decides the shape of
 // the work and what Comparisons() counts:
 //
 //   - KernelHash looks the key up in the opposite window's incremental
@@ -601,19 +639,19 @@ func (c *softCore) run() {
 //
 // Both kernels pay one atomic add per probe (a per-element atomic would
 // dominate the hot loop).
-func (c *softCore) probe(t stream.Tuple, side stream.Side, idx uint64, slab *resultSlab) {
+func (c *softCore) probe(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
 	if c.kernel == stream.KernelHash {
-		c.probeHash(t, side, idx, slab)
+		c.probeHash(t, side, out)
 		return
 	}
-	c.probeScan(t, side, idx, slab)
+	c.probeScan(t, side, out)
 }
 
 // probeHash is the hash-index probe kernel: the software analogue of a GPU
 // hash-join probe. Matches surface in probe-chain order, not arrival
 // order; ordered mode sequences results by probe arrival only, so the
 // within-probe order is free.
-func (c *softCore) probeHash(t stream.Tuple, side stream.Side, idx uint64, slab *resultSlab) {
+func (c *softCore) probeHash(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
 	ix := c.idxS
 	if side == stream.SideS {
 		ix = c.idxR
@@ -622,11 +660,11 @@ func (c *softCore) probeHash(t stream.Tuple, side stream.Side, idx uint64, slab 
 	c.matchBuf = matches // keep the grown capacity for the next probe
 	if side == stream.SideR {
 		for _, stored := range matches {
-			slab.items = append(slab.items, taggedResult{res: stream.Result{R: t, S: stored}, idx: idx})
+			out.Results = append(out.Results, stream.Result{R: t, S: stored})
 		}
 	} else {
 		for _, stored := range matches {
-			slab.items = append(slab.items, taggedResult{res: stream.Result{R: stored, S: t}, idx: idx})
+			out.Results = append(out.Results, stream.Result{R: stored, S: t})
 		}
 	}
 	c.compared.Add(uint64(examined))
@@ -637,7 +675,7 @@ func (c *softCore) probeHash(t stream.Tuple, side stream.Side, idx uint64, slab 
 // (stream.BlockMask), and full tuples are materialized only for set bits —
 // the branch-reduced software analogue of a SIMD lane sweep. It evaluates
 // any join condition.
-func (c *softCore) probeScan(t stream.Tuple, side stream.Side, idx uint64, slab *resultSlab) {
+func (c *softCore) probeScan(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
 	win := c.windowS
 	if side == stream.SideS {
 		win = c.windowR
@@ -661,9 +699,9 @@ func (c *softCore) probeScan(t stream.Tuple, side stream.Side, idx uint64, slab 
 				i := bits.TrailingZeros64(mask)
 				mask &= mask - 1
 				if side == stream.SideR {
-					slab.items = append(slab.items, taggedResult{res: stream.Result{R: t, S: tuples[i]}, idx: idx})
+					out.Results = append(out.Results, stream.Result{R: t, S: tuples[i]})
 				} else {
-					slab.items = append(slab.items, taggedResult{res: stream.Result{R: tuples[i], S: t}, idx: idx})
+					out.Results = append(out.Results, stream.Result{R: tuples[i], S: t})
 				}
 			}
 			words, tuples = words[n:], tuples[n:]
@@ -726,13 +764,25 @@ func (e *UniFlow) flushBatch() {
 	e.in <- b
 }
 
-// Results returns the merged result channel. It is closed after Close once
-// all in-flight work has drained.
-func (e *UniFlow) Results() <-chan stream.Result { return e.results }
+// Batches returns the engine's output: one pooled batch per core per
+// input batch that produced matches (relaxed mode) or per release round
+// (ordered mode). The receiver owns each batch and must Release it. The
+// channel is closed after Close once all in-flight work has drained.
+// Batches and Results are mutually exclusive consumers: whichever is
+// used first owns the output for the engine's lifetime.
+func (e *UniFlow) Batches() <-chan *stream.ResultBatch { return e.batches }
+
+// Results returns the output one result at a time, for in-process callers
+// that want a plain channel. The first call starts the one goroutine that
+// unrolls Batches; it exits when the engine's output closes, so the
+// channel is closed after Close once all in-flight work has drained.
+func (e *UniFlow) Results() <-chan stream.Result {
+	return e.results.Of(e.batches, e.cfg.ChannelDepth*e.cfg.BatchSize+1)
+}
 
 // Close flushes pending input, stops the pipeline, and waits for every
-// goroutine to exit. The Results channel must be drained concurrently or
-// Close may block forever.
+// goroutine to exit. The output (Batches or Results) must be drained
+// concurrently or Close may block forever.
 func (e *UniFlow) Close() error {
 	if !e.started {
 		return fmt.Errorf("softjoin: engine not started")

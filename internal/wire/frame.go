@@ -24,45 +24,47 @@ type Frame struct {
 // use; callers that share one connection between goroutines must serialize
 // writes themselves.
 type Writer struct {
-	bw  *bufio.Writer
-	buf []byte // payload scratch, reused across frames
-
-	// head/sum live on the Writer (not the stack) because they are passed
-	// through the io.Writer interface, which would otherwise force a heap
-	// escape — and an allocation — on every frame.
-	head [1 + binary.MaxVarintLen64]byte
-	sum  [4]byte
+	w io.Writer
+	// buf is the frame scratch, reused across frames: frameHead bytes of
+	// header room, the payload, then the CRC, so a whole frame leaves in
+	// one Write.
+	buf []byte
 }
 
 // NewWriter wraps w in a frame encoder.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w)}
+	return &Writer{w: w}
 }
 
-// writeFrame emits one frame and flushes, so every frame is immediately
-// visible to the peer (batching happens at the payload level, not by
-// holding frames back).
-func (w *Writer) writeFrame(t FrameType, payload []byte) error {
+// frameHead is the room every scratch reserves in front of the payload
+// for the frame header (type byte plus a maximal length uvarint); the
+// header is written right-aligned into it once the payload length is
+// known.
+const frameHead = 1 + binary.MaxVarintLen64
+
+// writeFrame emits one frame whose payload the caller appended to a
+// scratch() buffer. Header, payload and CRC go out contiguously in a
+// single Write — one syscall and one peer wake-up per frame whatever its
+// size — so every frame is immediately visible to the peer (batching
+// happens at the payload level, not by holding frames back).
+func (w *Writer) writeFrame(t FrameType, b []byte) error {
+	payload := b[frameHead:]
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("wire: payload %d exceeds limit %d", len(payload), MaxPayload)
 	}
-	w.head[0] = byte(t)
+	var size [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(size[:], uint64(len(payload)))
+	start := frameHead - 1 - n
+	b[start] = byte(t)
+	copy(b[start+1:], size[:n])
 	// Update-chaining computes the same IEEE CRC as a crc32.NewIEEE()
 	// digest without allocating one per frame.
-	crc := crc32.Update(0, crc32.IEEETable, w.head[:1])
+	crc := crc32.Update(0, crc32.IEEETable, b[start:start+1])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	n := binary.PutUvarint(w.head[1:], uint64(len(payload)))
-	if _, err := w.bw.Write(w.head[:1+n]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(w.sum[:], crc)
-	if _, err := w.bw.Write(w.sum[:]); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	b = binary.BigEndian.AppendUint32(b, crc)
+	w.buf = b // keep whatever the appends grew
+	_, err := w.w.Write(b[start:])
+	return err
 }
 
 // Wire widths of the hot-path elements: a batch tuple is a side byte plus
@@ -75,14 +77,16 @@ const (
 	resultWireMax = 16 + 2*binary.MaxVarintLen64
 )
 
-// scratch returns the writer's payload scratch with at least the given
-// capacity, growing it at most once per frame (and then keeping the larger
-// backing array for every later frame).
+// scratch returns the writer's frame scratch, positioned after the header
+// room and with capacity for an n-byte payload plus the CRC, growing it at
+// most once per frame (and then keeping the larger backing array for every
+// later frame). Callers append the payload and pass the result to
+// writeFrame.
 func (w *Writer) scratch(n int) []byte {
-	if cap(w.buf) < n {
-		w.buf = make([]byte, 0, n)
+	if need := frameHead + n + crc32.Size; cap(w.buf) < need {
+		w.buf = make([]byte, frameHead, need)
 	}
-	return w.buf[:0]
+	return w.buf[:frameHead]
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -191,7 +195,7 @@ func (w *Writer) writeOpenV1(cfg OpenConfig) error {
 	if cfg.Tenant != "" {
 		return fmt.Errorf("wire: tenant identity requires the v2 open encoding")
 	}
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, ProtocolV1)
 	b = append(b, byte(cfg.Engine))
 	b = appendUvarint(b, uint64(cfg.Cores))
@@ -212,14 +216,13 @@ func (w *Writer) writeOpenV1(cfg OpenConfig) error {
 	if cfg.ProbeKernel != stream.KernelAuto {
 		b = append(b, byte(cfg.ProbeKernel))
 	}
-	w.buf = b
 	return w.writeFrame(FrameOpen, b)
 }
 
 // writeOpenV2 emits the field-tagged Open layout: the version uvarint
 // followed by TLV fields, zero-valued fields omitted.
 func (w *Writer) writeOpenV2(cfg OpenConfig) error {
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, ProtocolV2)
 	b = appendFieldByte(b, openTagEngine, byte(cfg.Engine))
 	b = appendFieldUvarint(b, openTagCores, uint64(cfg.Cores))
@@ -248,7 +251,6 @@ func (w *Writer) writeOpenV2(cfg OpenConfig) error {
 	if cfg.Tenant != "" {
 		b = appendFieldString(b, openTagTenant, cfg.Tenant)
 	}
-	w.buf = b
 	return w.writeFrame(FrameOpen, b)
 }
 
@@ -269,7 +271,7 @@ func (w *Writer) WriteOpenAck(ack OpenAck) error {
 	if ack.Reject != RejectNone {
 		return fmt.Errorf("wire: v1 open-ack cannot carry reject code %v", ack.Reject)
 	}
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, uint64(ack.Credits))
 	b = appendUvarint(b, ack.Session)
 	if ack.Resumed {
@@ -277,7 +279,6 @@ func (w *Writer) WriteOpenAck(ack OpenAck) error {
 		b = appendUvarint(b, ack.ResumeSeqR)
 		b = appendUvarint(b, ack.ResumeSeqS)
 	}
-	w.buf = b
 	return w.writeFrame(FrameOpenAck, b)
 }
 
@@ -287,7 +288,7 @@ func (w *Writer) WriteOpenAck(ack OpenAck) error {
 // TLV fields follow. A rejected ack carries only the reject code and the
 // optional retry-after hint.
 func (w *Writer) writeOpenAckV2(ack OpenAck) error {
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, 0)
 	b = appendUvarint(b, ProtocolV2)
 	if ack.Reject != RejectNone {
@@ -304,7 +305,6 @@ func (w *Writer) writeOpenAckV2(ack OpenAck) error {
 			b = appendFieldUvarint(b, ackTagResumeSeqS, ack.ResumeSeqS)
 		}
 	}
-	w.buf = b
 	return w.writeFrame(FrameOpenAck, b)
 }
 
@@ -321,7 +321,6 @@ func (w *Writer) WriteBatch(seq uint64, inputs []core.Input) error {
 		b = appendU32(b, inputs[i].Tuple.Key)
 		b = appendU32(b, inputs[i].Tuple.Val)
 	}
-	w.buf = b
 	return w.writeFrame(FrameBatch, b)
 }
 
@@ -339,35 +338,32 @@ func (w *Writer) WriteResults(results []stream.Result) error {
 		b = appendU32(b, r.S.Val)
 		b = appendUvarint(b, r.S.Seq)
 	}
-	w.buf = b
 	return w.writeFrame(FrameResults, b)
 }
 
 // WriteCredit returns n batch credits to the client.
 func (w *Writer) WriteCredit(n int) error {
-	b := appendUvarint(w.buf[:0], uint64(n))
-	w.buf = b
+	b := appendUvarint(w.scratch(0), uint64(n))
 	return w.writeFrame(FrameCredit, b)
 }
 
 // WriteClose emits a Close (drain request) frame.
 func (w *Writer) WriteClose() error {
-	return w.writeFrame(FrameClose, nil)
+	return w.writeFrame(FrameClose, w.scratch(0))
 }
 
 // WriteClosed emits a Closed frame with the final session statistics.
 func (w *Writer) WriteClosed(st Stats) error {
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, st.TuplesIn)
 	b = appendUvarint(b, st.BatchesIn)
 	b = appendUvarint(b, st.ResultsOut)
-	w.buf = b
 	return w.writeFrame(FrameClosed, b)
 }
 
 // WriteError emits an Error frame with a human-readable message.
 func (w *Writer) WriteError(msg string) error {
-	return w.writeFrame(FrameError, []byte(msg))
+	return w.writeFrame(FrameError, append(w.scratch(len(msg)), msg...))
 }
 
 // stateTupleWireMax is the widest encoding of one StateChunk tuple: side
@@ -379,7 +375,7 @@ const stateTupleWireMax = tupleWire + binary.MaxVarintLen64
 // frame's position in the stream — every Batch frame written before it is
 // reflected in the exported state, nothing after it is.
 func (w *Writer) WriteRebalancePrepare() error {
-	return w.writeFrame(FrameRebalancePrepare, nil)
+	return w.writeFrame(FrameRebalancePrepare, w.scratch(0))
 }
 
 // WriteStateChunk emits a StateChunk frame: a uvarint tuple count followed
@@ -399,19 +395,17 @@ func (w *Writer) WriteStateChunk(tuples []core.Input) error {
 		b = appendU32(b, tuples[i].Tuple.Val)
 		b = appendUvarint(b, tuples[i].Tuple.Seq)
 	}
-	w.buf = b
 	return w.writeFrame(FrameStateChunk, b)
 }
 
 // WriteRebalanceCommit emits a RebalanceCommit frame carrying the transfer
 // summary.
 func (w *Writer) WriteRebalanceCommit(info RebalanceInfo) error {
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, info.TuplesR)
 	b = appendUvarint(b, info.TuplesS)
 	b = appendUvarint(b, info.SeqR)
 	b = appendUvarint(b, info.SeqS)
-	w.buf = b
 	return w.writeFrame(FrameRebalanceCommit, b)
 }
 
@@ -419,18 +413,17 @@ func (w *Writer) WriteRebalanceCommit(info RebalanceInfo) error {
 // RebalancePrepare it carries no payload: the punctuation boundary is the
 // frame's position in the stream.
 func (w *Writer) WriteCheckpoint() error {
-	return w.writeFrame(FrameCheckpoint, nil)
+	return w.writeFrame(FrameCheckpoint, w.scratch(0))
 }
 
 // WriteCheckpointDone emits a CheckpointDone frame carrying the snapshot
 // summary (same encoding as RebalanceCommit).
 func (w *Writer) WriteCheckpointDone(info RebalanceInfo) error {
-	b := w.buf[:0]
+	b := w.scratch(0)
 	b = appendUvarint(b, info.TuplesR)
 	b = appendUvarint(b, info.TuplesS)
 	b = appendUvarint(b, info.SeqR)
 	b = appendUvarint(b, info.SeqS)
-	w.buf = b
 	return w.writeFrame(FrameCheckpointDone, b)
 }
 
@@ -438,6 +431,12 @@ func (w *Writer) WriteCheckpointDone(info RebalanceInfo) error {
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte // payload scratch, reused across frames
+	// typ and sum live on the Reader (not the stack) because they are
+	// passed through an interface or a function variable (io.Reader,
+	// crc32's per-architecture update), which would otherwise force a heap
+	// escape — and an allocation — on every frame.
+	typ [1]byte
+	sum [crc32.Size]byte
 }
 
 // NewReader wraps r in a frame decoder.
@@ -460,20 +459,22 @@ func (r *Reader) ReadFrame() (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: frame payload %d exceeds limit %d", size, MaxPayload)
 	}
 	if cap(r.buf) < int(size) {
-		r.buf = make([]byte, size)
+		// Grow geometrically: frame sizes creep upward as the varint
+		// sequence numbers they carry lengthen, and growing to the exact
+		// size would reallocate at every new maximum.
+		r.buf = make([]byte, size, max(int(size), 2*cap(r.buf)))
 	}
 	payload := r.buf[:size]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return Frame{}, fmt.Errorf("wire: reading frame payload: %w", err)
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r.br, sum[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.sum[:]); err != nil {
 		return Frame{}, fmt.Errorf("wire: reading frame checksum: %w", err)
 	}
-	tb := [1]byte{t}
-	crc := crc32.Update(0, crc32.IEEETable, tb[:])
+	r.typ[0] = t
+	crc := crc32.Update(0, crc32.IEEETable, r.typ[:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got, want := crc, binary.BigEndian.Uint32(sum[:]); got != want {
+	if got, want := crc, binary.BigEndian.Uint32(r.sum[:]); got != want {
 		return Frame{}, fmt.Errorf("wire: checksum mismatch on %v frame: computed %08x, carried %08x", FrameType(t), got, want)
 	}
 	return Frame{Type: FrameType(t), Payload: payload}, nil
@@ -837,12 +838,24 @@ func DecodeBatchInto(payload []byte, maxTuples int, dst []core.Input) (seq uint6
 
 // DecodeResults parses a Results payload into a fresh result slice.
 func DecodeResults(payload []byte) ([]stream.Result, error) {
+	return DecodeResultsInto(payload, nil)
+}
+
+// DecodeResultsInto parses a Results payload into dst's backing storage,
+// growing it only when the frame exceeds dst's capacity — the result-path
+// mirror of DecodeBatchInto. A reader that decodes every frame into a
+// pooled batch (as Client.readLoop does) performs no steady-state
+// allocation. dst may be nil; its contents are overwritten.
+func DecodeResultsInto(payload []byte, dst []stream.Result) ([]stream.Result, error) {
 	c := cursor{b: payload}
 	n := c.uvarint()
 	if c.err == nil && n*resultWireMin > uint64(len(payload)) {
 		return nil, fmt.Errorf("wire: result count %d exceeds payload", n)
 	}
-	results := make([]stream.Result, 0, n)
+	results := dst[:0]
+	if uint64(cap(results)) < n {
+		results = make([]stream.Result, 0, n)
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		var r stream.Result
 		r.R.Key = c.u32()

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"accelstream/internal/stream"
 )
 
 // The fuzz targets below harden the frame decoders against arbitrary
@@ -165,6 +167,30 @@ func FuzzDecodeResults(f *testing.F) {
 	seedWithFlips(f, payloadOf(f, buf.Bytes()))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		results, err := DecodeResults(payload)
+		// The Into form must agree with the allocating form whatever dst
+		// it is handed: dirty and undersized (1 stale result, must grow),
+		// dirty and oversized (must overwrite, not append).
+		dirty := stream.Result{R: stream.Tuple{Key: 0xdead, Seq: 1 << 40}, S: stream.Tuple{Val: 0xbeef, Seq: 1 << 41}}
+		small := []stream.Result{dirty}
+		big := make([]stream.Result, len(results)+3)
+		for i := range big {
+			big[i] = dirty
+		}
+		for name, dst := range map[string][]stream.Result{"undersized": small, "oversized": big} {
+			into, intoErr := DecodeResultsInto(payload, dst)
+			if (intoErr == nil) != (err == nil) || len(into) != len(results) {
+				t.Fatalf("%s dst: DecodeResultsInto gave %d results, err=%v; DecodeResults %d, err=%v",
+					name, len(into), intoErr, len(results), err)
+			}
+			for i := range into {
+				if into[i] != results[i] {
+					t.Fatalf("%s dst: result %d is %v, DecodeResults gave %v", name, i, into[i], results[i])
+				}
+			}
+			if err == nil && name == "oversized" && len(into) > 0 && &into[0] != &big[0] {
+				t.Fatalf("oversized dst was not reused")
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -30,6 +30,12 @@ type SessionMetrics = server.SessionMetrics
 // shard router — see cmd/streamshard) behind an ordinary session.
 type SessionEngineImpl = server.Engine
 
+// SessionResultBatcher is the optional capability a custom session engine
+// may add to SessionEngineImpl: the session then pulls whole pooled
+// result batches from NextResultBatch and never calls Results (the two
+// are mutually exclusive consumers of the engine's output).
+type SessionResultBatcher = server.ResultBatcher
+
 // SessionConfig selects and sizes the engine a client session runs.
 type SessionConfig = wire.OpenConfig
 
