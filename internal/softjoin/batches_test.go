@@ -113,6 +113,48 @@ func TestBatchesMatchOracleAndResults(t *testing.T) {
 	}
 }
 
+// TestScanKernelTailAndWrapOracle pins the scan kernel's block edges at the
+// engine level: sub-windows of 1, 63, 64, 65 and 127 words (no full block,
+// one short of a block, exactly one, a one-word tail, a long tail), each
+// filled twice over so the ring wraps and both word segments are live, under a sparse condition (level 1 dismisses most blocks), a
+// dense one (every lane hits) and a band on values that sit on the lane
+// arithmetic's borrow corners — relaxed and ordered, through Batches() and
+// through Results(), always equal to the single-process oracle.
+func TestScanKernelTailAndWrapOracle(t *testing.T) {
+	const cores = 2
+	corners := []uint32{0, 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
+	conds := []struct {
+		name string
+		cond stream.JoinCondition
+	}{
+		{"sparse-eq", stream.EquiJoinOnKey()},
+		{"dense-ne", stream.JoinCondition{LHS: stream.FieldKey, RHS: stream.FieldKey, Cmp: stream.CmpNE}},
+		{"band-lt-val", stream.JoinCondition{LHS: stream.FieldVal, RHS: stream.FieldVal, Cmp: stream.CmpLT}},
+	}
+	for _, sub := range []int{1, 63, 64, 65, 127} {
+		window := cores * sub
+		rng := rand.New(rand.NewSource(int64(sub)))
+		inputs := randomWorkload(rng, 4*window+100, 97)
+		for i := range inputs {
+			inputs[i].Tuple.Val = corners[rng.Intn(len(corners))] + uint32(rng.Intn(3)) - 1
+		}
+		for _, tc := range conds {
+			for _, ordered := range []bool{false, true} {
+				for view, collect := range map[string]func(*UniFlow) []stream.Result{"Batches": viaBatches, "Results": viaResults} {
+					t.Run(fmt.Sprintf("sub=%d/%s/ordered=%v/%s", sub, tc.name, ordered, view), func(t *testing.T) {
+						cfg := Config{NumCores: cores, WindowSize: window, BatchSize: 32, Condition: tc.cond,
+							OrderedResults: ordered, ProbeKernel: stream.KernelScan}
+						got := runEngine(t, cfg, inputs, collect)
+						if err := core.VerifyExactlyOnce(window, tc.cond, inputs, got); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestQuiesceWithSlowBatchConsumer: the quiesce barrier counts a result
 // vector only once it has been handed into the output channel, so with a
 // consumer slower than the cores — vectors backing up until the cores

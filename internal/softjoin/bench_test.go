@@ -33,30 +33,50 @@ func benchCore(window, selInv int, kernel stream.ProbeKernel) *softCore {
 
 // BenchmarkProbe sweeps the two probe kernels across window sizes and
 // selectivities on identical window contents: the hash kernel's O(matches)
-// lookups against the block-scan kernel's O(W) bitmask sweep.
+// lookups against the block-scan kernel's O(W) two-level sweep. The scan
+// kernel also runs a hit-density axis — from no hit anywhere (level 1
+// dismisses every block) to a hit in every lane (level 1 is pure overhead
+// and every tuple is materialized) — so its best and worst case sit side
+// by side.
 func BenchmarkProbe(b *testing.B) {
+	run := func(name string, window, selInv int, kernel stream.ProbeKernel, key uint32) {
+		b.Run(name, func(b *testing.B) {
+			c := benchCore(window, selInv, kernel)
+			probe := stream.Tuple{Key: key}
+			out := coreBatches.Get()
+			var work uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out.Results = out.Results[:0]
+				work += c.probe(probe, stream.SideR, out)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(work)/float64(b.N), "comparisons/op")
+			b.ReportMetric(float64(len(out.Results)), "results/op")
+			out.Release()
+		})
+	}
 	for _, window := range []int{1 << 10, 1 << 13, 1 << 16} {
 		for _, selInv := range []int{16, 256, 4096} {
 			if selInv > window {
 				continue
 			}
 			for _, kernel := range []stream.ProbeKernel{stream.KernelHash, stream.KernelScan} {
-				name := fmt.Sprintf("W=%d/sel=1-%d/%s", window, selInv, kernel)
-				b.Run(name, func(b *testing.B) {
-					c := benchCore(window, selInv, kernel)
-					probe := stream.Tuple{Key: 7}
-					out := coreBatches.Get()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						out.Results = out.Results[:0]
-						c.probe(probe, stream.SideR, out)
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(c.compared.Load())/float64(b.N), "comparisons/op")
-					out.Release()
-				})
+				run(fmt.Sprintf("W=%d/sel=1-%d/%s", window, selInv, kernel), window, selInv, kernel, 7)
 			}
+		}
+		for _, d := range []struct {
+			name   string
+			selInv int
+			key    uint32
+		}{
+			{"none", stream.BlockBits, 8}, // key 8 is never stored
+			{"1-per-window", window, 7},
+			{"1-per-block", stream.BlockBits, 7},
+			{"every-lane", 1, 7},
+		} {
+			run(fmt.Sprintf("W=%d/hits=%s/scan", window, d.name), window, d.selInv, stream.KernelScan, d.key)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // over identical window contents and emit the same match set; the scan
 // sweeps all 2^14 window words per probe while the index walks only its
 // key's chain. Best-of-three per kernel absorbs scheduler noise — the
-// expected gap is orders of magnitude, so the strict comparison is
-// still conservative.
+// measured gap is ≈14× (≈37× before the scan kernel's two-level sweep), so
+// the strict comparison is still conservative.
 func TestHashKernelOutpacesScan(t *testing.T) {
 	const (
 		window = 1 << 14

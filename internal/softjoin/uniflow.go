@@ -558,21 +558,22 @@ func (c *softCore) run(e *UniFlow) {
 	}
 	for b := range c.in {
 		batch := b.items
-		// Single-writer counter: keep a local copy across the batch and
-		// store once at the end, so the probe loop pays no atomics.
+		// Single-writer counters: keep local copies across the batch and
+		// publish once at the end, so the probe loop pays no atomics.
 		proc := c.processed.Load()
+		var work uint64
 		for i := range batch {
 			in := &batch[i]
 			t := in.Tuple
 			switch in.Side {
 			case stream.SideR:
-				c.probe(t, stream.SideR, out)
+				work += c.probe(t, stream.SideR, out)
 				if c.shard.StoreTurn(c.countR) && c.part.StoreTurn(c.countR/shardN) {
 					c.store(stream.SideR, t)
 				}
 				c.countR++
 			case stream.SideS:
-				c.probe(t, stream.SideS, out)
+				work += c.probe(t, stream.SideS, out)
 				if c.shard.StoreTurn(c.countS) && c.part.StoreTurn(c.countS/shardN) {
 					c.store(stream.SideS, t)
 				}
@@ -586,6 +587,7 @@ func (c *softCore) run(e *UniFlow) {
 			}
 			proc++
 		}
+		c.compared.Add(work)
 		// Decide (and count) the send before publishing the processed
 		// watermark: Quiesce reads processed to learn when the slab count
 		// is final, so slabsSent must be visible first.
@@ -627,31 +629,29 @@ func (c *softCore) run(e *UniFlow) {
 }
 
 // probe matches t against the opposite sub-window, appending results to
-// the input batch's result vector. The kernel decides the shape of
-// the work and what Comparisons() counts:
+// the input batch's result vector, and returns the work it did — what
+// Comparisons() counts, summed by run once per input batch so the probe
+// loop pays no atomics. The kernel decides the shape of the work:
 //
 //   - KernelHash looks the key up in the opposite window's incremental
-//     index — O(matches) per probe; Comparisons() counts the index entries
-//     the probe chain examined (the loads the kernel actually performed).
+//     index — O(matches) per probe; the work is the index entries the
+//     probe chain examined (the loads the kernel actually performed).
 //   - KernelScan sweeps the opposite window's dense word column in
-//     64-wide bitmask blocks; Comparisons() counts every word swept, like
-//     the hardware comparator sweep it mirrors.
-//
-// Both kernels pay one atomic add per probe (a per-element atomic would
-// dominate the hot loop).
-func (c *softCore) probe(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
+//     64-word blocks; the work is every word swept — blocks the level-1
+//     reduce dismisses included, they were compared — like the hardware
+//     comparator sweep it mirrors.
+func (c *softCore) probe(t stream.Tuple, side stream.Side, out *stream.ResultBatch) uint64 {
 	if c.kernel == stream.KernelHash {
-		c.probeHash(t, side, out)
-		return
+		return c.probeHash(t, side, out)
 	}
-	c.probeScan(t, side, out)
+	return c.probeScan(t, side, out)
 }
 
 // probeHash is the hash-index probe kernel: the software analogue of a GPU
 // hash-join probe. Matches surface in probe-chain order, not arrival
 // order; ordered mode sequences results by probe arrival only, so the
 // within-probe order is free.
-func (c *softCore) probeHash(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
+func (c *softCore) probeHash(t stream.Tuple, side stream.Side, out *stream.ResultBatch) uint64 {
 	ix := c.idxS
 	if side == stream.SideS {
 		ix = c.idxR
@@ -667,47 +667,40 @@ func (c *softCore) probeHash(t stream.Tuple, side stream.Side, out *stream.Resul
 			out.Results = append(out.Results, stream.Result{R: stored, S: t})
 		}
 	}
-	c.compared.Add(uint64(examined))
+	return uint64(examined)
 }
 
-// probeScan is the block-scan probe kernel: the predicate runs over the
-// window's packed word column in 64-wide blocks producing a hit bitmask
-// (stream.BlockMask), and full tuples are materialized only for set bits —
-// the branch-reduced software analogue of a SIMD lane sweep. It evaluates
-// any join condition.
-func (c *softCore) probeScan(t stream.Tuple, side stream.Side, out *stream.ResultBatch) {
+// probeScan is the block-scan probe kernel: a two-level sweep
+// (stream.Sweep) of the window's packed word column. Level 1 OR-reduces
+// the compare lines of each 64-word block; only blocks in which some lane
+// hit get a hit bitmask, and full tuples are materialized only for its set
+// bits — the software analogue of a Processing Core's comparator row whose
+// OR-tree enables the match FIFO. It evaluates any join condition.
+func (c *softCore) probeScan(t stream.Tuple, side stream.Side, out *stream.ResultBatch) uint64 {
 	win := c.windowS
 	if side == stream.SideS {
 		win = c.windowR
 	}
-	lhs := c.cond.LHS.Extract(t)
+	sweep := stream.NewSweep(c.cond.RHS, c.cond.Cmp, c.cond.LHS.Extract(t))
 	olderT, newerT := win.Segments()
 	olderW, newerW := win.WordSegments()
-	scanned := uint64(len(olderW) + len(newerW))
 	for seg := 0; seg < 2; seg++ {
 		tuples, words := olderT, olderW
 		if seg == 1 {
 			tuples, words = newerT, newerW
 		}
-		for len(words) > 0 {
-			n := len(words)
-			if n > stream.BlockBits {
-				n = stream.BlockBits
-			}
-			mask := stream.BlockMask(words[:n], c.cond.RHS, c.cond.Cmp, lhs)
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &= mask - 1
+		for base, mask := sweep.Next(words, 0); mask != 0; base, mask = sweep.Next(words, base+stream.BlockBits) {
+			for ; mask != 0; mask &= mask - 1 {
+				stored := tuples[base+bits.TrailingZeros64(mask)]
 				if side == stream.SideR {
-					out.Results = append(out.Results, stream.Result{R: t, S: tuples[i]})
+					out.Results = append(out.Results, stream.Result{R: t, S: stored})
 				} else {
-					out.Results = append(out.Results, stream.Result{R: tuples[i], S: t})
+					out.Results = append(out.Results, stream.Result{R: stored, S: t})
 				}
 			}
-			words, tuples = words[n:], tuples[n:]
 		}
 	}
-	c.compared.Add(scanned)
+	return uint64(len(olderW) + len(newerW))
 }
 
 // Push submits one tuple. It assigns the per-stream sequence number and

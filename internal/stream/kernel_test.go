@@ -1,45 +1,126 @@
 package stream
 
 import (
+	"bytes"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestBlockMaskMatchesComparatorEval cross-checks the block kernel's
-// bitmask against scalar Comparator.Eval over random word blocks, for
-// every comparator × field combination and block lengths 0..64.
+var (
+	allComparators = []Comparator{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
+	bothFields     = []Field{FieldKey, FieldVal}
+	// edgeValues are the operands where the lane arithmetic's borrow and
+	// overflow corners sit; nearEdge draws from them and their neighbours.
+	edgeValues = []uint32{0, 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
+)
+
+// nearEdge maps a selector byte onto an edge value or one of its two
+// neighbours (wrapping around zero and 2^32−1).
+func nearEdge(sel byte) uint32 {
+	return edgeValues[int(sel)%len(edgeValues)] + uint32(int(sel)/len(edgeValues)%3) - 1
+}
+
+// checkSweep holds every layer of the block-scan kernel over one word run
+// to scalar Comparator.Eval: the level-1 verdict and level-2 mask of each
+// 64-word block, BlockMask on the same block, and the whole-run Next walk.
+func checkSweep(t *testing.T, words []uint64, field Field, cmp Comparator, lhs uint32) {
+	t.Helper()
+	var want []int
+	for i, w := range words {
+		if cmp.Eval(lhs, field.Extract(TupleFromWord(w))) {
+			want = append(want, i)
+		}
+	}
+	s := NewSweep(field, cmp, lhs)
+	hits := want
+	for base := 0; base < len(words); base += BlockBits {
+		block := words[base:min(base+BlockBits, len(words))]
+		var mask uint64
+		for ; len(hits) > 0 && hits[0] < base+len(block); hits = hits[1:] {
+			mask |= 1 << uint(hits[0]-base)
+		}
+		if got := s.anyHit(block); got != (mask != 0) {
+			t.Fatalf("lhs=%d %v %v block@%d (%d words): level-1 verdict %v, want %v", lhs, cmp, field, base, len(block), got, mask != 0)
+		}
+		if got := s.mask(block); got != mask {
+			t.Fatalf("lhs=%d %v %v block@%d (%d words): level-2 mask %064b, want %064b", lhs, cmp, field, base, len(block), got, mask)
+		}
+		if got := BlockMask(words[base:], field, cmp, lhs); got != mask {
+			t.Fatalf("lhs=%d %v %v block@%d (%d words): BlockMask %064b, want %064b", lhs, cmp, field, base, len(block), got, mask)
+		}
+	}
+	var got []int
+	for base, m := s.Next(words, 0); m != 0; base, m = s.Next(words, base+BlockBits) {
+		for ; m != 0; m &= m - 1 {
+			got = append(got, base+bits.TrailingZeros64(m))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("lhs=%d %v %v over %d words: Next walk hit %v, want %v", lhs, cmp, field, len(words), got, want)
+	}
+}
+
+// TestBlockMaskMatchesComparatorEval cross-checks the block-scan kernel
+// against scalar Comparator.Eval for every comparator × field
+// combination: over random narrow-domain runs of 0..200 words (so
+// equality actually fires, and short, full and tail blocks all occur),
+// then over a run holding every pairing of edge-adjacent key and value,
+// probed with every edge-adjacent lhs.
 func TestBlockMaskMatchesComparatorEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cmps := []Comparator{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
-	fields := []Field{FieldKey, FieldVal}
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(BlockBits + 1)
-		words := make([]uint64, n)
+		words := make([]uint64, rng.Intn(201))
 		for i := range words {
-			// Narrow domain so equality actually fires.
-			key := uint32(rng.Intn(8))
-			val := uint32(rng.Intn(8))
-			words[i] = Tuple{Key: key, Val: val}.Word()
+			words[i] = Tuple{Key: uint32(rng.Intn(8)), Val: uint32(rng.Intn(8))}.Word()
 		}
 		lhs := uint32(rng.Intn(8))
-		for _, cmp := range cmps {
-			for _, field := range fields {
-				mask := BlockMask(words, field, cmp, lhs)
-				for i, w := range words {
-					rhs := uint32(w)
-					if field == FieldKey {
-						rhs = uint32(w >> 32)
-					}
-					want := cmp.Eval(lhs, rhs)
-					got := mask&(1<<uint(i)) != 0
-					if got != want {
-						t.Fatalf("trial %d cmp=%v field=%v lhs=%d words[%d]=%x: mask bit %v, Eval %v",
-							trial, cmp, field, lhs, i, w, got, want)
-					}
-				}
+		for _, cmp := range allComparators {
+			for _, field := range bothFields {
+				checkSweep(t, words, field, cmp, lhs)
 			}
 		}
 	}
+	const sels = 15 // 5 edges × 3 offsets
+	var edges []uint64
+	for k := 0; k < sels; k++ {
+		for v := 0; v < sels; v++ {
+			edges = append(edges, Tuple{Key: nearEdge(byte(k)), Val: nearEdge(byte(v))}.Word())
+		}
+	}
+	for l := 0; l < sels; l++ {
+		for _, cmp := range allComparators {
+			for _, field := range bothFields {
+				checkSweep(t, edges, field, cmp, nearEdge(byte(l)))
+			}
+		}
+	}
+}
+
+// FuzzBlockScan is the differential fuzz target for the scan kernel's
+// lanes: a ring of up to 200 words whose fields sit on and around the
+// edge values, split at a wrap point into the older/newer runs
+// WordSegments would hand a probe, each run checked layer by layer
+// against Comparator.Eval for all six comparators on both fields.
+func FuzzBlockScan(f *testing.F) {
+	f.Add([]byte{}, byte(0), uint16(0))
+	f.Add([]byte{0, 0, 1, 5, 14, 3, 9, 9}, byte(3), uint16(2))
+	f.Add(bytes.Repeat([]byte{4, 12, 7, 2, 0, 11}, 60), byte(4), uint16(77))
+	f.Fuzz(func(t *testing.T, data []byte, lhsSel byte, wrap uint16) {
+		ring := make([]uint64, min(len(data)/2, 200))
+		for i := range ring {
+			ring[i] = Tuple{Key: nearEdge(data[2*i]), Val: nearEdge(data[2*i+1])}.Word()
+		}
+		head := int(wrap) % (len(ring) + 1)
+		lhs := nearEdge(lhsSel)
+		for _, cmp := range allComparators {
+			for _, field := range bothFields {
+				checkSweep(t, ring[head:], field, cmp, lhs)
+				checkSweep(t, ring[:head], field, cmp, lhs)
+			}
+		}
+	})
 }
 
 // TestBlockMaskTruncates: words past the 64-lane block are ignored, and
