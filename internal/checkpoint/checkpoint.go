@@ -8,10 +8,11 @@
 // The paper's join nodes keep the entire window in volatile device memory
 // (FPGA BRAM, GPU device RAM); a node loss forfeits the window and the
 // operator degrades until it refills. A snapshot makes that state
-// relocatable across process lifetimes the same way ExportState made it
-// relocatable across nodes: tuples tagged with global arrival sequence
-// numbers, so a restarted engine resumes counting where the snapshot
-// stopped and clients replay only the post-snapshot suffix.
+// relocatable across process lifetimes; the rebalance hand-off streams
+// the same cut to relocate it across nodes. Either way the tuples are
+// tagged with global arrival sequence numbers, so a restarted engine
+// resumes counting where the snapshot stopped and clients replay only the
+// post-snapshot suffix.
 //
 // File layout (little-endian, uvarints as in encoding/binary):
 //

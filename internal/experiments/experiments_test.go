@@ -356,14 +356,24 @@ func TestLatencyByArchitectureShape(t *testing.T) {
 	}
 }
 
-// TestShardScaleShape: quick-mode sharded-deployment sweep — the
-// cluster-wide processed rate must not decrease as shards are added (every
-// shard probes the full broadcast stream against its residue-class slice),
-// and aggregate = N × ingest by construction.
+// TestShardScaleShape: quick-mode sharded-deployment sweep. The shape is
+// asserted on work counters, which are deterministic for the seed: every
+// shard ingests the full broadcast stream (server-side tuples summed over
+// shards = N × input), and splitting the window changes no result (the
+// merged count is identical at every shard count). The measured rates
+// only have to be positive, with aggregate = N × ingest by construction.
 func TestShardScaleShape(t *testing.T) {
-	fig, err := ShardScale(quick)
+	fig, runs, err := shardScale(quick)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, run := range runs {
+		if want := uint64(run.shards * run.tuples); run.ingested != want {
+			t.Errorf("%d shards ingested %d tuples server-side, want N × input = %d", run.shards, run.ingested, want)
+		}
+		if run.results != runs[0].results {
+			t.Errorf("%d shards merged %d results, %d shards merged %d", run.shards, run.results, runs[0].shards, runs[0].results)
+		}
 	}
 	agg, ok := fig.SeriesByLabel("aggregate processed (sum over shards)")
 	if !ok {
@@ -373,15 +383,10 @@ func TestShardScaleShape(t *testing.T) {
 	if !ok {
 		t.Fatal("missing ingest series")
 	}
-	prev := 0.0
 	for _, p := range agg.Points {
 		if p.Y <= 0 {
 			t.Fatalf("non-positive throughput at %v shards", p.X)
 		}
-		if p.Y < prev {
-			t.Errorf("aggregate throughput decreased at %v shards: %v < %v", p.X, p.Y, prev)
-		}
-		prev = p.Y
 		iv, ok := ing.ValueAt(p.X)
 		if !ok {
 			t.Fatalf("no ingest point at %v shards", p.X)

@@ -18,10 +18,10 @@
 // dual-writes, no coordination protocol beyond a pause at one punctuation
 // boundary:
 //
-//  1. Quiesce: the router stops broadcasting; every shard session drains
-//     its in-flight batches (FIFO wire order makes RebalancePrepare the
-//     punctuation) and exports its residue-class slice with sequence
-//     numbers attached.
+//  1. Quiesce: the router stops broadcasting; every shard session cuts
+//     its window exactly as for a checkpoint (FIFO wire order makes
+//     RebalancePrepare the punctuation), streams its residue-class slice
+//     with sequence numbers attached, persists nothing, and closes.
 //  2. Re-slice: the coordinator pools the slices — together, exactly the
 //     global window — and re-partitions them by sequence mod M.
 //  3. Install: M fresh sessions are dialed with the new modulus, the
@@ -58,7 +58,7 @@ type Config struct {
 	// lost — its window slice cannot migrate (it is already gone), which
 	// the run tolerates exactly like the router tolerates the loss itself.
 	// The coordinator takes ownership: every non-nil client is terminally
-	// drained via ExportState.
+	// drained via Client.ExportState.
 	OldClients []*server.Client
 	// OldAddrs and NewAddrs are the shard endpoints of the two layouts;
 	// the global Window must divide evenly by both lengths.

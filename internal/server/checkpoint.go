@@ -20,11 +20,12 @@ import (
 //     session whose engine shape matches, exactly once; the session
 //     resumes the engine's BaseSeqR/S from it, imports the window, and
 //     tells the client via the OpenAck resume tail.
-//   - checkpointNow (FrameCheckpoint / the automatic interval / final
-//     teardown): quiesce the live engine at a punctuation boundary, wait
-//     until every result the snapshotted input produced has been handed
-//     to the connection (so a restored client never misses results it
-//     was never sent), then persist.
+//   - cutSnapshot (FrameCheckpoint / FrameRebalancePrepare / the
+//     automatic interval / final teardown): quiesce the live engine at a
+//     punctuation boundary and wait until every result the snapshotted
+//     input produced has been handed to the connection (so a restored
+//     client never misses results it was never sent); every path but the
+//     rebalance hand-off then persists.
 //
 // The result-flush barrier is what makes a snapshot safe to resume from:
 // a snapshot only becomes durable after every result implied by its
@@ -176,17 +177,19 @@ func (s *session) checkpointNow(sync bool) (wire.RebalanceInfo, error) {
 	return info, nil
 }
 
-// checkpointRequested serves a client Checkpoint frame: cut the snapshot,
-// persist it durably when this server has a checkpoint store, and stream
-// the window state back to the client as StateChunk frames — a shard
-// router assembling a coordinated all-shard snapshot consumes them. The
-// caller sends the CheckpointDone frame with the returned summary.
-func (s *session) checkpointRequested() (wire.RebalanceInfo, error) {
+// serveCut serves a Checkpoint or RebalancePrepare frame: cut the
+// snapshot, persist it durably when persist is set and this server has a
+// checkpoint store, and stream the window state back to the client as
+// StateChunk frames — a shard router assembling a coordinated all-shard
+// snapshot, or a rebalance coordinator re-slicing the window, consumes
+// them. The caller sends the CheckpointDone frame with the returned
+// summary.
+func (s *session) serveCut(persist bool) (wire.RebalanceInfo, error) {
 	tuples, info, err := s.cutSnapshot()
 	if err != nil {
 		return wire.RebalanceInfo{}, err
 	}
-	if s.srv.ckpt != nil {
+	if persist && s.srv.ckpt != nil {
 		s.persistSnapshot(tuples, info, true)
 	}
 	for rest := tuples; len(rest) > 0; {
@@ -244,7 +247,7 @@ func (s *session) maybeAutoCheckpoint() {
 // finalCheckpoint writes one last synchronous snapshot at session
 // teardown — the engine is closed and drained, so SnapshotState returns
 // immediately with the terminal state. This is what a SIGTERM drain
-// persists. Skipped when the session exported its state to a rebalance
+// persists. Skipped when the session handed its state to a rebalance
 // coordinator (the window now lives elsewhere) or ingested nothing.
 func (s *session) finalCheckpoint(mode closeMode) {
 	if s.srv.ckpt == nil || mode == closeExport || s.tuplesIn.Load() == 0 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,18 +77,15 @@ type Client struct {
 	closeSent bool
 	batchSeq  uint64
 
-	// Rebalance state-transfer plumbing: the base arrival counters this
-	// session was opened with, the accumulated export payload, and a
-	// one-slot channel delivering the server's RebalanceCommit echo.
+	// State-import plumbing: the base arrival counters this session was
+	// opened with, and a one-slot channel delivering the server's
+	// RebalanceCommit echo.
 	baseSeqR, baseSeqS uint64
-	exportTuples       []core.Input
-	exportInfo         wire.RebalanceInfo
-	exportCommit       bool
 	commitCh           chan wire.RebalanceInfo
 
-	// Checkpoint plumbing: while a Checkpoint call is in flight, incoming
-	// StateChunk frames accumulate into ckptTuples (instead of the
-	// export path) until the CheckpointDone summary lands in ckptCh.
+	// State-cut plumbing: while a Checkpoint or ExportState call is in
+	// flight, incoming StateChunk frames accumulate into ckptTuples until
+	// the CheckpointDone summary lands in ckptCh.
 	ckptActive bool
 	ckptTuples []core.Input
 	ckptCh     chan wire.RebalanceInfo
@@ -215,19 +211,8 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	switch f.Type {
 	case wire.FrameOpenAck:
 	case wire.FrameError:
-		msg := wire.DecodeError(f.Payload)
 		conn.Close()
-		if wire.IsUnauthorized(msg) {
-			// ErrUnauthorized already says "unauthorized"; keep only the
-			// server's detail after the wire prefix.
-			detail := strings.TrimPrefix(msg, wire.UnauthorizedPrefix)
-			detail = strings.TrimPrefix(detail, ": ")
-			if detail == "" {
-				return nil, ErrUnauthorized
-			}
-			return nil, fmt.Errorf("%w: %s", ErrUnauthorized, detail)
-		}
-		return nil, fmt.Errorf("server: session rejected: %s", msg)
+		return nil, fmt.Errorf("server: session rejected: %s", wire.DecodeError(f.Payload))
 	default:
 		conn.Close()
 		return nil, fmt.Errorf("server: unexpected %v frame during handshake", f.Type)
@@ -238,8 +223,6 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 		return nil, err
 	}
 	if ack.Reject != wire.RejectNone {
-		// A v2 server answers handshake denials with a typed reject ack
-		// instead of the v1 Error frame.
 		conn.Close()
 		if ack.Reject == wire.RejectUnauthorized {
 			return nil, ErrUnauthorized
@@ -415,45 +398,17 @@ func (c *Client) ImportState(tuples []core.Input) error {
 }
 
 // ExportState terminally drains the session and takes over its window
-// state: it sends the RebalancePrepare frame, after which the server
-// flushes all in-flight work (Results must be consumed concurrently,
-// exactly as with Close), streams its resident window as StateChunk
-// frames, and confirms with a RebalanceCommit and the final Closed frame.
-// The returned tuples are side-tagged with arrival sequence numbers, in
-// ascending per-side order; the RebalanceInfo carries the per-side counts
-// and the arrival counters at the punctuation boundary. Peers predating
-// the rebalance protocol answer with an Error frame, surfaced here as an
-// error — the caller treats that as "rebalance unsupported" and aborts.
+// state: it sends the RebalancePrepare frame, after which the server cuts
+// the window exactly as for Checkpoint (Results must be consumed
+// concurrently), persists nothing, and closes the session with the
+// Closed frame. The returned tuples are side-tagged with arrival sequence
+// numbers, in ascending per-side order; the RebalanceInfo carries the
+// per-side counts and the arrival counters at the punctuation boundary.
+// An error — including a peer answering with an Error frame, or a
+// connection lost before the Closed frame — means the hand-off did not
+// complete, and the caller aborts.
 func (c *Client) ExportState() ([]core.Input, wire.RebalanceInfo, error) {
-	c.mu.Lock()
-	alreadySent := c.closeSent
-	c.closeSent = true
-	c.mu.Unlock()
-	if alreadySent {
-		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: session already closing")
-	}
-	c.wmu.Lock()
-	err := c.w.WriteRebalancePrepare()
-	c.wmu.Unlock()
-	if err != nil {
-		c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-		c.conn.Close()
-	}
-	<-c.readerDone
-	c.conn.Close()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil, wire.RebalanceInfo{}, c.err
-	}
-	if !c.exportCommit {
-		return nil, wire.RebalanceInfo{}, fmt.Errorf("%w: export ended without a rebalance commit", ErrConnectionLost)
-	}
-	if got := uint64(len(c.exportTuples)); got != c.exportInfo.TuplesR+c.exportInfo.TuplesS {
-		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: export announced %d tuples, carried %d",
-			c.exportInfo.TuplesR+c.exportInfo.TuplesS, got)
-	}
-	return c.exportTuples, c.exportInfo, nil
+	return c.cut(true)
 }
 
 // Resumed reports whether the server restored a durable checkpoint into
@@ -483,6 +438,15 @@ func (c *Client) ResultsReceived() uint64 { return c.resultsRecv.Load() }
 // the RebalanceInfo carries the per-side counts and arrival counters.
 // Must not overlap with ImportState, ExportState, or another Checkpoint.
 func (c *Client) Checkpoint() ([]core.Input, wire.RebalanceInfo, error) {
+	return c.cut(false)
+}
+
+// cut is the one state cut behind Checkpoint and ExportState: it sends
+// Checkpoint, or RebalancePrepare for a terminal hand-off, collects the
+// StateChunk frames the server streams back, and returns them with the
+// CheckpointDone summary. A hand-off also waits for the session's Closed
+// frame, so a connection lost after the summary still fails it.
+func (c *Client) cut(handOff bool) ([]core.Input, wire.RebalanceInfo, error) {
 	c.mu.Lock()
 	if c.closeSent {
 		c.mu.Unlock()
@@ -494,33 +458,54 @@ func (c *Client) Checkpoint() ([]core.Input, wire.RebalanceInfo, error) {
 	}
 	c.ckptActive = true
 	c.ckptTuples = nil
+	c.closeSent = handOff
 	c.mu.Unlock()
 	c.wmu.Lock()
-	err := c.w.WriteCheckpoint()
+	var err error
+	if handOff {
+		err = c.w.WriteRebalancePrepare()
+	} else {
+		err = c.w.WriteCheckpoint()
+	}
 	c.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
 		c.setErr(err)
+		c.conn.Close()
+	}
+	var info wire.RebalanceInfo
+	done := false
+	select {
+	case info = <-c.ckptCh:
+		done = true
+	case <-c.readerDone:
+		// The summary may have landed just before the reader exited.
+		select {
+		case info = <-c.ckptCh:
+			done = true
+		default:
+		}
+	}
+	if handOff {
+		<-c.readerDone
+		c.conn.Close()
+	}
+	c.mu.Lock()
+	tuples, err := c.ckptTuples, c.err
+	c.ckptTuples = nil
+	c.ckptActive = false
+	c.mu.Unlock()
+	if !done || (handOff && err != nil) {
+		if err == nil {
+			err = fmt.Errorf("server: session closed during checkpoint")
+		}
 		return nil, wire.RebalanceInfo{}, err
 	}
-	select {
-	case info := <-c.ckptCh:
-		c.mu.Lock()
-		tuples := c.ckptTuples
-		c.ckptTuples = nil
-		c.ckptActive = false
-		c.mu.Unlock()
-		if got := uint64(len(tuples)); got != info.TuplesR+info.TuplesS {
-			return nil, wire.RebalanceInfo{}, fmt.Errorf("server: checkpoint announced %d tuples, carried %d",
-				info.TuplesR+info.TuplesS, got)
-		}
-		return tuples, info, nil
-	case <-c.readerDone:
-		if err := c.Err(); err != nil {
-			return nil, wire.RebalanceInfo{}, err
-		}
-		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: session closed during checkpoint")
+	if got := uint64(len(tuples)); got != info.TuplesR+info.TuplesS {
+		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: checkpoint announced %d tuples, carried %d",
+			info.TuplesR+info.TuplesS, got)
 	}
+	return tuples, info, nil
 }
 
 // BatchRTT reports the observed credit round-trip time — send of a Batch
@@ -592,22 +577,21 @@ func (c *Client) readLoop(r *wire.Reader) {
 				return
 			}
 			c.mu.Lock()
-			if c.ckptActive {
+			active := c.ckptActive
+			if active {
 				c.ckptTuples = append(c.ckptTuples, tuples...)
-			} else {
-				c.exportTuples = append(c.exportTuples, tuples...)
 			}
 			c.mu.Unlock()
+			if !active {
+				c.setErr(fmt.Errorf("server: state chunk outside a checkpoint"))
+				return
+			}
 		case wire.FrameRebalanceCommit:
 			info, err := wire.DecodeRebalanceCommit(f.Payload)
 			if err != nil {
 				c.setErr(err)
 				return
 			}
-			c.mu.Lock()
-			c.exportInfo = info
-			c.exportCommit = true
-			c.mu.Unlock()
 			select {
 			case c.commitCh <- info:
 			default:

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -335,53 +337,52 @@ func TestQuotaRejectRateLimitedOpen(t *testing.T) {
 	c.Close()
 }
 
-// TestV1ClientInterop: a v1 client (legacy positional Open) works against
-// a quota-enabled v2 server, and a v1 over-quota open is answered with
-// the legacy Error frame instead of a v2 reject ack.
-func TestV1ClientInterop(t *testing.T) {
-	_, addr := startServer(t, Config{
+// TestV1OpenRefused: an Open frame in the deleted v1 positional encoding
+// (bytes from the last encoder that wrote it) is refused as a malformed
+// open — an Error frame naming the unsupported version, one more
+// bad_open reject on /metrics — before admission, so no lease is held and
+// the 1-session quota is still free for the next client.
+func TestV1OpenRefused(t *testing.T) {
+	srv, addr := startServer(t, Config{
 		Quotas: admission.Config{Default: admission.Quota{MaxSessions: 1}},
 	})
-	v1cfg := wire.OpenConfig{Version: wire.ProtocolV1, Engine: wire.EngineSoftUni, Cores: 1, Window: 64}
-	c, err := Dial(addr, v1cfg)
+	v1Open, err := hex.DecodeString("01090101014000000000007eb6164d") // soft-uni, 1 core, window 64
 	if err != nil {
-		t.Fatalf("v1 client rejected by v2 server: %v", err)
+		t.Fatal(err)
 	}
-	// v1 carries no tenant, so this session and the next share "default";
-	// the second open busts the 1-session cap and must surface as the
-	// legacy Error-frame rejection (v1 cannot carry a reject ack).
-	_, err = Dial(addr, v1cfg)
-	if err == nil {
-		t.Fatal("over-quota v1 open accepted")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrAdmissionDenied) {
-		t.Fatalf("v1 rejection came back typed (v2-only): %v", err)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(v1Open); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "quota_sessions") {
-		t.Fatalf("v1 rejection does not name the quota: %v", err)
+	f, err := wire.NewReader(conn).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := wire.DecodeError(f.Payload); f.Type != wire.FrameError || !strings.Contains(msg, "protocol version 1 not supported") {
+		t.Fatalf("v1 open answered with %v %q, want an error naming the unsupported version", f.Type, msg)
 	}
 
-	// The v1 session itself is fully functional.
-	gen, err := workload.NewGenerator(workload.Spec{Seed: 3, KeyDomain: 128})
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `streamd_sessions_rejected_total{reason="bad_open"} 1`; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("metrics lack %s:\n%s", want, rec.Body.String())
 	}
-	inputs := gen.Take(2000)
-	var results []stream.Result
-	done := make(chan struct{})
-	go drainAll(c, &results, done)
-	for off := 0; off < len(inputs); off += 100 {
-		if err := c.SendBatch(inputs[off : off+100]); err != nil {
-			t.Fatal(err)
+	tenants, _ := srv.TenantMetrics()
+	for _, tu := range tenants {
+		if tu.Sessions != 0 || tu.WindowBytes != 0 {
+			t.Errorf("tenant %q holds a lease after a refused open: %+v", tu.Tenant, tu)
 		}
 	}
-	if _, err := c.Close(); err != nil {
-		t.Fatal(err)
+	c, err := Dial(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64})
+	if err != nil {
+		t.Fatalf("quota not free after a refused v1 open: %v", err)
 	}
-	<-done
-	if err := core.VerifyExactlyOnce(64, stream.EquiJoinOnKey(), inputs, results); err != nil {
-		t.Fatal(err)
-	}
+	c.Close()
 }
 
 // TestTenantDerivedFromAuthToken: an authenticated session without an

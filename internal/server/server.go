@@ -56,7 +56,7 @@ type Config struct {
 	TLS *tls.Config
 	// AuthToken, when non-empty, requires every session's Open frame to
 	// carry the same token. The comparison is constant-time; mismatches
-	// are answered with an unauthorized Error frame (typed
+	// are answered with an unauthorized reject ack (typed
 	// ErrUnauthorized client-side) and counted under
 	// sessions_rejected_total{reason="bad_token"|"no_token"}. Tokens are
 	// sent in the clear unless TLS is also enabled.

@@ -227,13 +227,6 @@ func (s *session) run() {
 	// result has been handed to the connection.
 	s.finalCheckpoint(mode)
 
-	if mode == closeExport {
-		// All results are flushed; the quiesced window state follows, then
-		// the Closed frame confirms the hand-off completed.
-		if !s.exportState() {
-			mode = closeAbort
-		}
-	}
 	if mode != closeAbort {
 		st := wire.Stats{
 			TuplesIn:   s.tuplesIn.Load(),
@@ -250,50 +243,6 @@ func (s *session) run() {
 		s.id, mode != closeAbort, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
 }
 
-// exportState streams the quiesced engine's window state: StateChunk
-// frames followed by a RebalanceCommit carrying per-side tuple counts and
-// the arrival counters at the punctuation boundary. Returns false on
-// failure, which downgrades the teardown to an abort (no Closed frame), so
-// the coordinator never mistakes a truncated export for a complete one.
-func (s *session) exportState() bool {
-	exp := s.eng.(StateExporter) // readLoop admits closeExport only with the capability
-	tuples, err := exp.ExportState()
-	if err != nil {
-		s.fail(err.Error())
-		s.srv.logf("session %d: state export: %v", s.id, err)
-		return false
-	}
-	info := wire.RebalanceInfo{}
-	info.SeqR, info.SeqS = exp.Seqs()
-	for i := range tuples {
-		if tuples[i].Side == stream.SideR {
-			info.TuplesR++
-		} else {
-			info.TuplesS++
-		}
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	for len(tuples) > 0 {
-		n := len(tuples)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
-		}
-		chunk := tuples[:n]
-		tuples = tuples[n:]
-		if err := s.send(func(w *wire.Writer) error { return w.WriteStateChunk(chunk) }); err != nil {
-			s.srv.logf("session %d: writing state chunk: %v", s.id, err)
-			return false
-		}
-	}
-	if err := s.send(func(w *wire.Writer) error { return w.WriteRebalanceCommit(info) }); err != nil {
-		s.srv.logf("session %d: writing rebalance commit: %v", s.id, err)
-		return false
-	}
-	s.srv.logf("session %d: exported %d R + %d S window tuples at seqs (%d, %d)",
-		s.id, info.TuplesR, info.TuplesS, info.SeqR, info.SeqS)
-	return true
-}
-
 // sessionWindowBytes is the window-memory cost one session is accounted
 // for by the admission controller: two sliding windows of Window tuples,
 // 16 bytes each (core.Input's key+value pair).
@@ -301,17 +250,12 @@ func sessionWindowBytes(cfg wire.OpenConfig) int64 {
 	return 2 * int64(cfg.Window) * 16
 }
 
-// reject answers a failed handshake in the session's own protocol
-// version: v2 sessions get a typed OpenAck rejection (code plus
-// retry-after hint), v1 sessions the legacy Error frame.
-func (s *session) reject(version uint8, code wire.RejectCode, retryAfter time.Duration, v1msg string) {
-	if version != wire.ProtocolV2 {
-		s.fail(v1msg)
-		return
-	}
+// reject answers a failed handshake with a typed OpenAck rejection: the
+// reject code plus an optional retry-after hint.
+func (s *session) reject(code wire.RejectCode, retryAfter time.Duration) {
 	s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	s.send(func(w *wire.Writer) error {
-		return w.WriteOpenAck(wire.OpenAck{Version: wire.ProtocolV2, Reject: code, RetryAfter: retryAfter})
+		return w.WriteOpenAck(wire.OpenAck{Reject: code, RetryAfter: retryAfter})
 	})
 }
 
@@ -358,12 +302,12 @@ func (s *session) handshake() error {
 	if want := s.srv.cfg.AuthToken; want != "" {
 		if cfg.AuthToken == "" {
 			s.srv.countReject(rejectNoToken)
-			s.reject(cfg.Version, wire.RejectUnauthorized, 0, wire.UnauthorizedPrefix+": auth token required")
+			s.reject(wire.RejectUnauthorized, 0)
 			return fmt.Errorf("session sent no auth token")
 		}
 		if !tokensMatch(cfg.AuthToken, want) {
 			s.srv.countReject(rejectBadToken)
-			s.reject(cfg.Version, wire.RejectUnauthorized, 0, wire.UnauthorizedPrefix+": bad auth token")
+			s.reject(wire.RejectUnauthorized, 0)
 			return fmt.Errorf("session sent a bad auth token")
 		}
 	}
@@ -374,7 +318,7 @@ func (s *session) handshake() error {
 	lease, rej := s.srv.adm.Admit(tenant, sessionWindowBytes(cfg))
 	if rej != nil {
 		s.srv.countReject(rej.Code.String())
-		s.reject(cfg.Version, rej.Code, rej.RetryAfter, rej.Error())
+		s.reject(rej.Code, rej.RetryAfter)
 		return fmt.Errorf("tenant %q: %v", tenant, rej)
 	}
 	s.lease = lease
@@ -433,10 +377,7 @@ func (s *session) handshake() error {
 	s.eng = eng
 	s.engCfg = cfg
 	s.opened.Store(true)
-	// The ack answers in the session's own protocol version: v2 opens get
-	// the TLV ack (able to carry typed rejects on later redials), v1 opens
-	// the legacy positional encoding.
-	ack := wire.OpenAck{Version: cfg.Version, Credits: s.srv.cfg.InitialCredits, Session: s.id}
+	ack := wire.OpenAck{Credits: s.srv.cfg.InitialCredits, Session: s.id}
 	if restored != nil {
 		ack.Resumed = true
 		ack.ResumeSeqR = restored.Meta.SeqR
@@ -454,13 +395,13 @@ const (
 	closeAbort closeMode = iota
 	// closeGraceful: FrameClose — drain and send the Closed frame.
 	closeGraceful
-	// closeExport: FrameRebalancePrepare — drain, stream the window state,
-	// then send the Closed frame.
+	// closeExport: FrameRebalancePrepare — the window state was cut and
+	// handed off; drain and send the Closed frame, persisting nothing.
 	closeExport
 )
 
 // readLoop ingests frames until Close (graceful), RebalancePrepare
-// (export), or a connection/protocol error (abort).
+// (hand-off), or a connection/protocol error (abort).
 func (s *session) readLoop() closeMode {
 	// One decode buffer for the session's whole life: DecodeBatchInto
 	// reuses its storage, and the Engine contract says PushBatch does not
@@ -538,37 +479,32 @@ func (s *session) readLoop() closeMode {
 			// Each batch boundary is a punctuation boundary — the cheapest
 			// place to cut an interval-driven durable snapshot.
 			s.maybeAutoCheckpoint()
-		case wire.FrameCheckpoint:
-			// Client-requested snapshot. Unlike RebalancePrepare this is
-			// non-terminal: the engine quiesces, the snapshot (and every
-			// result the included input produced) is flushed, and the
-			// session resumes streaming. On a checkpoint-less server the
-			// request degrades to a barrier acknowledgement: the state is
-			// still collected and summarized, just not persisted.
-			if _, ok := s.eng.(Snapshotter); !ok {
-				s.fail(fmt.Sprintf("engine %v does not support snapshots", s.engCfg.Engine))
-				s.srv.logf("session %d: checkpoint on a non-snapshottable engine", s.id)
-				return closeAbort
-			}
-			info, err := s.checkpointRequested()
+		case wire.FrameCheckpoint, wire.FrameRebalancePrepare:
+			// One state cut, two consumers. The engine quiesces at this
+			// punctuation boundary and its window state, behind every
+			// result the included input produced, streams back as
+			// StateChunk frames closed by CheckpointDone. A Checkpoint
+			// persists the cut when the server has a store and the session
+			// resumes streaming; a RebalancePrepare hands the window to the
+			// coordinator, so nothing is persisted and the session closes.
+			handOff := f.Type == wire.FrameRebalancePrepare
+			info, err := s.serveCut(!handOff)
 			if err != nil {
 				s.fail(err.Error())
-				s.srv.logf("session %d: checkpoint: %v", s.id, err)
+				s.srv.logf("session %d: %v: %v", s.id, f.Type, err)
 				return closeAbort
 			}
 			if err := s.send(func(w *wire.Writer) error { return w.WriteCheckpointDone(info) }); err != nil {
 				s.srv.logf("session %d: writing checkpoint-done: %v", s.id, err)
 				return closeAbort
 			}
+			if handOff {
+				s.srv.logf("session %d: handed off %d R + %d S window tuples at seqs (%d, %d)",
+					s.id, info.TuplesR, info.TuplesS, info.SeqR, info.SeqS)
+				return closeExport
+			}
 		case wire.FrameClose:
 			return closeGraceful
-		case wire.FrameRebalancePrepare:
-			if _, ok := s.eng.(StateExporter); !ok {
-				s.fail(fmt.Sprintf("engine %v does not support state export", s.engCfg.Engine))
-				s.srv.logf("session %d: rebalance-prepare on a non-exportable engine", s.id)
-				return closeAbort
-			}
-			return closeExport
 		case wire.FrameStateChunk:
 			// Import path: a rebalance coordinator seeds a fresh session's
 			// window before streaming resumes. Only before the first batch —

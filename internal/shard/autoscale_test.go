@@ -104,18 +104,14 @@ func (fs *fakeShard) serve(conn net.Conn) {
 	}
 	if fs.rejecting.Load() {
 		fs.rejects <- time.Now()
-		w.WriteOpenAck(wire.OpenAck{
-			Version:    wire.ProtocolV2,
-			Reject:     wire.RejectRateLimited,
-			RetryAfter: fs.retryAfter,
-		})
+		w.WriteOpenAck(wire.OpenAck{Reject: wire.RejectRateLimited, RetryAfter: fs.retryAfter})
 		conn.Close()
 		return
 	}
 	fs.mu.Lock()
 	fs.live = conn
 	fs.mu.Unlock()
-	w.WriteOpenAck(wire.OpenAck{Version: wire.ProtocolV2, Credits: 8, Session: 1})
+	w.WriteOpenAck(wire.OpenAck{Credits: 8, Session: 1})
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {

@@ -71,11 +71,10 @@ func TestExportStateMatchesResidueWindow(t *testing.T) {
 			ShardCount: shards,
 			ShardIndex: shard,
 		}, workload)
-		state, err := e.ExportState()
+		state, seqR, seqS, err := e.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqR, seqS := e.Seqs()
 		if seqR != nR || seqS != nS {
 			t.Fatalf("shard %d: seqs (%d,%d), want (%d,%d)", shard, seqR, seqS, nR, nS)
 		}
@@ -160,12 +159,12 @@ func TestImportExportRoundTrip(t *testing.T) {
 			ShardCount: oldShards,
 			ShardIndex: shard,
 		}, workload)
-		state, err := e.ExportState()
+		state, r, s, err := e.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooled = append(pooled, state...)
-		seqR, seqS = e.Seqs()
+		seqR, seqS = r, s
 	}
 	// Install each new residue slice and check it round-trips.
 	for shard := 0; shard < newShards; shard++ {
@@ -200,7 +199,7 @@ func TestImportExportRoundTrip(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		state, err := e.ExportState()
+		state, _, _, err := e.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +236,7 @@ func TestImportExportRoundTrip(t *testing.T) {
 	}
 }
 
-// sortStateBySideSeq orders side-tagged tuples the way ExportState emits
+// sortStateBySideSeq orders side-tagged tuples the way SnapshotState emits
 // them: all R then all S, ascending sequence within each side.
 func sortStateBySideSeq(state []core.Input) {
 	lessSide := func(a, b stream.Side) bool { return a == stream.SideR && b == stream.SideS }

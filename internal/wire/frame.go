@@ -97,10 +97,10 @@ func appendU32(b []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, v)
 }
 
-// The field tags of the v2 (field-tagged) Open encoding. A v2 Open payload
-// is the version uvarint followed by [tag:uvarint][len:uvarint][value]
-// fields in any order; zero-valued fields are omitted and unknown tags are
-// skipped, so the encoding grows without another protocol revision.
+// The field tags of the Open encoding. An Open payload is the version
+// uvarint followed by [tag:uvarint][len:uvarint][value] fields in any
+// order; zero-valued fields are omitted and unknown tags are skipped, so
+// the encoding grows without another protocol revision.
 const (
 	openTagEngine      = 1  // 1 byte: EngineKind
 	openTagCores       = 2  // uvarint
@@ -115,9 +115,9 @@ const (
 	openTagTenant      = 11 // raw bytes, ValidTenant-constrained
 )
 
-// The field tags of the v2 OpenAck encoding (same TLV grammar as the v2
-// Open). A rejected ack carries only the reject fields; an accepting ack
-// never carries them, so each decoded ack is canonical.
+// The field tags of the OpenAck encoding (same TLV grammar as the Open).
+// A rejected ack carries only the reject fields; an accepting ack never
+// carries them, so each decoded ack is canonical.
 const (
 	ackTagCredits    = 1 // uvarint
 	ackTagSession    = 2 // uvarint
@@ -168,60 +168,9 @@ func fieldByte(tag uint64, val []byte) (byte, error) {
 	return val[0], nil
 }
 
-// WriteOpen emits an Open frame in the encoding cfg.Version selects —
-// the field-tagged v2 layout by default (Version zero or ProtocolV2), or
-// the original positional v1 layout for servers predating the versioned
-// handshake.
+// WriteOpen emits an Open frame: the version uvarint followed by TLV
+// fields, zero-valued fields omitted.
 func (w *Writer) WriteOpen(cfg OpenConfig) error {
-	switch cfg.Version {
-	case 0, ProtocolV2:
-		return w.writeOpenV2(cfg)
-	case ProtocolV1:
-		return w.writeOpenV1(cfg)
-	default:
-		return fmt.Errorf("wire: protocol version %d not supported (want %d or %d)", cfg.Version, ProtocolV1, ProtocolV2)
-	}
-}
-
-// writeOpenV1 emits the original positional Open layout. The shard-role
-// fields ride as a tail after the original fixed fields, so a PR-1 Open
-// frame (no tail) still decodes — as an unsharded session — on a current
-// server. The auth token is a second optional tail after the shard fields,
-// and the probe-kernel byte a third after the token; each is written only
-// when a later tail needs it or its value is non-default, so an
-// unauthenticated auto-kernel Open stays byte-identical to the earlier
-// encodings.
-func (w *Writer) writeOpenV1(cfg OpenConfig) error {
-	if cfg.Tenant != "" {
-		return fmt.Errorf("wire: tenant identity requires the v2 open encoding")
-	}
-	b := w.scratch(0)
-	b = appendUvarint(b, ProtocolV1)
-	b = append(b, byte(cfg.Engine))
-	b = appendUvarint(b, uint64(cfg.Cores))
-	b = appendUvarint(b, uint64(cfg.Window))
-	var flags byte
-	if cfg.Ordered {
-		flags |= 1
-	}
-	b = append(b, flags)
-	b = appendUvarint(b, uint64(cfg.ShardCount))
-	b = appendUvarint(b, uint64(cfg.ShardIndex))
-	b = appendUvarint(b, cfg.BaseSeqR)
-	b = appendUvarint(b, cfg.BaseSeqS)
-	if cfg.AuthToken != "" || cfg.ProbeKernel != stream.KernelAuto {
-		b = appendUvarint(b, uint64(len(cfg.AuthToken)))
-		b = append(b, cfg.AuthToken...)
-	}
-	if cfg.ProbeKernel != stream.KernelAuto {
-		b = append(b, byte(cfg.ProbeKernel))
-	}
-	return w.writeFrame(FrameOpen, b)
-}
-
-// writeOpenV2 emits the field-tagged Open layout: the version uvarint
-// followed by TLV fields, zero-valued fields omitted.
-func (w *Writer) writeOpenV2(cfg OpenConfig) error {
 	b := w.scratch(0)
 	b = appendUvarint(b, ProtocolV2)
 	b = appendFieldByte(b, openTagEngine, byte(cfg.Engine))
@@ -254,40 +203,11 @@ func (w *Writer) writeOpenV2(cfg OpenConfig) error {
 	return w.writeFrame(FrameOpen, b)
 }
 
-// WriteOpenAck emits an OpenAck frame in the encoding ack.Version selects.
-// Version zero or ProtocolV1 is the original positional layout (the
-// checkpoint-resume fields ride in an optional tail written only when
-// Resumed is set, so a non-resumed ack stays byte-identical to the
-// pre-checkpoint encoding); it cannot carry a typed rejection — v1
-// sessions are rejected with an Error frame instead.
-func (w *Writer) WriteOpenAck(ack OpenAck) error {
-	switch ack.Version {
-	case 0, ProtocolV1:
-	case ProtocolV2:
-		return w.writeOpenAckV2(ack)
-	default:
-		return fmt.Errorf("wire: open-ack version %d not supported (want %d or %d)", ack.Version, ProtocolV1, ProtocolV2)
-	}
-	if ack.Reject != RejectNone {
-		return fmt.Errorf("wire: v1 open-ack cannot carry reject code %v", ack.Reject)
-	}
-	b := w.scratch(0)
-	b = appendUvarint(b, uint64(ack.Credits))
-	b = appendUvarint(b, ack.Session)
-	if ack.Resumed {
-		b = append(b, 1)
-		b = appendUvarint(b, ack.ResumeSeqR)
-		b = appendUvarint(b, ack.ResumeSeqS)
-	}
-	return w.writeFrame(FrameOpenAck, b)
-}
-
-// writeOpenAckV2 emits the field-tagged OpenAck layout. Its leading
-// uvarint is 0 — a credit window no v1 ack can carry — so a decoder can
-// tell the encodings apart without context; the version uvarint and the
-// TLV fields follow. A rejected ack carries only the reject code and the
+// WriteOpenAck emits an OpenAck frame: a leading 0 uvarint (fixed, so
+// acks stay byte-identical for deployed v2 peers), the version uvarint,
+// then TLV fields. A rejected ack carries only the reject code and the
 // optional retry-after hint.
-func (w *Writer) writeOpenAckV2(ack OpenAck) error {
+func (w *Writer) WriteOpenAck(ack OpenAck) error {
 	b := w.scratch(0)
 	b = appendUvarint(b, 0)
 	b = appendUvarint(b, ProtocolV2)
@@ -553,74 +473,19 @@ func (c *cursor) finish() error {
 	return nil
 }
 
-// DecodeOpen parses an Open payload of either protocol version,
-// dispatching on the leading version uvarint, and sets cfg.Version to the
-// version actually received so the server can answer in kind.
+// DecodeOpen parses and validates an Open payload. Unknown tags are
+// skipped so future fields do not break this decoder; duplicate tags are
+// last-wins. Any version but ProtocolV2 is refused.
 func DecodeOpen(payload []byte) (OpenConfig, error) {
 	c := cursor{b: payload}
 	version := c.uvarint()
 	if c.err != nil {
 		return OpenConfig{}, c.err
 	}
+	if version != ProtocolV2 {
+		return OpenConfig{}, fmt.Errorf("wire: protocol version %d not supported (want %d)", version, ProtocolV2)
+	}
 	var cfg OpenConfig
-	var err error
-	switch version {
-	case ProtocolV1:
-		cfg, err = decodeOpenV1(&c)
-	case ProtocolV2:
-		cfg, err = decodeOpenV2(&c)
-	default:
-		return OpenConfig{}, fmt.Errorf("wire: protocol version %d not supported (want %d or %d)", version, ProtocolV1, ProtocolV2)
-	}
-	if err != nil {
-		return OpenConfig{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return OpenConfig{}, err
-	}
-	return cfg, nil
-}
-
-// decodeOpenV1 parses the positional v1 Open layout. The shard-role tail
-// is optional: a frame that ends after the flags byte decodes as an
-// unsharded session (all tail fields zero), keeping PR-1 clients
-// compatible. The auth-token tail after it is optional too (absence
-// decodes as an empty token), as is the probe-kernel byte after that
-// (absence decodes as KernelAuto).
-func decodeOpenV1(c *cursor) (OpenConfig, error) {
-	cfg := OpenConfig{Version: ProtocolV1}
-	cfg.Engine = EngineKind(c.byte())
-	cfg.Cores = int(c.uvarint())
-	cfg.Window = int(c.uvarint())
-	flags := c.byte()
-	cfg.Ordered = flags&1 != 0
-	if c.err == nil && c.remaining() > 0 {
-		cfg.ShardCount = int(c.uvarint())
-		cfg.ShardIndex = int(c.uvarint())
-		cfg.BaseSeqR = c.uvarint()
-		cfg.BaseSeqS = c.uvarint()
-	}
-	if c.err == nil && c.remaining() > 0 {
-		n := c.uvarint()
-		if c.err == nil && n > MaxAuthToken {
-			return OpenConfig{}, fmt.Errorf("wire: auth token of %d bytes exceeds limit %d", n, MaxAuthToken)
-		}
-		cfg.AuthToken = string(c.bytes(int(n)))
-	}
-	if c.err == nil && c.remaining() > 0 {
-		cfg.ProbeKernel = stream.ProbeKernel(c.byte())
-	}
-	if err := c.finish(); err != nil {
-		return OpenConfig{}, err
-	}
-	return cfg, nil
-}
-
-// decodeOpenV2 parses the field-tagged v2 Open layout. Unknown tags are
-// skipped so future fields do not break this decoder; duplicate tags are
-// last-wins.
-func decodeOpenV2(c *cursor) (OpenConfig, error) {
-	cfg := OpenConfig{Version: ProtocolV2}
 	for c.err == nil && c.remaining() > 0 {
 		tag := c.uvarint()
 		n := c.uvarint()
@@ -688,55 +553,26 @@ func decodeOpenV2(c *cursor) (OpenConfig, error) {
 	if c.err != nil {
 		return OpenConfig{}, c.err
 	}
+	if err := cfg.Validate(); err != nil {
+		return OpenConfig{}, err
+	}
 	return cfg, nil
 }
 
-// DecodeOpenAck parses an OpenAck payload of either encoding. A leading
-// credit uvarint of 0 — impossible in a v1 ack — marks the v2 layout; any
-// other value is a v1 ack (decoded with Version 0, the v1 default, so
-// pre-existing round trips are unchanged) with the optional
-// checkpoint-resume tail.
+// DecodeOpenAck parses an OpenAck payload: the leading 0, the version,
+// then TLV fields. The decoded ack is canonicalized: a rejected ack keeps
+// only the reject code and retry-after hint, an accepting ack drops any
+// stray retry-after, so decode→encode→decode is stable.
 func DecodeOpenAck(payload []byte) (OpenAck, error) {
 	c := cursor{b: payload}
-	first := c.uvarint()
+	lead, version := c.uvarint(), c.uvarint()
 	if c.err != nil {
 		return OpenAck{}, c.err
 	}
-	if first == 0 {
-		return decodeOpenAckV2(&c)
+	if lead != 0 || version != ProtocolV2 {
+		return OpenAck{}, fmt.Errorf("wire: open-ack %d/%d not supported (want 0/%d)", lead, version, ProtocolV2)
 	}
-	ack := OpenAck{Credits: int(first), Session: c.uvarint()}
-	if c.err == nil && c.remaining() > 0 {
-		flag := c.byte()
-		if c.err == nil && flag != 1 {
-			return OpenAck{}, fmt.Errorf("wire: invalid open-ack resume flag %d", flag)
-		}
-		ack.Resumed = true
-		ack.ResumeSeqR = c.uvarint()
-		ack.ResumeSeqS = c.uvarint()
-	}
-	if err := c.finish(); err != nil {
-		return OpenAck{}, err
-	}
-	if ack.Credits <= 0 {
-		return OpenAck{}, fmt.Errorf("wire: non-positive credit window %d", ack.Credits)
-	}
-	return ack, nil
-}
-
-// decodeOpenAckV2 parses the field-tagged OpenAck layout (after the
-// leading 0 discriminator). The decoded ack is canonicalized: a rejected
-// ack keeps only the reject code and retry-after hint, an accepting ack
-// drops any stray retry-after, so decode→encode→decode is stable.
-func decodeOpenAckV2(c *cursor) (OpenAck, error) {
-	version := c.uvarint()
-	if c.err != nil {
-		return OpenAck{}, c.err
-	}
-	if version != ProtocolV2 {
-		return OpenAck{}, fmt.Errorf("wire: open-ack version %d not supported (want %d)", version, ProtocolV2)
-	}
-	ack := OpenAck{Version: ProtocolV2}
+	var ack OpenAck
 	var retryMillis uint64
 	for c.err == nil && c.remaining() > 0 {
 		tag := c.uvarint()
@@ -783,7 +619,6 @@ func decodeOpenAckV2(c *cursor) (OpenAck, error) {
 	}
 	if ack.Reject != RejectNone {
 		return OpenAck{
-			Version:    ProtocolV2,
 			Reject:     ack.Reject,
 			RetryAfter: time.Duration(retryMillis) * time.Millisecond,
 		}, nil

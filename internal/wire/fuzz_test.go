@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,37 +33,38 @@ func corpusFrames(tb testing.TB) [][]byte {
 	add(func(w *Writer) error { return w.WriteBatch(9, randInputs(rng, 25)) })
 	rng = rand.New(rand.NewSource(5))
 	add(func(w *Writer) error { return w.WriteResults(randResults(rng, 17)) })
-	// Opens in both encodings, so the fuzzer crosses v1 and v2 bytes: the
-	// same shard-role config positionally and field-tagged.
+	// Opens: a shard role, every engine kind, a token at the length
+	// limit, token + tenant + kernel, and ordered + kernel, so the fuzzer
+	// mutates the length prefixes and TLV tags alike.
 	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7})
+		return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7})
 	})
 	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV2, Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7})
-	})
-	// Auth-token fields: a short v1 tail, one at the length limit, and a
-	// v2 open carrying token + tenant + kernel, so the fuzzer mutates the
-	// length prefixes and TLV tags alike.
-	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 256, AuthToken: "hunter2"})
+		return w.WriteOpen(OpenConfig{Engine: EngineSimUni, Cores: 2, Window: 256, AuthToken: "hunter2"})
 	})
 	add(func(w *Writer) error {
 		tok := make([]byte, MaxAuthToken)
 		for i := range tok {
 			tok[i] = byte(i)
 		}
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftBi, Cores: 4, Window: 1 << 10, AuthToken: string(tok)})
+		return w.WriteOpen(OpenConfig{Engine: EngineSoftBi, Cores: 4, Window: 1 << 10, AuthToken: string(tok)})
 	})
 	add(func(w *Writer) error {
 		return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 256, AuthToken: "hunter2", Tenant: "acme.prod", ProbeKernel: 2})
 	})
-	add(func(w *Writer) error { return w.WriteOpenAck(OpenAck{Credits: 16, Session: 42}) })
-	// v2 acks: an acceptance and a typed rejection with a retry hint.
 	add(func(w *Writer) error {
-		return w.WriteOpenAck(OpenAck{Version: ProtocolV2, Credits: 16, Session: 42})
+		return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 4, Window: 1 << 12, Ordered: true, ProbeKernel: 1})
 	})
+	// A v1 positional Open, which the decoder must refuse by version.
+	v1Open, err := hex.DecodeString("01090101014000000000007eb6164d")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frames = append(frames, v1Open)
+	// Acks: an acceptance and a typed rejection with a retry hint.
+	add(func(w *Writer) error { return w.WriteOpenAck(OpenAck{Credits: 16, Session: 42}) })
 	add(func(w *Writer) error {
-		return w.WriteOpenAck(OpenAck{Version: ProtocolV2, Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
+		return w.WriteOpenAck(OpenAck{Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
 	})
 	add(func(w *Writer) error { return w.WriteCredit(3) })
 	add(func(w *Writer) error { return w.WriteClosed(Stats{TuplesIn: 10000, BatchesIn: 40, ResultsOut: 123}) })
@@ -71,8 +73,8 @@ func corpusFrames(tb testing.TB) [][]byte {
 	add(func(w *Writer) error {
 		return w.WriteRebalanceCommit(RebalanceInfo{TuplesR: 60, TuplesS: 61, SeqR: 5000, SeqS: 4999})
 	})
-	// Checkpoint control frames and the resumed open-ack (with its
-	// optional resume tail), so the fuzzer mutates the tail flag too.
+	// Checkpoint control frames and the resumed open-ack, so the fuzzer
+	// mutates the resume flag too.
 	add(func(w *Writer) error { return w.WriteCheckpoint() })
 	add(func(w *Writer) error {
 		return w.WriteCheckpointDone(RebalanceInfo{TuplesR: 12, TuplesS: 13, SeqR: 800, SeqS: 801})
@@ -218,8 +220,10 @@ func FuzzDecodeResults(f *testing.F) {
 // open-ack, credit, closed, state-chunk, rebalance-commit): accepted
 // opens must validate, and accepted values must survive a round trip.
 func FuzzDecodeControl(f *testing.F) {
-	for _, frame := range corpusFrames(f)[2:] { // opens (incl. auth tails), open-ack, credit, closed, rebalance frames
-		seedWithFlips(f, payloadOf(f, frame))
+	for _, frame := range corpusFrames(f) {
+		if t := FrameType(frame[0]); t != FrameBatch && t != FrameResults {
+			seedWithFlips(f, payloadOf(f, frame))
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if cfg, err := DecodeOpen(payload); err == nil {

@@ -27,27 +27,16 @@ package wire
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"accelstream/internal/stream"
 )
 
-// The protocol versions carried in the Open frame's leading uvarint.
-// Version 1 is the original positional encoding grown by optional tails
-// (shard role, auth token, probe kernel); version 2 replaces the accreted
-// tails with an explicit field-tagged (TLV) encoding that also carries
-// the tenant identity. Servers accept both; clients send v2 by default.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-)
-
-// ProtocolVersion is the original protocol revision, kept for call sites
-// that predate the versioned handshake.
-//
-// Deprecated: name ProtocolV1 or ProtocolV2 explicitly.
-const ProtocolVersion = ProtocolV1
+// ProtocolV2 is the protocol version carried in the Open frame's leading
+// uvarint (and in the OpenAck after its leading 0). Both frames are
+// field-tagged (TLV), so the handshake grows by adding tags, not versions;
+// DecodeOpen refuses any other version.
+const ProtocolV2 = 2
 
 // MaxPayload bounds a frame payload so a corrupt or hostile length prefix
 // cannot cause an unbounded allocation.
@@ -80,39 +69,37 @@ const (
 	FrameClosed
 	// FrameError (either direction) reports a fatal session error.
 	FrameError
-	// FrameRebalancePrepare (client → server) asks the session to quiesce
-	// its engine at the current punctuation boundary and export its
-	// sliding-window state: the server drains all in-flight work, streams
-	// the remaining Results frames, then the window contents as StateChunk
-	// frames, a RebalanceCommit summary, and finally the usual Closed
-	// frame. It is terminal for the session, like FrameClose with a state
-	// hand-off attached. Peers predating the rebalance protocol reject the
-	// frame with an Error frame, which a coordinator treats as an abort —
-	// no existing frame's encoding changed, so mixed deployments stay safe.
+	// FrameRebalancePrepare (client → server) requests the rebalance
+	// hand-off: the same state cut as FrameCheckpoint — StateChunk frames,
+	// then CheckpointDone — except that the server never persists it and
+	// then closes the session with the usual Closed frame, like FrameClose
+	// with the window handed off. Its own frame type keeps the request a
+	// constant rather than a payload to decode.
 	FrameRebalancePrepare
 	// FrameStateChunk (either direction) carries a slice of sliding-window
 	// state: side-tagged tuples with their per-side arrival sequence
-	// numbers. Server → client it is the export path after a
-	// RebalancePrepare; client → server it installs state into a freshly
-	// opened session before its first Batch frame.
+	// numbers. Server → client it streams the cut a Checkpoint or
+	// RebalancePrepare asked for; client → server it installs state into a
+	// freshly opened session before its first Batch frame.
 	FrameStateChunk
-	// FrameRebalanceCommit (either direction) ends a state transfer with
-	// per-side tuple counts and arrival counters. On the export path the
-	// server sends it after the last StateChunk; on the import path the
-	// client sends it after the last StateChunk and the server answers
-	// with an echoing RebalanceCommit once the state is installed, so the
-	// coordinator knows the shard holds exactly the slice it was sent.
+	// FrameRebalanceCommit (either direction) ends a state import with
+	// per-side tuple counts and arrival counters: the client sends it after
+	// the last StateChunk, and the server answers with an echoing
+	// RebalanceCommit once the state is installed, so the coordinator knows
+	// the shard holds exactly the slice it was sent.
 	FrameRebalanceCommit
-	// FrameCheckpoint (client → server) asks the session to cut a durable
-	// snapshot of its engine at the punctuation boundary the frame's
+	// FrameCheckpoint (client → server) asks the session to cut its
+	// engine's window state at the punctuation boundary the frame's
 	// position in the stream defines: every batch sent before it is
-	// included, nothing after. The session stays live; the server answers
-	// with CheckpointDone once the snapshot — and every result the
-	// included input produces — has been handed to the connection.
+	// included, nothing after. The server streams the state back as
+	// StateChunk frames, persists it when it has a checkpoint store, and
+	// answers with CheckpointDone once the state — and every result the
+	// included input produces — has been handed to the connection. The
+	// session stays live.
 	FrameCheckpoint
-	// FrameCheckpointDone (server → client) acknowledges a Checkpoint
-	// with a RebalanceInfo payload: the per-side resident tuple counts
-	// and arrival counters of the snapshot just cut.
+	// FrameCheckpointDone (server → client) ends a state cut with a
+	// RebalanceInfo payload: the per-side resident tuple counts and arrival
+	// counters at the boundary.
 	FrameCheckpointDone
 )
 
@@ -219,10 +206,8 @@ func ValidTenant(s string) bool {
 }
 
 // RejectCode is the machine-readable session-reject classification carried
-// in a v2 OpenAck (RejectNone means the session was accepted). It replaces
-// the v1 convention of prefixing Error-frame messages with
-// UnauthorizedPrefix: a v2 client switches on the code instead of parsing
-// the message.
+// in an OpenAck (RejectNone means the session was accepted): a client
+// switches on the code instead of parsing a message.
 type RejectCode uint8
 
 // The session-reject codes.
@@ -270,19 +255,6 @@ func (c RejectCode) String() string {
 // Valid reports whether c is a known reject code.
 func (c RejectCode) Valid() bool { return c <= RejectQuotaTenants }
 
-// UnauthorizedPrefix prefixes the Error-frame message a server sends when
-// session authentication fails on a v1 session. It remains part of the
-// protocol for v1 interop: v1 clients map messages carrying it to a typed
-// unauthorized error. v2 sessions carry RejectUnauthorized in the OpenAck
-// instead.
-const UnauthorizedPrefix = "unauthorized"
-
-// IsUnauthorized reports whether an Error-frame message is a session-auth
-// rejection (v1 sessions only; v2 rejections ride the OpenAck).
-func IsUnauthorized(msg string) bool {
-	return strings.HasPrefix(msg, UnauthorizedPrefix)
-}
-
 // simWindowLimit is the largest per-stream window the simulated engine
 // accepts over the wire; beyond this the cycle-level simulation is too slow
 // to serve a live socket.
@@ -290,11 +262,6 @@ const simWindowLimit = 1 << 12
 
 // OpenConfig is the session configuration carried in the Open frame.
 type OpenConfig struct {
-	// Version selects the Open-frame encoding: ProtocolV1 (the original
-	// positional layout with optional tails) or ProtocolV2 (field-tagged).
-	// Zero means ProtocolV2 — clients send v2 by default. DecodeOpen sets
-	// it to the version actually received, so a server can answer in kind.
-	Version uint8
 	// Engine selects the join engine.
 	Engine EngineKind
 	// Cores is the number of join cores.
@@ -329,38 +296,23 @@ type OpenConfig struct {
 	// AuthToken is the session authentication token, checked by the server
 	// against its configured token (constant-time) before the engine is
 	// built. Empty means no token; a server with authentication enabled
-	// rejects such sessions. It rides the Open frame as an optional tail,
-	// so token-less frames are byte-identical to the previous protocol
-	// revision.
+	// rejects such sessions.
 	AuthToken string
 	// ProbeKernel selects the window-probe kernel of a soft-uni engine:
 	// auto (the zero value) resolves per join condition, hash forces the
 	// per-core incremental key index, scan forces the block-scan sweep.
-	// Like the auth token it rides the Open frame as an optional tail —
-	// auto-kernel frames are byte-identical to the previous revision.
 	ProbeKernel stream.ProbeKernel
 	// Tenant is the session's tenant identity, the unit of admission
 	// control: per-tenant session, window-memory, and ingest-rate quotas
-	// are accounted against it. Only the v2 encoding carries it; a v1
-	// session's tenant is derived server-side (from the auth token, or the
-	// default tenant). Empty means "no explicit tenant".
+	// are accounted against it. Empty means "no explicit tenant": the
+	// server derives one from the auth token, or uses the default tenant.
 	Tenant string
 }
 
 // Validate bounds-checks the configuration.
 func (c OpenConfig) Validate() error {
-	switch c.Version {
-	case 0, ProtocolV1, ProtocolV2:
-	default:
-		return fmt.Errorf("wire: protocol version %d not supported (want %d or %d)", c.Version, ProtocolV1, ProtocolV2)
-	}
-	if c.Tenant != "" {
-		if c.Version == ProtocolV1 {
-			return fmt.Errorf("wire: tenant identity requires the v2 open encoding")
-		}
-		if !ValidTenant(c.Tenant) {
-			return fmt.Errorf("wire: invalid tenant identity %q (1-%d bytes of [a-zA-Z0-9._:-])", c.Tenant, MaxTenant)
-		}
+	if c.Tenant != "" && !ValidTenant(c.Tenant) {
+		return fmt.Errorf("wire: invalid tenant identity %q (1-%d bytes of [a-zA-Z0-9._:-])", c.Tenant, MaxTenant)
 	}
 	switch c.Engine {
 	case EngineSoftUni, EngineSoftBi, EngineSimUni:
@@ -431,21 +383,14 @@ type RebalanceInfo struct {
 }
 
 // OpenAck is the server's answer to an Open frame: an acceptance carrying
-// the initial credit window, or — v2 sessions only — a typed rejection
-// carrying a RejectCode and an optional retry-after hint. (v1 sessions
-// are rejected with an Error frame instead, as before.)
+// the initial credit window, or a typed rejection carrying a RejectCode
+// and an optional retry-after hint.
 type OpenAck struct {
-	// Version selects the OpenAck encoding; the server answers with the
-	// version the session's Open frame carried. Zero means ProtocolV1 (the
-	// original encoding), so pre-existing call sites stay byte-identical.
-	Version uint8
 	// Reject, when not RejectNone, marks the ack as a typed rejection: the
-	// session was turned away and the connection closes. Carried only by
-	// the v2 encoding.
+	// session was turned away and the connection closes.
 	Reject RejectCode
 	// RetryAfter hints how long a rejected client should wait before
-	// retrying (zero: no hint). Carried only by the v2 encoding, only
-	// meaningful with Reject set.
+	// retrying (zero: no hint). Only meaningful with Reject set.
 	RetryAfter time.Duration
 	// Credits is the initial batch-credit window.
 	Credits int
@@ -455,9 +400,7 @@ type OpenAck struct {
 	// this session's engine before accepting it: the engine already holds
 	// the snapshot's window and its arrival counters start at
 	// ResumeSeqR/ResumeSeqS, so the client replays only the suffix of the
-	// streams from those positions. Carried as a backward-compatible tail
-	// on the OpenAck frame — a non-resumed ack is byte-identical to the
-	// pre-checkpoint encoding.
+	// streams from those positions.
 	Resumed    bool
 	ResumeSeqR uint64
 	ResumeSeqS uint64

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"strings"
@@ -148,10 +148,8 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCfg := cfg
-	wantCfg.Version = ProtocolV2 // clients send v2 by default; decode stamps it
-	if gotCfg != wantCfg {
-		t.Fatalf("open round trip: got %+v, want %+v", gotCfg, wantCfg)
+	if gotCfg != cfg {
+		t.Fatalf("open round trip: got %+v, want %+v", gotCfg, cfg)
 	}
 	f, _ = r.ReadFrame()
 	ack, err := DecodeOpenAck(f.Payload)
@@ -434,94 +432,53 @@ func TestOpenConfigValidate(t *testing.T) {
 	}
 }
 
-// TestOpenShardRoundTrip covers the shard-role fields of the Open frame,
-// in both the v1 (positional tail) and v2 (field-tagged) encodings.
+// TestOpenShardRoundTrip covers the shard-role fields of the Open frame.
 func TestOpenShardRoundTrip(t *testing.T) {
-	cfgs := []OpenConfig{
+	for _, cfg := range []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 8, ShardIndex: 5},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 3, ShardIndex: 0, BaseSeqR: 1 << 40, BaseSeqS: 123456},
 		{Engine: EngineSoftBi, Cores: 2, Window: 512},
-	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("shard open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	} {
+		if got := openRoundTrip(t, cfg); got != cfg {
+			t.Errorf("shard open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 }
 
-// TestDecodeOpenLegacyTail: an Open payload without the shard tail (the
-// PR-1 frame layout) must still decode, as an unsharded session.
-func TestDecodeOpenLegacyTail(t *testing.T) {
-	b := appendUvarint(nil, ProtocolVersion)
-	b = append(b, byte(EngineSoftUni))
-	b = appendUvarint(b, 4)   // cores
-	b = appendUvarint(b, 256) // window
-	b = append(b, byte(1))    // flags: ordered
-	cfg, err := DecodeOpen(b)
+// openRoundTrip encodes cfg as an Open frame and decodes it back.
+func openRoundTrip(t *testing.T, cfg OpenConfig) OpenConfig {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewReader(&buf).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 4, Window: 256, Ordered: true}
-	if cfg != want {
-		t.Errorf("legacy open decoded as %+v, want %+v", cfg, want)
+	got, err := DecodeOpen(f.Payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A partial tail (shard count without the rest) is a framing error,
-	// not a silent default.
-	if _, err := DecodeOpen(appendUvarint(b, 3)); err == nil {
-		t.Error("partial shard tail accepted")
-	}
+	return got
 }
 
-// TestOpenAuthTokenRoundTrip covers the auth token on the Open frame in
-// both encodings: tokens survive the round trip, a token-less v1 Open
-// stays byte-identical to the PR-2 encoding, and oversized tokens are
-// rejected on both ends.
+// TestOpenAuthTokenRoundTrip covers the auth token on the Open frame:
+// tokens survive the round trip, a token-less Open carries no token field,
+// and oversized tokens are rejected on both ends.
 func TestOpenAuthTokenRoundTrip(t *testing.T) {
-	cfgs := []OpenConfig{
+	for _, cfg := range []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, AuthToken: "s3cret"},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 4, ShardIndex: 1, BaseSeqR: 9, AuthToken: strings.Repeat("k", MaxAuthToken)},
 		{Engine: EngineSoftBi, Cores: 2, Window: 512, AuthToken: "with\x00binary\xffbytes"},
-	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("auth open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	} {
+		if got := openRoundTrip(t, cfg); got != cfg {
+			t.Errorf("auth open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 
-	// Token-less v1 frames carry no auth tail at all.
-	plain := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512}
+	// Token-less frames carry no token field at all.
+	plain := OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 512}
 	var withTok, without bytes.Buffer
 	tok := plain
 	tok.AuthToken = "t"
@@ -531,44 +488,30 @@ func TestOpenAuthTokenRoundTrip(t *testing.T) {
 	if err := NewWriter(&without).WriteOpen(plain); err != nil {
 		t.Fatal(err)
 	}
-	if withTok.Len() != without.Len()+2 { // uvarint len 1 + 1 token byte
-		t.Errorf("token tail sizing off: %d vs %d bytes", withTok.Len(), without.Len())
+	if withTok.Len() != without.Len()+3 { // tag + length + 1 token byte
+		t.Errorf("token field sizing off: %d vs %d bytes", withTok.Len(), without.Len())
 	}
 
 	// Oversized tokens: Validate refuses to build them, and a hand-built
-	// payload claiming one is rejected before allocation.
+	// payload claiming one is rejected.
 	big := plain
 	big.AuthToken = strings.Repeat("x", MaxAuthToken+1)
 	if err := big.Validate(); err == nil {
 		t.Error("Validate accepted oversized auth token")
 	}
-	b := appendUvarint(nil, ProtocolVersion)
-	b = append(b, byte(EngineSoftUni))
-	b = appendUvarint(b, 4)
-	b = appendUvarint(b, 256)
-	b = append(b, byte(0))
-	b = appendUvarint(b, 0) // shard tail
-	b = appendUvarint(b, 0)
-	b = appendUvarint(b, 0)
-	b = appendUvarint(b, 0)
-	okPrefix := append([]byte(nil), b...)
-	b = appendUvarint(b, MaxAuthToken+1)
+	f, err := NewReader(&without).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	okPrefix := append([]byte(nil), f.Payload...)
+	b := appendFieldString(append([]byte(nil), okPrefix...), openTagAuthToken, big.AuthToken)
 	if _, err := DecodeOpen(b); err == nil || !strings.Contains(err.Error(), "auth token") {
-		t.Errorf("oversized token length accepted: %v", err)
+		t.Errorf("oversized token accepted: %v", err)
 	}
 	// A token length that overruns the payload is a framing error.
-	b2 := appendUvarint(okPrefix, 8) // claims 8 bytes, none follow
+	b2 := appendUvarint(appendUvarint(okPrefix, openTagAuthToken), 8) // claims 8 bytes, none follow
 	if _, err := DecodeOpen(b2); err == nil {
-		t.Error("truncated token tail accepted")
-	}
-}
-
-func TestIsUnauthorized(t *testing.T) {
-	if !IsUnauthorized(UnauthorizedPrefix + ": bad or missing auth token") {
-		t.Error("unauthorized message not recognized")
-	}
-	if IsUnauthorized("server draining") {
-		t.Error("unrelated message flagged unauthorized")
+		t.Error("truncated token field accepted")
 	}
 }
 
@@ -677,9 +620,9 @@ func TestCheckpointFrameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOpenAckResumeFlagValidated rejects a resume tail whose flag byte is
-// not the defined value 1: the tail is the only optional part of the
-// frame, so a corrupt flag must not be silently treated as either form.
+// TestOpenAckResumeFlagValidated rejects a resumed field whose value is
+// not the defined 1: a corrupt flag must not be silently treated as
+// either form.
 func TestOpenAckResumeFlagValidated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Credits: 2, Session: 9, Resumed: true, ResumeSeqR: 5, ResumeSeqS: 6}); err != nil {
@@ -690,12 +633,9 @@ func TestOpenAckResumeFlagValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := append([]byte(nil), f.Payload...)
-	// The flag byte sits right after the two uvarints (credits, session).
-	flagAt := -1
-	for i, rest := 0, payload; i < 2; i++ {
-		_, n := binary.Uvarint(rest)
-		rest = rest[n:]
-		flagAt = len(payload) - len(rest)
+	flagAt := bytes.Index(payload, []byte{ackTagResumed, 1, 1}) + 2
+	if flagAt < 2 {
+		t.Fatalf("no resumed field in %x", payload)
 	}
 	payload[flagAt] = 2
 	if _, err := DecodeOpenAck(payload); err == nil {
@@ -703,41 +643,22 @@ func TestOpenAckResumeFlagValidated(t *testing.T) {
 	}
 }
 
-// TestOpenProbeKernelRoundTrip covers the probe-kernel tail of the Open
+// TestOpenProbeKernelRoundTrip covers the probe-kernel field of the Open
 // frame: explicit kernels survive the round trip (with or without an auth
-// token), an auto-kernel Open carries no kernel tail at all, and invalid
+// token), an auto-kernel Open carries no kernel field at all, and invalid
 // kernel codes are rejected on both ends.
 func TestOpenProbeKernelRoundTrip(t *testing.T) {
-	cfgs := []OpenConfig{
+	for _, cfg := range []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ProbeKernel: stream.KernelHash},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ProbeKernel: stream.KernelScan, AuthToken: "s3cret"},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 4, ShardIndex: 3, BaseSeqR: 7, ProbeKernel: stream.KernelHash},
-	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("probe-kernel open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	} {
+		if got := openRoundTrip(t, cfg); got != cfg {
+			t.Errorf("probe-kernel open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 
-	// Auto-kernel v1 frames carry neither the kernel byte nor the empty
-	// token length it would ride behind.
-	plain := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512}
+	plain := OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 512}
 	kern := plain
 	kern.ProbeKernel = stream.KernelScan
 	var withKern, without bytes.Buffer
@@ -747,8 +668,8 @@ func TestOpenProbeKernelRoundTrip(t *testing.T) {
 	if err := NewWriter(&without).WriteOpen(plain); err != nil {
 		t.Fatal(err)
 	}
-	if withKern.Len() != without.Len()+2 { // empty-token uvarint + kernel byte
-		t.Errorf("kernel tail sizing off: %d vs %d bytes", withKern.Len(), without.Len())
+	if withKern.Len() != without.Len()+3 { // tag + length + kernel byte
+		t.Errorf("kernel field sizing off: %d vs %d bytes", withKern.Len(), without.Len())
 	}
 
 	// Bad configurations: an undefined kernel code, and a kernel forced on
@@ -779,8 +700,8 @@ func TestOpenProbeKernelRoundTrip(t *testing.T) {
 }
 
 // TestOpenTenantRoundTrip covers the tenant identity on the v2 Open
-// frame: tenants survive the round trip, the v1 encoding refuses to carry
-// one, and malformed identities are rejected by Validate.
+// frame: tenants survive the round trip, and malformed identities are
+// rejected by Validate.
 func TestOpenTenantRoundTrip(t *testing.T) {
 	cfgs := []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, Tenant: "acme"},
@@ -800,21 +721,9 @@ func TestOpenTenantRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := cfg
-		want.Version = ProtocolV2
-		if got != want {
-			t.Errorf("tenant open round trip: got %+v, want %+v", got, want)
+		if got != cfg {
+			t.Errorf("tenant open round trip: got %+v, want %+v", got, cfg)
 		}
-	}
-
-	// The v1 encoding has no tenant field; writing one is an error, not a
-	// silent drop.
-	v1 := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512, Tenant: "acme"}
-	if err := NewWriter(io.Discard).WriteOpen(v1); err == nil {
-		t.Error("v1 WriteOpen silently dropped the tenant identity")
-	}
-	if err := v1.Validate(); err == nil {
-		t.Error("Validate accepted a tenant on the v1 encoding")
 	}
 
 	for _, bad := range []string{
@@ -857,10 +766,8 @@ func TestOpenV2UnknownFieldSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 open with unknown field rejected: %v", err)
 	}
-	want := cfg
-	want.Version = ProtocolV2
-	if got != want {
-		t.Errorf("unknown-field open decoded as %+v, want %+v", got, want)
+	if got != cfg {
+		t.Errorf("unknown-field open decoded as %+v, want %+v", got, cfg)
 	}
 	// A field whose length overruns the payload is still a framing error.
 	trunc := append([]byte(nil), f.Payload...)
@@ -871,18 +778,17 @@ func TestOpenV2UnknownFieldSkipped(t *testing.T) {
 	}
 }
 
-// TestOpenAckV2RoundTrips covers the v2 OpenAck encoding: accepting acks
+// TestOpenAckV2RoundTrips covers the OpenAck encoding: accepting acks
 // (with and without the checkpoint-resume fields) and typed rejections
-// with a retry-after hint all survive the round trip, and the v1 encoding
-// refuses to carry a reject code.
+// with a retry-after hint all survive the round trip.
 func TestOpenAckV2RoundTrips(t *testing.T) {
 	acks := []OpenAck{
-		{Version: ProtocolV2, Credits: 16, Session: 42},
-		{Version: ProtocolV2, Credits: 8, Session: 3, Resumed: true, ResumeSeqR: 1 << 40, ResumeSeqS: 77},
-		{Version: ProtocolV2, Reject: RejectUnauthorized},
-		{Version: ProtocolV2, Reject: RejectQuotaSessions},
-		{Version: ProtocolV2, Reject: RejectQuotaMemory, RetryAfter: 250 * time.Millisecond},
-		{Version: ProtocolV2, Reject: RejectRateLimited, RetryAfter: 3 * time.Second},
+		{Credits: 16, Session: 42},
+		{Credits: 8, Session: 3, Resumed: true, ResumeSeqR: 1 << 40, ResumeSeqS: 77},
+		{Reject: RejectUnauthorized},
+		{Reject: RejectQuotaSessions},
+		{Reject: RejectQuotaMemory, RetryAfter: 250 * time.Millisecond},
+		{Reject: RejectRateLimited, RetryAfter: 3 * time.Second},
 	}
 	for _, ack := range acks {
 		var buf bytes.Buffer
@@ -902,13 +808,9 @@ func TestOpenAckV2RoundTrips(t *testing.T) {
 		}
 	}
 
-	// The v1 encoding cannot express a typed rejection.
-	if err := NewWriter(io.Discard).WriteOpenAck(OpenAck{Reject: RejectUnauthorized}); err == nil {
-		t.Error("v1 WriteOpenAck silently dropped the reject code")
-	}
-	// A v2 accepting ack without credits is as invalid as its v1 analogue.
+	// An accepting ack without credits is invalid.
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Version: ProtocolV2, Session: 9}); err != nil {
+	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Session: 9}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewReader(&buf).ReadFrame()
@@ -916,7 +818,56 @@ func TestOpenAckV2RoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := DecodeOpenAck(f.Payload); err == nil {
-		t.Error("creditless v2 open-ack accepted")
+		t.Error("creditless open-ack accepted")
+	}
+}
+
+// TestHandshakeGoldenBytes pins the Open and OpenAck encodings byte for
+// byte, CRC included. The expected frames were captured from the encoder
+// that still carried the v1 positional layout beside v2, so they prove
+// deleting v1 left every v2 byte where it was. The last case is a v1 Open
+// frame from that encoder, which DecodeOpen must refuse by version.
+func TestHandshakeGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(*Writer) error
+		want  string
+	}{
+		{"open, every tag", func(w *Writer) error {
+			return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, Ordered: true,
+				ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 1 << 40,
+				AuthToken: "hunter2", ProbeKernel: stream.KernelScan, Tenant: "acme.prod"})
+		}, "01370201010102010803038080010401010501040601020701630806808080808020090768756e746572320a01020b0961636d652e70726f64564154e1"},
+		{"open, minimal", func(w *Writer) error {
+			return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 1, Window: 64})
+		}, "010a0201010102010103014076cf802e"},
+		{"ack, accept", func(w *Writer) error {
+			return w.WriteOpenAck(OpenAck{Credits: 16, Session: 42})
+		}, "0208000201011002012a3861ac72"},
+		{"ack, resumed", func(w *Writer) error {
+			return w.WriteOpenAck(OpenAck{Credits: 8, Session: 3, Resumed: true, ResumeSeqR: 1 << 40, ResumeSeqS: 77})
+		}, "02160002010108020103030101040680808080802005014d973b918d"},
+		{"ack, reject with retry-after", func(w *Writer) error {
+			return w.WriteOpenAck(OpenAck{Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
+		}, "020900020601040702dc0bdc5a4025"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.write(NewWriter(&buf)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+
+	v1, _ := hex.DecodeString("01090101014000000000007eb6164d")
+	f, err := NewReader(bytes.NewReader(v1)).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeOpen(f.Payload); err == nil || !strings.Contains(err.Error(), "protocol version 1 not supported") {
+		t.Errorf("v1 open: err = %v, want the unsupported version named", err)
 	}
 }
 
