@@ -20,8 +20,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# The 386 leg runs natively on amd64 hosts and has no AVX2 sweep, so the
+# scan kernel's portable Go lanes carry the softjoin oracle tests end to
+# end; the arm64 vet keeps the non-amd64 build (sweep_other.go) compiling.
 test:
 	$(GO) test ./...
+	GOARCH=386 $(GO) test ./internal/stream/ ./internal/softjoin/
+	GOARCH=arm64 $(GO) vet ./...
 
 # The race detector over every package that starts goroutines or is
 # driven concurrently. internal/experiments is left out: its tests assert wall-clock shapes,
@@ -34,8 +39,10 @@ test-race:
 
 # Short fuzzing pass over the wire-protocol decoders (10s per target),
 # seeded from the corruption-test corpus, then the scan kernel's lanes
-# against scalar Comparator.Eval. CI-sized; run `go test -fuzz` directly
-# for longer campaigns.
+# against scalar Comparator.Eval, then the hash and scan engines against
+# the oracle. CI-sized; run `go test -fuzz` directly for longer campaigns.
+# An engine trace can take ~0.1 s under coverage instrumentation, so its
+# minimization is capped by count: the default 60 s would stall the pass.
 fuzz-short:
 	@for f in FuzzReadFrame FuzzDecodeBatch FuzzDecodeResults FuzzDecodeControl; do \
 		echo "fuzzing $$f"; \
@@ -49,6 +56,8 @@ fuzz-short:
 	$(GO) test -run '^FuzzParsePolicy$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/autoscale/
 	@echo "fuzzing FuzzBlockScan"; \
 	$(GO) test -run '^FuzzBlockScan$$' -fuzz '^FuzzBlockScan$$' -fuzztime 10s ./internal/stream/
+	@echo "fuzzing FuzzKernelsAgainstOracle"; \
+	$(GO) test -run '^FuzzKernelsAgainstOracle$$' -fuzz '^FuzzKernelsAgainstOracle$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/softjoin/
 
 # Hot-path microbenchmarks (allocations reported), then the end-to-end
 # software figure; the JSON rows land in BENCH_software.json alongside
@@ -58,8 +67,8 @@ bench:
 	$(GO) run ./cmd/benchmark -fig software -json
 
 # Probe-kernel sweep: hash index vs block scan across windows and
-# selectivities (comparisons/op reported per point), then the perf
-# assertion that the index actually pays off.
+# selectivities (comparisons/op reported per point), then the check that
+# the index pays off, which logs the wall-time ratio at W=2^14.
 bench-probe:
 	$(GO) test -run '^$$' -bench '^BenchmarkProbe$$' -benchmem ./internal/softjoin/
 	$(GO) test -run '^TestHashKernelOutpacesScan$$' -count=1 -v ./internal/softjoin/

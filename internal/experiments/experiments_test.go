@@ -222,6 +222,7 @@ func TestFig14dShape(t *testing.T) {
 	if !ok16 || !ok20 {
 		t.Fatal("missing window points")
 	}
+	t.Logf("16 JCs: 2^16 → %.4f, 2^20 → %.4f M tuples/s (%.1fx)", y16, y20, y16/y20)
 	if y20 >= y16 {
 		t.Errorf("throughput should fall with window: 2^16 → %.4f, 2^20 → %.4f", y16, y20)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"accelstream/internal/admission"
 	"accelstream/internal/buildinfo"
+	"accelstream/internal/stream"
 )
 
 // ProcessStats is a point-in-time snapshot of server-wide gauges, the
@@ -123,8 +124,8 @@ func writeProcessMetrics(b *strings.Builder, ps ProcessStats) {
 	gauge("streamd_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc)
 	fmt.Fprintf(b, "# HELP streamd_build_info Build identity of the running server (constant 1).\n# TYPE streamd_build_info gauge\nstreamd_build_info{version=%q} 1\n",
 		buildinfo.Version())
-	fmt.Fprintf(b, "# HELP streamd_probe_kernel Default probe kernel for soft-uni sessions (constant 1).\n# TYPE streamd_probe_kernel gauge\nstreamd_probe_kernel{kernel=%q} 1\n",
-		ps.ProbeKernel)
+	fmt.Fprintf(b, "# HELP streamd_probe_kernel Default probe kernel for soft-uni sessions, and the lanes its block scan runs on (constant 1).\n# TYPE streamd_probe_kernel gauge\nstreamd_probe_kernel{kernel=%q,lanes=%q} 1\n",
+		ps.ProbeKernel, stream.ScanLanes())
 	if ps.Checkpoints.Enabled {
 		writeCheckpointMetrics(b, ps.Checkpoints)
 	}

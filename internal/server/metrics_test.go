@@ -70,6 +70,7 @@ func TestMetricsHandler(t *testing.T) {
 		`streamd_session_tuples_in_total{session="1",engine="soft-uni"} 100`,
 		`streamd_session_batches_in_total{session="1",engine="soft-uni"} 1`,
 		`streamd_session_open{session="1",engine="soft-uni"} 1`,
+		`streamd_probe_kernel{kernel="auto",lanes="` + stream.ScanLanes() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n--- body ---\n%s", want, body)
@@ -82,6 +83,8 @@ func TestMetricsHandler(t *testing.T) {
 	<-done
 
 	// After close the session moves to history: still scraped, gauge at 0.
+	// The client's Close can return before the server retires the session.
+	waitFor(t, "session to be retired", func() bool { return srv.ProcessStats().SessionsActive == 0 })
 	rec = httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body = rec.Body.String()

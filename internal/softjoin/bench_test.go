@@ -54,6 +54,9 @@ func BenchmarkProbe(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(work)/float64(b.N), "comparisons/op")
 			b.ReportMetric(float64(len(out.Results)), "results/op")
+			if kernel == stream.KernelScan {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(work), "ns/word")
+			}
 			out.Release()
 		})
 	}

@@ -68,7 +68,10 @@ const BlockBits = 64
 // the zero-extended 32-bit field of a packed bus word (key in the high
 // half, value in the low — Tuple.Word layout), every comparator is the
 // sign of (x ^ flip) + bias in 64-bit two's complement: bit 63 of the sum
-// is that lane's compare line. The zero Sweep never hits.
+// is that lane's compare line. The zero Sweep never hits. On amd64 with
+// AVX2 Next evaluates the same lanes four per instruction
+// (sweep_amd64.s); the Go lanes below are the portable path and the
+// specification it is tested against.
 type Sweep struct {
 	flip, bias uint64
 	shift      uint8 // field's bit offset in the word: 32 for the key, 0 for the value
@@ -98,6 +101,20 @@ func NewSweep(field Field, cmp Comparator, lhs uint32) Sweep {
 	return s
 }
 
+// useAVX2 selects the lanes Next runs: the AVX2 sweep where the CPU has
+// it, the portable Go lanes below otherwise. Only tests flip it, to hold
+// both paths to the same answers on one machine.
+var useAVX2 = hasAVX2
+
+// ScanLanes names the lanes the block-scan kernel runs on this machine:
+// "avx2" (four 64-bit lanes per instruction) or "portable" (Go).
+func ScanLanes() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // Next sweeps words from index from in 64-word blocks and returns the
 // base index and hit bitmask (bit i for words[base+i]) of the first block
 // in which any lane hits, or a zero mask once the run is exhausted. The
@@ -105,6 +122,9 @@ func NewSweep(field Field, cmp Comparator, lhs uint32) Sweep {
 //
 //	for base, m := s.Next(words, 0); m != 0; base, m = s.Next(words, base+BlockBits)
 func (s Sweep) Next(words []uint64, from int) (base int, mask uint64) {
+	if useAVX2 {
+		return nextAVX2(s, words, from)
+	}
 	for ; from < len(words); from += BlockBits {
 		block := words[from:min(from+BlockBits, len(words))]
 		if s.anyHit(block) {

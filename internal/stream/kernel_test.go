@@ -22,9 +22,19 @@ func nearEdge(sel byte) uint32 {
 	return edgeValues[int(sel)%len(edgeValues)] + uint32(int(sel)/len(edgeValues)%3) - 1
 }
 
+// lanePaths is every lane path Next can take on this machine: the
+// portable Go lanes, and the AVX2 sweep where the CPU runs it.
+func lanePaths() []bool {
+	if hasAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // checkSweep holds every layer of the block-scan kernel over one word run
-// to scalar Comparator.Eval: the level-1 verdict and level-2 mask of each
-// 64-word block, BlockMask on the same block, and the whole-run Next walk.
+// to scalar Comparator.Eval: the portable level-1 verdict and level-2 mask
+// of each 64-word block, then on every lane path BlockMask on the same
+// block, Next from every block base, and the whole-run Next walk.
 func checkSweep(t *testing.T, words []uint64, field Field, cmp Comparator, lhs uint32) {
 	t.Helper()
 	var want []int
@@ -35,30 +45,85 @@ func checkSweep(t *testing.T, words []uint64, field Field, cmp Comparator, lhs u
 	}
 	s := NewSweep(field, cmp, lhs)
 	hits := want
+	var masks []uint64 // want's hit mask per block
 	for base := 0; base < len(words); base += BlockBits {
 		block := words[base:min(base+BlockBits, len(words))]
 		var mask uint64
 		for ; len(hits) > 0 && hits[0] < base+len(block); hits = hits[1:] {
 			mask |= 1 << uint(hits[0]-base)
 		}
+		masks = append(masks, mask)
 		if got := s.anyHit(block); got != (mask != 0) {
 			t.Fatalf("lhs=%d %v %v block@%d (%d words): level-1 verdict %v, want %v", lhs, cmp, field, base, len(block), got, mask != 0)
 		}
 		if got := s.mask(block); got != mask {
 			t.Fatalf("lhs=%d %v %v block@%d (%d words): level-2 mask %064b, want %064b", lhs, cmp, field, base, len(block), got, mask)
 		}
-		if got := BlockMask(words[base:], field, cmp, lhs); got != mask {
-			t.Fatalf("lhs=%d %v %v block@%d (%d words): BlockMask %064b, want %064b", lhs, cmp, field, base, len(block), got, mask)
+	}
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	for _, avx2 := range lanePaths() {
+		useAVX2 = avx2
+		for b, mask := range masks {
+			from := b * BlockBits
+			if got := BlockMask(words[from:], field, cmp, lhs); got != mask {
+				t.Fatalf("%s lanes, lhs=%d %v %v block@%d: BlockMask %064b, want %064b", ScanLanes(), lhs, cmp, field, from, got, mask)
+			}
+			wantBase, wantMask := len(words), uint64(0)
+			for i := b; i < len(masks); i++ {
+				if masks[i] != 0 {
+					wantBase, wantMask = i*BlockBits, masks[i]
+					break
+				}
+			}
+			if base, m := s.Next(words, from); base != wantBase || m != wantMask {
+				t.Fatalf("%s lanes, lhs=%d %v %v over %d words: Next from %d = (%d, %064b), want (%d, %064b)",
+					ScanLanes(), lhs, cmp, field, len(words), from, base, m, wantBase, wantMask)
+			}
+		}
+		var got []int
+		for base, m := s.Next(words, 0); m != 0; base, m = s.Next(words, base+BlockBits) {
+			for ; m != 0; m &= m - 1 {
+				got = append(got, base+bits.TrailingZeros64(m))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s lanes, lhs=%d %v %v over %d words: Next walk hit %v, want %v", ScanLanes(), lhs, cmp, field, len(words), got, want)
 		}
 	}
-	var got []int
-	for base, m := s.Next(words, 0); m != 0; base, m = s.Next(words, base+BlockBits) {
-		for ; m != 0; m &= m - 1 {
-			got = append(got, base+bits.TrailingZeros64(m))
+}
+
+// TestSweepLanePathsAgree holds the AVX2 and portable lanes to each other
+// and to Comparator.Eval where the vector code has its seams: every run
+// length 0..300 (full blocks, quads of a short block, the last ≤ 3 single
+// words), Next from every block base, and one planted word at lane 0 and
+// lane 63 of the first and last full block, at the short block's first
+// lane and last quad lane, and in each of the last three words. Background
+// and planted fields cycle through the edge values; every edge value is an
+// lhs, for all six comparators on both fields.
+func TestSweepLanePathsAgree(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		full := n / BlockBits * BlockBits // first word of the short block
+		background := Tuple{Key: edgeValues[n%5], Val: edgeValues[(n+2)%5]}.Word()
+		v := edgeValues[n/5%5]
+		planted := Tuple{Key: v, Val: v}.Word()
+		at := []int{0, 63, full - 64, full - 1, full, full + (n-full)&^3 - 1, n - 3, n - 2, n - 1}
+		words := make([]uint64, n)
+		for _, p := range at {
+			if p < 0 || p >= n {
+				continue
+			}
+			for i := range words {
+				words[i] = background
+			}
+			words[p] = planted
+			for _, lhs := range edgeValues {
+				for _, cmp := range allComparators {
+					for _, field := range bothFields {
+						checkSweep(t, words, field, cmp, lhs)
+					}
+				}
+			}
 		}
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("lhs=%d %v %v over %d words: Next walk hit %v, want %v", lhs, cmp, field, len(words), got, want)
 	}
 }
 
@@ -99,16 +164,18 @@ func TestBlockMaskMatchesComparatorEval(t *testing.T) {
 }
 
 // FuzzBlockScan is the differential fuzz target for the scan kernel's
-// lanes: a ring of up to 200 words whose fields sit on and around the
-// edge values, split at a wrap point into the older/newer runs
-// WordSegments would hand a probe, each run checked layer by layer
-// against Comparator.Eval for all six comparators on both fields.
+// lanes: a ring of up to 600 words (several full blocks and a tail per
+// run) whose fields sit on and around the edge values, split at a wrap
+// point into the older/newer runs WordSegments would hand a probe, each
+// run checked layer by layer, on every lane path, against
+// Comparator.Eval for all six comparators on both fields.
 func FuzzBlockScan(f *testing.F) {
 	f.Add([]byte{}, byte(0), uint16(0))
 	f.Add([]byte{0, 0, 1, 5, 14, 3, 9, 9}, byte(3), uint16(2))
 	f.Add(bytes.Repeat([]byte{4, 12, 7, 2, 0, 11}, 60), byte(4), uint16(77))
+	f.Add(bytes.Repeat([]byte{9, 1, 3, 14, 6, 0, 12, 2}, 150), byte(7), uint16(131))
 	f.Fuzz(func(t *testing.T, data []byte, lhsSel byte, wrap uint16) {
-		ring := make([]uint64, min(len(data)/2, 200))
+		ring := make([]uint64, min(len(data)/2, 600))
 		for i := range ring {
 			ring[i] = Tuple{Key: nearEdge(data[2*i]), Val: nearEdge(data[2*i+1])}.Word()
 		}
