@@ -33,7 +33,7 @@ test:
 # which the detector's slowdown distorts, and its concurrency is the
 # packages below.
 test-race:
-	$(GO) test -race . ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
+	$(GO) test -race . ./cmd/streamload/ ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
 		./internal/checkpoint/ ./internal/rebalance/ ./internal/server/ ./internal/shard/ \
 		./internal/softjoin/ ./internal/stream/ ./internal/wire/
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -35,7 +36,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "streamload:", err)
 		os.Exit(1)
 	}
@@ -56,14 +57,14 @@ type session interface {
 // the probe succeeded in measuring the server's admission answer. Returns
 // false for errors that are not typed rejections (the caller fails as
 // usual).
-func reportReject(err error) bool {
+func reportReject(out io.Writer, err error) bool {
 	var adm *accelstream.AdmissionError
 	if errors.As(err, &adm) {
-		fmt.Printf("rejected: code=%s retry_after=%v\n", adm.Code, adm.RetryAfter)
+		fmt.Fprintf(out, "rejected: code=%s retry_after=%v\n", adm.Code, adm.RetryAfter)
 		return true
 	}
 	if errors.Is(err, accelstream.ErrUnauthorized) {
-		fmt.Printf("rejected: code=unauthorized\n")
+		fmt.Fprintf(out, "rejected: code=unauthorized\n")
 		return true
 	}
 	return false
@@ -82,35 +83,38 @@ func parseDist(name string) (workload.KeyDist, error) {
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", "localhost:7800", "streamd address")
-	engineName := flag.String("engine", "uni", "engine: uni, bi, or sim")
-	cores := flag.Int("cores", 8, "join cores of the session engine")
-	window := flag.Int("window", 1<<16, "per-stream window size")
-	tuples := flag.Int("tuples", 1<<20, "total tuples to replay")
-	batch := flag.Int("batch", 512, "tuples per batch frame")
-	conns := flag.Int("conns", 1, "independent sessions to stripe batches over (each runs its own engine)")
-	rate := flag.Float64("rate", 0, "offered load in tuples/s (0: saturate)")
-	distName := flag.String("dist", "uniform", "key distribution: uniform, zipf, or disjoint")
-	domain := flag.Int("domain", 0, "key domain size (0: generator default)")
-	seed := flag.Int64("seed", 42, "workload seed")
-	ordered := flag.Bool("ordered", false, "request punctuated result ordering (uni engine)")
-	verify := flag.Bool("verify", false, "check results against the oracle (buffers all inputs+results; small runs only)")
-	useTLS := flag.Bool("tls", false, "dial the server over TLS")
-	tlsCA := flag.String("tls-ca", "", "PEM CA bundle that signs the server certificate (implies -tls)")
-	tlsServerName := flag.String("tls-servername", "", "hostname to verify on the server certificate (when dialing by IP)")
-	tlsSkipVerify := flag.Bool("tls-skip-verify", false, "dial over TLS without verifying the server certificate (testing only)")
-	tlsCert := flag.String("tls-cert", "", "PEM client certificate for mutual TLS (requires -tls-key)")
-	tlsKey := flag.String("tls-key", "", "PEM private key matching -tls-cert")
-	authToken := flag.String("auth-token", "", "session auth token sent in the Open frame")
-	tenant := flag.String("tenant", "", "tenant identity the session opens under (admission-control accounting on the server)")
-	reportRejects := flag.Bool("report-rejects", false, "report a typed handshake rejection (code, retry-after) as the run's outcome instead of failing")
-	dialTimeout := flag.Duration("dial-timeout", 0, "connect + handshake deadline (0: client default)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// run parses args (without the program name) into its own flag set and
+// writes the run's report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("streamload", flag.ExitOnError)
+	addr := fs.String("addr", "localhost:7800", "streamd address")
+	engineName := fs.String("engine", "uni", "engine: uni, bi, or sim")
+	cores := fs.Int("cores", 8, "join cores of the session engine")
+	window := fs.Int("window", 1<<16, "per-stream window size")
+	tuples := fs.Int("tuples", 1<<20, "total tuples to replay")
+	batch := fs.Int("batch", 512, "tuples per batch frame")
+	conns := fs.Int("conns", 1, "independent sessions to stripe batches over (each runs its own engine)")
+	rate := fs.Float64("rate", 0, "offered load in tuples/s (0: saturate)")
+	distName := fs.String("dist", "uniform", "key distribution: uniform, zipf, or disjoint")
+	domain := fs.Int("domain", 0, "key domain size (0: generator default)")
+	seed := fs.Int64("seed", 42, "workload seed")
+	ordered := fs.Bool("ordered", false, "request punctuated result ordering (uni engine)")
+	verify := fs.Bool("verify", false, "check results against the oracle (buffers all inputs+results; small runs only)")
+	useTLS := fs.Bool("tls", false, "dial the server over TLS")
+	tlsCA := fs.String("tls-ca", "", "PEM CA bundle that signs the server certificate (implies -tls)")
+	tlsServerName := fs.String("tls-servername", "", "hostname to verify on the server certificate (when dialing by IP)")
+	tlsSkipVerify := fs.Bool("tls-skip-verify", false, "dial over TLS without verifying the server certificate (testing only)")
+	tlsCert := fs.String("tls-cert", "", "PEM client certificate for mutual TLS (requires -tls-key)")
+	tlsKey := fs.String("tls-key", "", "PEM private key matching -tls-cert")
+	authToken := fs.String("auth-token", "", "session auth token sent in the Open frame")
+	tenant := fs.String("tenant", "", "tenant identity the session opens under (admission-control accounting on the server)")
+	reportRejects := fs.Bool("report-rejects", false, "report a typed handshake rejection (code, retry-after) as the run's outcome instead of failing")
+	dialTimeout := fs.Duration("dial-timeout", 0, "connect + handshake deadline (0: client default)")
+	version := fs.Bool("version", false, "print version and exit")
+	fs.Parse(args)
 
 	if *version {
-		fmt.Println(accelstream.Version("streamload"))
+		fmt.Fprintln(out, accelstream.Version("streamload"))
 		return nil
 	}
 
@@ -171,7 +175,7 @@ func run() error {
 	if *conns > 1 {
 		pool, err = accelstream.DialPool(*addr, *conns, sessCfg, opts...)
 		if err != nil {
-			if *reportRejects && reportReject(err) {
+			if *reportRejects && reportReject(out, err) {
 				return nil
 			}
 			return err
@@ -180,17 +184,17 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "streamload: "+format+"\n", args...)
 		})
 		c = pool
-		fmt.Printf("pool open: %d sessions, %v engine, %d cores, window %d each, %d credits total\n",
+		fmt.Fprintf(out, "pool open: %d sessions, %v engine, %d cores, window %d each, %d credits total\n",
 			*conns, engine, *cores, *window, pool.Credits())
 	} else {
 		c, err = accelstream.Dial(*addr, sessCfg, opts...)
 		if err != nil {
-			if *reportRejects && reportReject(err) {
+			if *reportRejects && reportReject(out, err) {
 				return nil
 			}
 			return err
 		}
-		fmt.Printf("session open: %v engine, %d cores, window %d, credit window %d\n",
+		fmt.Fprintf(out, "session open: %v engine, %d cores, window %d, credit window %d\n",
 			engine, *cores, *window, c.Credits())
 	}
 
@@ -242,17 +246,17 @@ func run() error {
 	<-drained
 	total := time.Since(start)
 
-	fmt.Printf("sent %d tuples in %d-tuple batches: ingest %.3f M tuples/s (send phase), %.3f M tuples/s (to full drain)\n",
+	fmt.Fprintf(out, "sent %d tuples in %d-tuple batches: ingest %.3f M tuples/s (send phase), %.3f M tuples/s (to full drain)\n",
 		sent, *batch, float64(sent)/sendElapsed.Seconds()/1e6, float64(sent)/total.Seconds()/1e6)
-	fmt.Printf("results: %d received (%.4f per input tuple)\n", received, float64(received)/float64(sent))
+	fmt.Fprintf(out, "results: %d received (%.4f per input tuple)\n", received, float64(received)/float64(sent))
 	if avg, max, n := c.BatchRTT(); n > 0 {
-		fmt.Printf("batch round trip (send -> credit return, includes engine ingest): avg %v, max %v over %d batches\n", avg, max, n)
+		fmt.Fprintf(out, "batch round trip (send -> credit return, includes engine ingest): avg %v, max %v over %d batches\n", avg, max, n)
 	}
-	fmt.Printf("server stats: %d tuples in / %d batches, %d results out\n", st.TuplesIn, st.BatchesIn, st.ResultsOut)
+	fmt.Fprintf(out, "server stats: %d tuples in / %d batches, %d results out\n", st.TuplesIn, st.BatchesIn, st.ResultsOut)
 	if pool != nil && (pool.Replacements() > 0 || pool.Down() > 0) {
 		// Sessions lost mid-run take their in-flight batches and counters
 		// with them, so the aggregate bookkeeping cannot balance.
-		fmt.Printf("pool degraded during the run: %d sessions replaced, %d down; stats cover surviving sessions only\n",
+		fmt.Fprintf(out, "pool degraded during the run: %d sessions replaced, %d down; stats cover surviving sessions only\n",
 			pool.Replacements(), pool.Down())
 	} else if st.ResultsOut != received {
 		return fmt.Errorf("server emitted %d results but client received %d", st.ResultsOut, received)
@@ -261,7 +265,7 @@ func run() error {
 		if err := accelstream.VerifyExactlyOnce(*window, accelstream.EquiJoinOnKey(), inputs, results); err != nil {
 			return err
 		}
-		fmt.Println("verify: exactly-once pairing holds against the oracle")
+		fmt.Fprintln(out, "verify: exactly-once pairing holds against the oracle")
 	}
 	return nil
 }

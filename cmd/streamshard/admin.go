@@ -9,17 +9,11 @@ import (
 	"time"
 
 	"accelstream"
-	"accelstream/internal/autoscale"
 	"accelstream/internal/checkpoint"
+	"accelstream/internal/shard"
 	"accelstream/internal/wire"
 )
 
-// routerRegistry tracks the live per-session shard routers and the
-// current shard set used for new sessions. It is what makes the daemon
-// elastic: the admin endpoint resizes the deployment by rebalancing
-// every live router onto the changed address list and updating the list
-// new sessions dial, under one lock so sessions opened mid-resize never
-// see a half-applied layout.
 // routerMeta is the engine shape of one live session's router, kept so an
 // admin-triggered snapshot can stamp a restorable checkpoint manifest.
 type routerMeta struct {
@@ -27,25 +21,18 @@ type routerMeta struct {
 	ordered       bool
 }
 
-type routerEntry struct {
-	r    *accelstream.ShardRouter
-	meta routerMeta
-}
-
+// routerRegistry is the daemon's view of its sessions. The shard set, the
+// standby pool, resizes and the autoscaler belong to dep, which every
+// session's router joins; the registry adds what only the daemon has: the
+// sessions' engine shapes, the admin snapshot store, cumulative rebalance
+// totals of closed sessions, and the HTTP admin and metrics surface.
 type routerRegistry struct {
-	mu      sync.Mutex
-	addrs   []string
-	standby []string // autoscaler growth pool, in activation order
-	routers map[int64]routerEntry
-	nextID  int64
-	logf    func(format string, args ...any)
-	ckpt    *checkpoint.Store // nil without -checkpoint-dir
+	dep  *shard.Deployment
+	logf func(format string, args ...any)
 
-	// auto is the closed-loop shard autoscaler, nil without -autoscale.
-	// throttled, when set, reports the front server's cumulative
-	// credit-withhold count so admission pressure feeds the policy.
-	auto      *autoscale.Controller
-	throttled func() uint64
+	mu   sync.Mutex
+	meta map[int64]routerMeta // by deployment member id
+	ckpt *checkpoint.Store    // nil without -checkpoint-dir
 
 	// Rebalance counters of routers that already closed, so the metrics
 	// endpoint reports cumulative daemon totals rather than only the
@@ -53,32 +40,24 @@ type routerRegistry struct {
 	retired struct {
 		completed, aborted, migrated uint64
 		nanos                        uint64
-		tuplesIn                     uint64
 	}
 }
 
 func newRouterRegistry(addrs []string, logf func(format string, args ...any)) *routerRegistry {
 	return &routerRegistry{
-		addrs:   append([]string(nil), addrs...),
-		routers: make(map[int64]routerEntry),
-		logf:    logf,
+		dep:  shard.NewDeployment(addrs, logf),
+		logf: logf,
+		meta: make(map[int64]routerMeta),
 	}
-}
-
-// snapshotAddrs returns the shard set a new session should dial.
-func (g *routerRegistry) snapshotAddrs() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]string(nil), g.addrs...)
 }
 
 // add registers a live router and returns its registry id.
 func (g *routerRegistry) add(r *accelstream.ShardRouter, meta routerMeta) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.nextID++
-	g.routers[g.nextID] = routerEntry{r: r, meta: meta}
-	return g.nextID
+	id := g.dep.Join(r)
+	g.meta[id] = meta
+	return id
 }
 
 // enableCheckpoints opens the admin snapshot store on the same directory
@@ -101,73 +80,16 @@ func (g *routerRegistry) enableCheckpoints(dir string) error {
 func (g *routerRegistry) remove(id int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e, ok := g.routers[id]
-	if !ok {
+	r := g.dep.Leave(id)
+	if r == nil {
 		return
 	}
-	completed, aborted, migrated, total := e.r.RebalanceMetrics()
+	completed, aborted, migrated, total := r.RebalanceMetrics()
 	g.retired.completed += completed
 	g.retired.aborted += aborted
 	g.retired.migrated += migrated
 	g.retired.nanos += uint64(total.Nanoseconds())
-	// Fold the closing session's ingest counter into the retired total so
-	// the autoscaler's aggregate tuple count never steps backwards when a
-	// session closes (a backwards delta would read as a zero-rate tick).
-	g.retired.tuplesIn += e.r.Signals().TuplesIn
-	delete(g.routers, id)
-}
-
-// resize rebalances every live router onto newAddrs. The address list
-// for future sessions is updated only when every router made the
-// transition; on partial failure the failed routers have restored their
-// old layout themselves (Rebalance aborts in place) and the summary
-// says which sessions are where.
-func (g *routerRegistry) resize(newAddrs []string) (summary []string, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.resizeLocked(newAddrs)
-}
-
-// resizeLocked is resize with g.mu already held, shared by the admin
-// handlers (via resize) and the autoscale actuator (which composes the
-// target list and moves addresses between the active set and the standby
-// pool under one critical section).
-func (g *routerRegistry) resizeLocked(newAddrs []string) (summary []string, err error) {
-	failed := 0
-	for id, e := range g.routers {
-		rep, rerr := e.r.Rebalance(newAddrs)
-		if rerr != nil {
-			failed++
-			summary = append(summary, fmt.Sprintf("session %d: FAILED: %v (old layout kept, %d slices lost)",
-				id, rerr, rep.SlicesLost))
-			continue
-		}
-		summary = append(summary, fmt.Sprintf("session %d: %d -> %d shards, %d window tuples migrated in %v",
-			id, rep.OldShards, rep.NewShards, rep.TuplesMigrated, rep.Duration))
-	}
-	if failed > 0 {
-		return summary, fmt.Errorf("%d of %d sessions failed to rebalance; shard set unchanged (%s)",
-			failed, len(g.routers), strings.Join(g.addrs, ","))
-	}
-	g.addrs = append([]string(nil), newAddrs...)
-	// An operator may manually activate an address the autoscaler was
-	// holding in standby; drop it from the pool so it is never dialed
-	// twice under two residue classes.
-	if len(g.standby) > 0 {
-		active := make(map[string]bool, len(newAddrs))
-		for _, a := range newAddrs {
-			active[a] = true
-		}
-		var kept []string
-		for _, a := range g.standby {
-			if !active[a] {
-				kept = append(kept, a)
-			}
-		}
-		g.standby = kept
-	}
-	summary = append(summary, fmt.Sprintf("shard set now: %s", strings.Join(g.addrs, ",")))
-	return summary, nil
+	delete(g.meta, id)
 }
 
 // registerAdmin mounts the operator endpoints on the metrics mux:
@@ -186,10 +108,7 @@ func (g *routerRegistry) registerAdmin(mux *http.ServeMux) {
 			http.Error(w, "use GET", http.StatusMethodNotAllowed)
 			return
 		}
-		g.mu.Lock()
-		addrs := strings.Join(g.addrs, "\n")
-		g.mu.Unlock()
-		fmt.Fprintln(w, addrs)
+		fmt.Fprintln(w, strings.Join(g.dep.Addrs(), "\n"))
 	})
 	mux.HandleFunc("/admin/add-shard", func(w http.ResponseWriter, r *http.Request) {
 		g.handleResize(w, r, true)
@@ -216,22 +135,18 @@ func (g *routerRegistry) handleSnapshot(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "snapshots disabled: start streamshard with -checkpoint-dir", http.StatusConflict)
 		return
 	}
-	if len(g.routers) == 0 {
+	members := g.dep.Members()
+	if len(members) == 0 {
 		fmt.Fprintln(w, "no live sessions; nothing to snapshot")
 		return
 	}
-	ids := make([]int64, 0, len(g.routers))
-	for id := range g.routers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	failed := 0
 	var lines []string
-	for _, id := range ids {
-		line, err := g.snapshotOne(id, g.routers[id])
+	for _, m := range members {
+		line, err := g.snapshotOne(m.ID, m.Router, g.meta[m.ID])
 		if err != nil {
 			failed++
-			line = fmt.Sprintf("session %d: FAILED: %v", id, err)
+			line = fmt.Sprintf("session %d: FAILED: %v", m.ID, err)
 		}
 		g.logf("admin: snapshot: %s", line)
 		lines = append(lines, line)
@@ -245,18 +160,18 @@ func (g *routerRegistry) handleSnapshot(w http.ResponseWriter, r *http.Request) 
 }
 
 // snapshotOne cuts and persists one session's coordinated snapshot.
-func (g *routerRegistry) snapshotOne(id int64, e routerEntry) (string, error) {
+func (g *routerRegistry) snapshotOne(id int64, r *shard.Router, meta routerMeta) (string, error) {
 	start := time.Now()
-	tuples, seqR, seqS, err := e.r.SnapshotState()
+	tuples, seqR, seqS, err := r.SnapshotState()
 	if err != nil {
 		return "", err
 	}
 	snap := checkpoint.Snapshot{
 		Meta: checkpoint.Meta{
 			Engine:     byte(wire.EngineSoftUni),
-			Cores:      e.meta.cores,
-			Window:     e.meta.window,
-			Ordered:    e.meta.ordered,
+			Cores:      meta.cores,
+			Window:     meta.window,
+			Ordered:    meta.ordered,
 			ShardCount: 1, // front-side sessions are unsharded from the client's view
 			ShardIndex: 0,
 			SeqR:       seqR,
@@ -291,7 +206,7 @@ func (g *routerRegistry) handleResize(w http.ResponseWriter, r *http.Request, gr
 		http.Error(w, "missing addr parameter (host:port of the shard)", http.StatusBadRequest)
 		return
 	}
-	current := g.snapshotAddrs()
+	current := g.dep.Addrs()
 	var target []string
 	if grow {
 		for _, a := range current {
@@ -321,7 +236,7 @@ func (g *routerRegistry) handleResize(w http.ResponseWriter, r *http.Request, gr
 		op = "remove"
 	}
 	g.logf("admin: %s-shard %s: resizing to %d shards (%s)", op, addr, len(target), strings.Join(target, ","))
-	summary, err := g.resize(target)
+	summary, err := g.dep.Resize(target)
 	for _, line := range summary {
 		g.logf("admin: %s", line)
 	}
@@ -348,18 +263,18 @@ func (g *routerRegistry) writeMetrics(b *strings.Builder) {
 	var rows []row
 	completed, aborted, migrated := g.retired.completed, g.retired.aborted, g.retired.migrated
 	nanos := g.retired.nanos
-	for id, e := range g.routers {
-		for _, st := range e.r.Shards() {
-			rows = append(rows, row{id, st})
+	for _, m := range g.dep.Members() {
+		for _, st := range m.Router.Shards() {
+			rows = append(rows, row{m.ID, st})
 		}
-		c, a, m, d := e.r.RebalanceMetrics()
+		c, a, mig, d := m.Router.RebalanceMetrics()
 		completed += c
 		aborted += a
-		migrated += m
+		migrated += mig
 		nanos += uint64(d.Nanoseconds())
 	}
-	shardCount := len(g.addrs)
 	g.mu.Unlock()
+	shardCount := len(g.dep.Addrs())
 	// Keep output deterministic for scrapers and tests.
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].session != rows[j].session {

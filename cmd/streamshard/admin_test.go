@@ -58,7 +58,7 @@ func TestAdminResizeLive(t *testing.T) {
 	reg.registerAdmin(mux)
 
 	r, err := accelstream.DialSharded(accelstream.ShardConfig{
-		Addrs: reg.snapshotAddrs(), Cores: 2, Window: window, Logf: t.Logf,
+		Addrs: reg.dep.Addrs(), Cores: 2, Window: window, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestAdminResizeLive(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s %s: %d: %s", step.path, step.addr, code, body)
 		}
-		if got := len(reg.snapshotAddrs()); got != step.want {
+		if got := len(reg.dep.Addrs()); got != step.want {
 			t.Fatalf("after %s: registry has %d shards, want %d", step.path, got, step.want)
 		}
 		if got := len(r.Shards()); got != step.want {
@@ -203,7 +203,7 @@ func TestAdminSnapshot(t *testing.T) {
 	}
 
 	r, err := accelstream.DialSharded(accelstream.ShardConfig{
-		Addrs: reg.snapshotAddrs(), Cores: 2, Window: window, Logf: t.Logf,
+		Addrs: reg.dep.Addrs(), Cores: 2, Window: window, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestAdminResizeRefusedOnIndivisibleWindow(t *testing.T) {
 	mux := http.NewServeMux()
 	reg.registerAdmin(mux)
 	r, err := accelstream.DialSharded(accelstream.ShardConfig{
-		Addrs: reg.snapshotAddrs(), Cores: 1, Window: 128, Logf: t.Logf, // 128 % 3 != 0
+		Addrs: reg.dep.Addrs(), Cores: 1, Window: 128, Logf: t.Logf, // 128 % 3 != 0
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestAdminResizeRefusedOnIndivisibleWindow(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("indivisible resize returned %d: %s", code, body)
 	}
-	if got := len(reg.snapshotAddrs()); got != 2 {
+	if got := len(reg.dep.Addrs()); got != 2 {
 		t.Errorf("failed resize changed the registry to %d shards", got)
 	}
 	if got := len(r.Shards()); got != 2 {

@@ -27,151 +27,6 @@ func defaultDaemonPolicy() autoscale.Policy {
 	}
 }
 
-// enableAutoscale wires a closed-loop controller over the registry: the
-// live routers' aggregated signals (plus the front server's throttle
-// counter, via the throttled hook) feed the policy, and scale decisions
-// move addresses between the active set and the standby pool through the
-// same rebalance path the admin endpoint uses. Call before startAutoscale;
-// the controller does not tick until started.
-func (g *routerRegistry) enableAutoscale(pol autoscale.Policy, standby []string, throttled func() uint64) error {
-	pol = pol.WithDefaults()
-	if err := pol.Validate(); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.standby = append([]string(nil), standby...)
-	pool := len(g.addrs) + len(g.standby)
-	g.mu.Unlock()
-	if pol.MinShards > pool {
-		return fmt.Errorf("autoscale min_shards %d exceeds the %d-address pool (-shards plus -standby-shards)",
-			pol.MinShards, pool)
-	}
-	g.throttled = throttled
-	auto, err := autoscale.New(pol, registrySource{g}, registryActuator{g}, autoscale.WithLogf(g.logf))
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.auto = auto
-	g.mu.Unlock()
-	return nil
-}
-
-func (g *routerRegistry) startAutoscale() error {
-	if g.auto == nil {
-		return fmt.Errorf("autoscale not enabled")
-	}
-	return g.auto.Start()
-}
-
-// stopAutoscale halts the control loop; the in-flight tick (if any)
-// finishes first, so no rebalance is abandoned halfway.
-func (g *routerRegistry) stopAutoscale() {
-	if g.auto != nil {
-		g.auto.Stop()
-	}
-}
-
-// registrySource aggregates every live session's router signals into one
-// daemon-wide sample: per-shard credit and queue pressure summed across
-// sessions, the cumulative ingest counter (live plus retired sessions),
-// the worst per-session window occupancy, and the front server's
-// admission throttle counter.
-type registrySource struct{ g *routerRegistry }
-
-func (s registrySource) Sample() autoscale.Sample {
-	g := s.g
-	g.mu.Lock()
-	n := len(g.addrs)
-	signals := make([]autoscale.ShardSignal, n)
-	for i := range signals {
-		signals[i] = autoscale.ShardSignal{Index: i}
-	}
-	tuples := g.retired.tuplesIn
-	var occ float64
-	for _, e := range g.routers {
-		rs := e.r.Signals()
-		tuples += rs.TuplesIn
-		if rs.WindowOccupancy > occ {
-			occ = rs.WindowOccupancy
-		}
-		for _, sh := range rs.ShardSignals {
-			if sh.Index < 0 || sh.Index >= n {
-				continue
-			}
-			agg := &signals[sh.Index]
-			agg.Up = agg.Up || sh.Up
-			agg.CreditsOutstanding += sh.CreditsOutstanding
-			agg.CreditCapacity += sh.CreditCapacity
-			agg.QueueLen += sh.QueueLen
-			agg.QueueCap += sh.QueueCap
-		}
-	}
-	throttled := g.throttled
-	g.mu.Unlock()
-	smp := autoscale.Sample{
-		Shards:          n,
-		TuplesIn:        tuples,
-		WindowOccupancy: occ,
-		ShardSignals:    signals,
-	}
-	if throttled != nil {
-		smp.Throttled = throttled()
-	}
-	return smp
-}
-
-// registryActuator lands autoscale decisions on the deployment: growth
-// activates the head of the standby pool, shrink retires the tail of the
-// active set back to the front of the pool (so the next scale-up reuses
-// the most recently drained endpoints first). Both directions rebalance
-// every live session under the registry lock, exactly like the admin
-// add/remove-shard endpoints.
-type registryActuator struct{ g *routerRegistry }
-
-func (a registryActuator) Scale(target int) error {
-	g := a.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur := len(g.addrs)
-	if target == cur {
-		return nil
-	}
-	if target < 1 {
-		return fmt.Errorf("autoscale target %d below 1 shard", target)
-	}
-	if target > cur {
-		need := target - cur
-		if need > len(g.standby) {
-			return fmt.Errorf("autoscale target %d needs %d standby shards, have %d", target, need, len(g.standby))
-		}
-		activating := append([]string(nil), g.standby[:need]...)
-		newAddrs := append(append([]string(nil), g.addrs...), activating...)
-		summary, err := g.resizeLocked(newAddrs)
-		for _, line := range summary {
-			g.logf("autoscale: %s", line)
-		}
-		return err // resizeLocked already moved activating out of standby
-	}
-	retiring := append([]string(nil), g.addrs[target:]...)
-	newAddrs := append([]string(nil), g.addrs[:target]...)
-	summary, err := g.resizeLocked(newAddrs)
-	for _, line := range summary {
-		g.logf("autoscale: %s", line)
-	}
-	if err != nil {
-		return err
-	}
-	g.standby = append(retiring, g.standby...)
-	return nil
-}
-
-func (a registryActuator) Limit() int {
-	a.g.mu.Lock()
-	defer a.g.mu.Unlock()
-	return len(a.g.addrs) + len(a.g.standby)
-}
-
 // handleAutoscale serves GET /admin/autoscale: the effective policy, the
 // active and standby shard sets, and the controller's live report
 // (streaks, cooldown, recent decisions) as JSON.
@@ -180,8 +35,7 @@ func (g *routerRegistry) handleAutoscale(w http.ResponseWriter, r *http.Request)
 		http.Error(w, "use GET", http.StatusMethodNotAllowed)
 		return
 	}
-	g.mu.Lock()
-	auto := g.auto
+	auto := g.dep.Controller()
 	resp := struct {
 		Enabled bool              `json:"enabled"`
 		Shards  []string          `json:"shards"`
@@ -190,10 +44,9 @@ func (g *routerRegistry) handleAutoscale(w http.ResponseWriter, r *http.Request)
 		Report  *autoscale.Report `json:"report,omitempty"`
 	}{
 		Enabled: auto != nil,
-		Shards:  append([]string(nil), g.addrs...),
-		Standby: append([]string(nil), g.standby...),
+		Shards:  g.dep.Addrs(),
+		Standby: g.dep.Standby(),
 	}
-	g.mu.Unlock()
 	if auto != nil {
 		pol := auto.Policy()
 		rep := auto.Report()
@@ -210,10 +63,8 @@ func (g *routerRegistry) handleAutoscale(w http.ResponseWriter, r *http.Request)
 // metrics. Always emitted (enabled=0 with a zero report when -autoscale is
 // off) so dashboards need no conditional scrape config.
 func (g *routerRegistry) writeAutoscaleMetrics(b *strings.Builder) {
-	g.mu.Lock()
-	auto := g.auto
-	standby := len(g.standby)
-	g.mu.Unlock()
+	auto := g.dep.Controller()
+	standby := len(g.dep.Standby())
 	var rep autoscale.Report
 	if auto != nil {
 		rep = auto.Report()

@@ -44,16 +44,16 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 		MaxShards:    2,
 		CooldownMS:   100,
 	}
-	if err := reg.enableAutoscale(pol, backends[1:], func() uint64 { return 0 }); err != nil {
+	if err := reg.dep.EnableAutoscale(pol, backends[1:], func() uint64 { return 0 }); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.startAutoscale(); err != nil {
+	if err := reg.dep.Controller().Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer reg.stopAutoscale()
+	defer reg.dep.Controller().Stop()
 
 	r, err := accelstream.DialSharded(accelstream.ShardConfig{
-		Addrs: reg.snapshotAddrs(), Window: window, Logf: t.Logf,
+		Addrs: reg.dep.Addrs(), Window: window, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for len(reg.snapshotAddrs()) < 2 {
+	for len(reg.dep.Addrs()) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("standby shard never activated under load")
 		}
@@ -121,7 +121,7 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(30 * time.Second)
-	for len(reg.snapshotAddrs()) > 1 {
+	for len(reg.dep.Addrs()) > 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("deployment never shrank back to 1 shard")
 		}
@@ -133,7 +133,7 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 		cold.WaitBatch(2)
 	}
 	reg.mu.Lock()
-	standbyLen := len(reg.standby)
+	standbyLen := len(reg.dep.Standby())
 	reg.mu.Unlock()
 	if standbyLen != 1 {
 		t.Fatalf("retired shard not returned to standby: pool has %d entries", standbyLen)
@@ -151,12 +151,12 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	rep := reg.auto.Report()
+	rep := reg.dep.Controller().Report()
 	if rep.ScaleUps < 1 || rep.ScaleDowns < 1 {
 		t.Fatalf("report ups=%d downs=%d, want both >= 1", rep.ScaleUps, rep.ScaleDowns)
 	}
 
-	reg.stopAutoscale()
+	reg.dep.Controller().Stop()
 	if _, err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

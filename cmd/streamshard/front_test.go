@@ -22,7 +22,7 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
 		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
 			r, err := accelstream.DialSharded(accelstream.ShardConfig{
-				Addrs: reg.snapshotAddrs(), Cores: oc.Cores, Window: oc.Window,
+				Addrs: reg.dep.Addrs(), Cores: oc.Cores, Window: oc.Window,
 			})
 			if err != nil {
 				return nil, err

@@ -250,7 +250,7 @@ func run() error {
 				tenant = *shardTenant
 			}
 			scfg := accelstream.ShardConfig{
-				Addrs:       reg.snapshotAddrs(),
+				Addrs:       reg.dep.Addrs(),
 				Cores:       oc.Cores,
 				Window:      oc.Window,
 				QueueDepth:  *queueDepth,
@@ -314,38 +314,33 @@ func run() error {
 		opts = append(opts, accelstream.WithServeQuotas(quotas))
 		logger.Printf("admission quotas enabled (%d tenant overrides)", len(quotas.Tenants))
 	}
-	srv, err := accelstream.Serve(*addr, cfg, opts...)
-	if err != nil {
-		return err
-	}
+	// The autoscale policy is checked before the listener opens; the
+	// throttle hook reads srv only once the loop runs.
+	var srv *accelstream.Server
 	if *autoscaleOn {
 		pol := defaultDaemonPolicy()
 		if *autoscaleConfig != "" {
-			pol, err = accelstream.LoadAutoscalePolicy(*autoscaleConfig)
-			if err != nil {
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				srv.Shutdown(ctx)
+			if pol, err = accelstream.LoadAutoscalePolicy(*autoscaleConfig); err != nil {
 				return err
 			}
 		}
-		err = reg.enableAutoscale(pol, standby, func() uint64 {
+		err = reg.dep.EnableAutoscale(pol, standby, func() uint64 {
 			_, throttled := srv.TenantMetrics()
 			return throttled
 		})
-		if err == nil {
-			err = reg.startAutoscale()
-		}
 		if err != nil {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			srv.Shutdown(ctx)
 			return err
 		}
 		logger.Printf("autoscale enabled: %d active + %d standby shards, tick %v, cooldown %v",
 			len(addrs), len(standby), pol.WithDefaults().Tick(), pol.WithDefaults().Cooldown())
 	} else if len(standby) > 0 {
 		logger.Printf("warning: -standby-shards without -autoscale; the standby pool is unused")
+	}
+	if srv, err = accelstream.Serve(*addr, cfg, opts...); err != nil {
+		return err
+	}
+	if auto := reg.dep.Controller(); auto != nil {
+		auto.Start() // a fresh controller always starts
 	}
 	mode := "plaintext"
 	if *tlsCert != "" {
@@ -384,7 +379,9 @@ func run() error {
 	logger.Printf("received %v, draining sessions (budget %v)", got, *drain)
 	// Stop the autoscaler before draining: an in-flight tick finishes its
 	// rebalance, and no new resize starts under the shutdown.
-	reg.stopAutoscale()
+	if auto := reg.dep.Controller(); auto != nil {
+		auto.Stop()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,6 +352,20 @@ func TestAutoscaleDialValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Dial accepted a pool with an indivisible window")
+	}
+
+	// Window 120 over 4 cores keeps the effective window at 1-3 shards, but
+	// at 4 the 30-tuple slice rounds up to 32 per shard: the error names
+	// the reachable count that breaks, not the starting one.
+	_, err = Dial(Config{
+		Addrs:     []string{a0},
+		Standby:   []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		Window:    120,
+		Cores:     4,
+		Autoscale: pol,
+	})
+	if err == nil || !strings.Contains(err.Error(), "could target 4 shards") {
+		t.Fatalf("effective-window error = %v, want it to name 4 shards", err)
 	}
 
 	// MinShards larger than the whole address pool can never be satisfied.

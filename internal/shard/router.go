@@ -63,11 +63,9 @@ type Router struct {
 	rebalanceNanos  atomic.Uint64 // cumulative rebalance wall time
 	rebalanceMoved  atomic.Uint64 // cumulative window tuples migrated
 
-	// auto is the optional closed-loop autoscaler (Config.Autoscale); pool
-	// is its full ordered address pool, Addrs followed by Standby. Both
-	// are set once in Dial.
-	auto *autoscale.Controller
-	pool []string
+	// dep is the router's private deployment of one when it scales itself
+	// (Config.Autoscale); set once in Dial.
+	dep *Deployment
 
 	mu      sync.Mutex
 	failErr error
@@ -164,14 +162,16 @@ func Dial(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, merged: make(chan *stream.ResultBatch, mergedBatchDepth)}
-	// Build (and thereby validate) the autoscale controller before any
+	// Build (and thereby validate) the autoscale deployment before any
 	// connection is opened, so a bad policy fails the Dial outright.
+	var dep *Deployment
 	if cfg.Autoscale != nil {
-		if err := r.setupAutoscale(*cfg.Autoscale); err != nil {
+		var err error
+		if dep, err = cfg.autoscaleDeployment(); err != nil {
 			return nil, err
 		}
 	}
+	r := &Router{cfg: cfg, dep: dep, merged: make(chan *stream.ResultBatch, mergedBatchDepth)}
 	// A restored deployment resumes the global arrival counters at the
 	// checkpoint's: every shard session opens with the same offsets.
 	r.seqR, r.seqS = cfg.BaseSeqR, cfg.BaseSeqS
@@ -193,56 +193,40 @@ func Dial(cfg Config) (*Router, error) {
 		r.spawnDrain(sc, sc.client)
 		r.spawnSender(sc)
 	}
-	if r.auto != nil {
-		if err := r.auto.Start(); err != nil {
-			r.Close()
-			return nil, err
-		}
+	if dep != nil {
+		dep.Join(r)
+		dep.Controller().Start() // a fresh controller always starts
 	}
 	return r, nil
 }
 
-// setupAutoscale validates the policy against the deployment's resize
-// constraints and builds the controller (not yet started). Every shard
-// count the policy could drive to must keep the merged stream
-// oracle-equal: the global window has to divide evenly and preserve the
-// effective window at each reachable size.
-func (r *Router) setupAutoscale(pol autoscale.Policy) error {
-	pol = pol.WithDefaults()
-	if err := pol.Validate(); err != nil {
-		return err
+// autoscaleDeployment builds a self-scaling router's private deployment
+// of one over Addrs+Standby. Only the router knows its window, so the
+// check lives here: every shard count the policy could drive to must keep
+// the merged stream oracle-equal — the global window has to divide evenly
+// and preserve the effective window at each reachable size.
+func (c Config) autoscaleDeployment() (*Deployment, error) {
+	dep := NewDeployment(c.Addrs, c.Logf)
+	if err := dep.EnableAutoscale(*c.Autoscale, c.Standby, nil); err != nil {
+		return nil, err
 	}
-	r.pool = append(append([]string(nil), r.cfg.Addrs...), r.cfg.Standby...)
-	max := len(r.pool)
+	pol := dep.Controller().Policy()
+	max := dep.Limit()
 	if pol.MaxShards > 0 && pol.MaxShards < max {
 		max = pol.MaxShards
 	}
-	if pol.MinShards > len(r.pool) {
-		return fmt.Errorf("shard: autoscale min_shards %d exceeds the %d-address pool (Addrs+Standby)",
-			pol.MinShards, len(r.pool))
-	}
-	baseEff := rebalance.EffectiveWindow(r.cfg.Window, len(r.cfg.Addrs), r.cfg.Cores)
+	baseEff := rebalance.EffectiveWindow(c.Window, len(c.Addrs), c.Cores)
 	for n := pol.MinShards; n <= max; n++ {
-		if r.cfg.Window%n != 0 {
-			return fmt.Errorf("shard: autoscale could target %d shards but Window %d does not divide evenly", n, r.cfg.Window)
+		if c.Window%n != 0 {
+			return nil, fmt.Errorf("shard: autoscale could target %d shards but Window %d does not divide evenly", n, c.Window)
 		}
-		if eff := rebalance.EffectiveWindow(r.cfg.Window, n, r.cfg.Cores); eff != baseEff {
-			return fmt.Errorf("shard: autoscale could target %d shards but the effective window changes %d -> %d (per-shard slice must divide by %d cores)",
-				len(r.cfg.Addrs), baseEff, eff, r.cfg.Cores)
+		if eff := rebalance.EffectiveWindow(c.Window, n, c.Cores); eff != baseEff {
+			return nil, fmt.Errorf("shard: autoscale could target %d shards but the effective window changes %d -> %d (per-shard slice must divide by %d cores)",
+				n, baseEff, eff, c.Cores)
 		}
 	}
-	auto, err := autoscale.New(pol, routerSource{r}, &routerActuator{r: r}, autoscale.WithLogf(r.cfg.Logf))
-	if err != nil {
-		return err
-	}
-	r.auto = auto
-	return nil
+	return dep, nil
 }
-
-// routerSource adapts the router to autoscale.Source.
-type routerSource struct{ r *Router }
-
-func (s routerSource) Sample() autoscale.Sample { return s.r.Signals() }
 
 // Signals snapshots the router's live autoscale inputs — the structured
 // counterpart of the text /metrics exposition, so the policy never
@@ -267,8 +251,8 @@ func (r *Router) Signals() autoscale.Sample {
 		}
 		s.ShardSignals[i] = sig
 	}
-	// The router has no admission view of its own (Throttled stays 0; the
-	// streamshard registry layers that in). Occupancy here is the global
+	// The router has no admission view of its own (Throttled stays 0; a
+	// deployment's throttle hook layers that in). Occupancy here is the global
 	// window's fill fraction: cumulative ingest against the 2W tuples the
 	// two sliding windows retain once warm.
 	if w := uint64(2 * r.cfg.Window); w > 0 {
@@ -281,27 +265,13 @@ func (r *Router) Signals() autoscale.Sample {
 	return s
 }
 
-// routerActuator drives ShardRouter.Rebalance from autoscale decisions:
-// target N runs on the first N pool addresses.
-type routerActuator struct{ r *Router }
-
-func (a *routerActuator) Scale(target int) error {
-	if target < 1 || target > len(a.r.pool) {
-		return fmt.Errorf("shard: autoscale target %d outside the %d-address pool", target, len(a.r.pool))
-	}
-	_, err := a.r.Rebalance(a.r.pool[:target])
-	return err
-}
-
-func (a *routerActuator) Limit() int { return len(a.r.pool) }
-
 // AutoscaleReport returns the autoscale controller's state; ok is false
 // when the router was dialed without Config.Autoscale.
 func (r *Router) AutoscaleReport() (autoscale.Report, bool) {
-	if r.auto == nil {
+	if r.dep == nil {
 		return autoscale.Report{}, false
 	}
-	return r.auto.Report(), true
+	return r.dep.Controller().Report(), true
 }
 
 // newShardConn builds one endpoint of a modulus-shard generation.
@@ -633,7 +603,25 @@ func (r *Router) Shards() []State {
 // slice could not be restored degrades exactly like a crashed shard).
 // Rebalance may be called concurrently with SendBatch — the batch producer
 // simply blocks for the duration of the pause.
+//
+// On a self-scaling router (Config.Autoscale) Rebalance goes through the
+// router's deployment: a successful resize becomes its active set and
+// takes the addresses it activates out of the standby pool, so the
+// autoscaler keeps sizing from the layout the router actually runs.
 func (r *Router) Rebalance(newAddrs []string) (rebalance.Report, error) {
+	if r.dep != nil {
+		r.dep.mu.Lock()
+		defer r.dep.mu.Unlock()
+		rep, err := r.rebalance(newAddrs)
+		if err == nil {
+			r.dep.activateLocked(newAddrs)
+		}
+		return rep, err
+	}
+	return r.rebalance(newAddrs)
+}
+
+func (r *Router) rebalance(newAddrs []string) (rebalance.Report, error) {
 	if len(newAddrs) == 0 {
 		return rebalance.Report{}, fmt.Errorf("shard: rebalance needs at least one shard")
 	}
@@ -932,8 +920,8 @@ func (r *Router) Close() (Stats, error) {
 	// Stop the autoscaler before retiring the senders: closed is already
 	// set, so an in-flight decision's Rebalance fails cleanly, and after
 	// Stop returns no further decision can race the teardown.
-	if r.auto != nil {
-		r.auto.Stop()
+	if r.dep != nil {
+		r.dep.Controller().Stop()
 	}
 	// sendMu orders the queue close against an in-flight Rebalance, so the
 	// generation being retired is the one whose senders we wait for.
