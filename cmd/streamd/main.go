@@ -60,33 +60,34 @@ func registerPprof(mux *http.ServeMux) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "streamd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":7800", "listen address")
-	credits := flag.Int("credits", 8, "per-session batch-credit window")
-	maxBatch := flag.Int("maxbatch", 8192, "maximum tuples per batch frame")
-	idle := flag.Duration("idle", 2*time.Minute, "idle session timeout (negative disables)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
-	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap (0: unlimited)")
-	quotaConfig := flag.String("quota-config", "", "multi-tenant admission quotas from this JSON file (see README, \"Multi-tenant operation\")")
-	maxWindowMem := flag.Int64("max-window-mem", 0, "server-wide aggregate window-memory budget in bytes (0: unlimited; overrides the -quota-config server entry)")
-	rateLimit := flag.Float64("rate-limit", 0, "server-wide sustained ingest cap in tuples/sec, enforced by credit shaping (0: unlimited; overrides the -quota-config server entry)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus-format metrics on this address at /metrics (empty disables)")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics listener")
-	tlsCert := flag.String("tls-cert", "", "serve sessions over TLS with this PEM certificate (requires -tls-key)")
-	tlsKey := flag.String("tls-key", "", "PEM private key matching -tls-cert")
-	authToken := flag.String("auth-token", "", "require this session auth token in every Open frame")
-	probeKernel := flag.String("probe-kernel", "auto", "default probe kernel for soft-uni sessions: auto, hash, or scan (sessions naming a kernel keep their choice)")
-	ckptDir := flag.String("checkpoint-dir", "", "durable window snapshots in this directory (restored on restart; empty disables)")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "automatic snapshot cadence (0: default 5s; negative: only final snapshots)")
-	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("streamd", flag.ExitOnError)
+	addr := fs.String("addr", ":7800", "listen address")
+	credits := fs.Int("credits", 8, "per-session batch-credit window")
+	maxBatch := fs.Int("maxbatch", 8192, "maximum tuples per batch frame")
+	idle := fs.Duration("idle", 2*time.Minute, "idle session timeout (negative disables)")
+	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
+	maxSessions := fs.Int("max-sessions", 0, "concurrent session cap (0: unlimited)")
+	quotaConfig := fs.String("quota-config", "", "multi-tenant admission quotas from this JSON file (see README, \"Multi-tenant operation\")")
+	maxWindowMem := fs.Int64("max-window-mem", 0, "server-wide aggregate window-memory budget in bytes (0: unlimited; overrides the -quota-config server entry)")
+	rateLimit := fs.Float64("rate-limit", 0, "server-wide sustained ingest cap in tuples/sec, enforced by credit shaping (0: unlimited; overrides the -quota-config server entry)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus-format metrics on this address at /metrics (empty disables)")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics listener")
+	tlsCert := fs.String("tls-cert", "", "serve sessions over TLS with this PEM certificate (requires -tls-key)")
+	tlsKey := fs.String("tls-key", "", "PEM private key matching -tls-cert")
+	authToken := fs.String("auth-token", "", "require this session auth token in every Open frame")
+	probeKernel := fs.String("probe-kernel", "auto", "default probe kernel for soft-uni sessions: auto, hash, or scan (sessions naming a kernel keep their choice)")
+	ckptDir := fs.String("checkpoint-dir", "", "durable window snapshots in this directory (restored on restart; empty disables)")
+	ckptInterval := fs.Duration("checkpoint-interval", 0, "automatic snapshot cadence (0: default 5s; negative: only final snapshots)")
+	quiet := fs.Bool("quiet", false, "suppress per-session log lines")
+	version := fs.Bool("version", false, "print version and exit")
+	fs.Parse(args)
 
 	if *version {
 		fmt.Println(accelstream.Version("streamd"))

@@ -2,14 +2,16 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"accelstream"
 	"accelstream/internal/checkpoint"
+	"accelstream/internal/metrics"
 	"accelstream/internal/shard"
 	"accelstream/internal/wire"
 )
@@ -254,7 +256,7 @@ func (g *routerRegistry) handleResize(w http.ResponseWriter, r *http.Request, gr
 // families: per-shard labeled gauges/counters for every live session's
 // router, plus cumulative rebalance totals (live + retired sessions), in
 // the Prometheus text exposition format.
-func (g *routerRegistry) writeMetrics(b *strings.Builder) {
+func (g *routerRegistry) writeMetrics(out io.Writer) {
 	g.mu.Lock()
 	type row struct {
 		session int64
@@ -274,54 +276,24 @@ func (g *routerRegistry) writeMetrics(b *strings.Builder) {
 		nanos += uint64(d.Nanoseconds())
 	}
 	g.mu.Unlock()
-	shardCount := len(g.dep.Addrs())
-	// Keep output deterministic for scrapers and tests.
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].session != rows[j].session {
-			return rows[i].session < rows[j].session
+	// Members come in join order (ascending id) and each router's shards
+	// in index order, so the rows are already sorted for scrapers.
+	w := metrics.NewWriter(out)
+	w.Gauge("streamshard_shards", "Shards in the current deployment layout.", len(g.dep.Addrs()))
+	perShard := func(name, kind, help string, value func(accelstream.ShardState) any) {
+		w.Family(name, kind, help)
+		for _, r := range rows {
+			w.Sample(name, value(r.st), "session", strconv.FormatInt(r.session, 10), "shard", strconv.Itoa(r.st.Index), "addr", r.st.Addr)
 		}
-		return rows[i].st.Index < rows[j].st.Index
-	})
-
-	label := func(r row) string {
-		return fmt.Sprintf(`{session="%d",shard="%d",addr=%q}`, r.session, r.st.Index, r.st.Addr)
 	}
-	family := func(name, kind, help string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-	}
-	family("streamshard_shards", "gauge", "Shards in the current deployment layout.")
-	fmt.Fprintf(b, "streamshard_shards %d\n", shardCount)
-	family("streamshard_shard_up", "gauge", "Whether the shard's session is live, per session and shard.")
-	for _, r := range rows {
-		up := 0
-		if r.st.Up {
-			up = 1
-		}
-		fmt.Fprintf(b, "streamshard_shard_up%s %d\n", label(r), up)
-	}
-	family("streamshard_shard_redials_total", "counter", "Successful reconnections, per session and shard.")
-	for _, r := range rows {
-		fmt.Fprintf(b, "streamshard_shard_redials_total%s %d\n", label(r), r.st.Redials)
-	}
-	family("streamshard_shard_batches_dropped_total", "counter", "Broadcast batches the shard never processed, per session and shard.")
-	for _, r := range rows {
-		fmt.Fprintf(b, "streamshard_shard_batches_dropped_total%s %d\n", label(r), r.st.BatchesDropped)
-	}
-	family("streamshard_shard_results_total", "counter", "Results merged from the shard, per session and shard.")
-	for _, r := range rows {
-		fmt.Fprintf(b, "streamshard_shard_results_total%s %d\n", label(r), r.st.Results)
-	}
-	family("streamshard_shard_credits_outstanding", "gauge", "Batch credits the shard's session holds server-side (per-shard backpressure).")
-	for _, r := range rows {
-		fmt.Fprintf(b, "streamshard_shard_credits_outstanding%s %d\n", label(r), r.st.CreditsOutstanding)
-	}
-	family("streamshard_rebalance_total", "counter", "Completed shard-set rebalances across all sessions.")
-	fmt.Fprintf(b, "streamshard_rebalance_total %d\n", completed)
-	family("streamshard_rebalance_aborts_total", "counter", "Aborted shard-set rebalances (old layout restored).")
-	fmt.Fprintf(b, "streamshard_rebalance_aborts_total %d\n", aborted)
-	family("streamshard_rebalance_tuples_migrated_total", "counter", "Window tuples re-sliced across rebalances.")
-	fmt.Fprintf(b, "streamshard_rebalance_tuples_migrated_total %d\n", migrated)
-	family("streamshard_rebalance_duration_seconds", "counter", "Total wall time spent rebalancing, pause to resume.")
-	fmt.Fprintf(b, "streamshard_rebalance_duration_seconds %v\n", time.Duration(nanos).Seconds())
-	g.writeAutoscaleMetrics(b)
+	perShard("streamshard_shard_up", "gauge", "Whether the shard's session is live, per session and shard.", func(st accelstream.ShardState) any { return st.Up })
+	perShard("streamshard_shard_redials_total", "counter", "Successful reconnections, per session and shard.", func(st accelstream.ShardState) any { return st.Redials })
+	perShard("streamshard_shard_batches_dropped_total", "counter", "Broadcast batches the shard never processed, per session and shard.", func(st accelstream.ShardState) any { return st.BatchesDropped })
+	perShard("streamshard_shard_results_total", "counter", "Results merged from the shard, per session and shard.", func(st accelstream.ShardState) any { return st.Results })
+	perShard("streamshard_shard_credits_outstanding", "gauge", "Batch credits the shard's session holds server-side (per-shard backpressure).", func(st accelstream.ShardState) any { return st.CreditsOutstanding })
+	w.Counter("streamshard_rebalance_total", "Completed shard-set rebalances across all sessions.", completed)
+	w.Counter("streamshard_rebalance_aborts_total", "Aborted shard-set rebalances (old layout restored).", aborted)
+	w.Counter("streamshard_rebalance_tuples_migrated_total", "Window tuples re-sliced across rebalances.", migrated)
+	w.Counter("streamshard_rebalance_duration_seconds", "Total wall time spent rebalancing, pause to resume.", time.Duration(nanos).Seconds())
+	g.writeAutoscaleMetrics(w)
 }

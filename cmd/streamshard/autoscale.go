@@ -2,12 +2,11 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 
 	"accelstream/internal/autoscale"
+	"accelstream/internal/metrics"
 )
 
 // defaultDaemonPolicy is the autoscale policy -autoscale runs without
@@ -62,55 +61,33 @@ func (g *routerRegistry) handleAutoscale(w http.ResponseWriter, r *http.Request)
 // writeAutoscaleMetrics appends the autoscaler's families to the daemon
 // metrics. Always emitted (enabled=0 with a zero report when -autoscale is
 // off) so dashboards need no conditional scrape config.
-func (g *routerRegistry) writeAutoscaleMetrics(b *strings.Builder) {
+func (g *routerRegistry) writeAutoscaleMetrics(w *metrics.Writer) {
 	auto := g.dep.Controller()
-	standby := len(g.dep.Standby())
 	var rep autoscale.Report
 	if auto != nil {
 		rep = auto.Report()
 	}
-	family := func(name, kind, help string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-	}
-	enabled := 0
-	if auto != nil {
-		enabled = 1
-	}
-	family("streamshard_autoscale_enabled", "gauge", "Whether the closed-loop shard autoscaler is running.")
-	fmt.Fprintf(b, "streamshard_autoscale_enabled %d\n", enabled)
-	family("streamshard_standby_shards", "gauge", "Shard endpoints held in the autoscaler's standby pool.")
-	fmt.Fprintf(b, "streamshard_standby_shards %d\n", standby)
-	family("streamshard_autoscale_ticks_total", "counter", "Autoscale policy evaluations.")
-	fmt.Fprintf(b, "streamshard_autoscale_ticks_total %d\n", rep.Ticks)
-	family("streamshard_autoscale_scale_ups_total", "counter", "Completed autoscale grow actions.")
-	fmt.Fprintf(b, "streamshard_autoscale_scale_ups_total %d\n", rep.ScaleUps)
-	family("streamshard_autoscale_scale_downs_total", "counter", "Completed autoscale shrink actions.")
-	fmt.Fprintf(b, "streamshard_autoscale_scale_downs_total %d\n", rep.ScaleDowns)
-	family("streamshard_autoscale_holds_total", "counter", "Autoscale ticks that held the current shard count.")
-	fmt.Fprintf(b, "streamshard_autoscale_holds_total %d\n", rep.Holds)
-	family("streamshard_autoscale_errors_total", "counter", "Autoscale actions that failed at the rebalance layer.")
-	fmt.Fprintf(b, "streamshard_autoscale_errors_total %d\n", rep.Errors)
-	family("streamshard_autoscale_cooldown_active", "gauge", "Whether the autoscaler is in its post-action cooldown.")
-	cooling := 0
-	if !rep.CooldownUntil.IsZero() {
-		cooling = 1
-	}
-	fmt.Fprintf(b, "streamshard_autoscale_cooldown_active %d\n", cooling)
-	family("streamshard_autoscale_target", "gauge", "Shard count of the autoscaler's last landed deployment.")
-	fmt.Fprintf(b, "streamshard_autoscale_target %d\n", rep.Shards)
-	family("streamshard_autoscale_last_decision_timestamp_seconds", "gauge", "Unix time of the last scale action (0: none yet).")
+	w.Gauge("streamshard_autoscale_enabled", "Whether the closed-loop shard autoscaler is running.", auto != nil)
+	w.Gauge("streamshard_standby_shards", "Shard endpoints held in the autoscaler's standby pool.", len(g.dep.Standby()))
+	w.Counter("streamshard_autoscale_ticks_total", "Autoscale policy evaluations.", rep.Ticks)
+	w.Counter("streamshard_autoscale_scale_ups_total", "Completed autoscale grow actions.", rep.ScaleUps)
+	w.Counter("streamshard_autoscale_scale_downs_total", "Completed autoscale shrink actions.", rep.ScaleDowns)
+	w.Counter("streamshard_autoscale_holds_total", "Autoscale ticks that held the current shard count.", rep.Holds)
+	w.Counter("streamshard_autoscale_errors_total", "Autoscale actions that failed at the rebalance layer.", rep.Errors)
+	w.Gauge("streamshard_autoscale_cooldown_active", "Whether the autoscaler is in its post-action cooldown.", !rep.CooldownUntil.IsZero())
+	w.Gauge("streamshard_autoscale_target", "Shard count of the autoscaler's last landed deployment.", rep.Shards)
 	var lastTS int64
 	if !rep.Last.At.IsZero() && rep.Last.Action != autoscale.ActionHold {
 		lastTS = rep.Last.At.Unix()
 	}
-	fmt.Fprintf(b, "streamshard_autoscale_last_decision_timestamp_seconds %d\n", lastTS)
-	family("streamshard_autoscale_triggers_total", "counter", "Scale actions by the signal that tripped them.")
+	w.Gauge("streamshard_autoscale_last_decision_timestamp_seconds", "Unix time of the last scale action (0: none yet).", lastTS)
+	w.Family("streamshard_autoscale_triggers_total", "counter", "Scale actions by the signal that tripped them.")
 	triggers := make([]string, 0, len(rep.Triggers))
 	for name := range rep.Triggers {
 		triggers = append(triggers, name)
 	}
 	sort.Strings(triggers)
 	for _, name := range triggers {
-		fmt.Fprintf(b, "streamshard_autoscale_triggers_total{trigger=%q} %d\n", name, rep.Triggers[name])
+		w.Sample("streamshard_autoscale_triggers_total", rep.Triggers[name], "trigger", name)
 	}
 }

@@ -85,6 +85,16 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// metricsHandler serves one exposition: the front server's streamd_*
+// families, then the registry's streamshard_* families.
+func metricsHandler(srv *accelstream.Server, reg *routerRegistry) http.Handler {
+	serverMetrics := srv.MetricsHandler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serverMetrics.ServeHTTP(w, r)
+		reg.writeMetrics(w)
+	})
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "streamshard:", err)
@@ -355,13 +365,7 @@ func run() error {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		mux := http.NewServeMux()
-		serverMetrics := srv.MetricsHandler()
-		mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serverMetrics.ServeHTTP(w, r)
-			var b strings.Builder
-			reg.writeMetrics(&b)
-			fmt.Fprint(w, b.String())
-		}))
+		mux.Handle("/metrics", metricsHandler(srv, reg))
 		reg.registerAdmin(mux)
 		if *pprofOn {
 			registerPprof(mux)

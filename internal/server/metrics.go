@@ -1,15 +1,15 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"accelstream/internal/admission"
 	"accelstream/internal/buildinfo"
+	"accelstream/internal/metrics"
 	"accelstream/internal/stream"
 )
 
@@ -85,146 +85,107 @@ func (s *Server) ProcessStats() ProcessStats {
 }
 
 // MetricsHandler returns an http.Handler serving the server's counters in
-// the Prometheus text exposition format (hand-rolled; the repository takes
-// no dependencies). Process-wide gauges are unlabelled; per-session
-// counters carry session and engine labels. Mount it on /metrics:
+// the Prometheus text exposition format (written by internal/metrics; the
+// repository takes no dependencies). Process-wide gauges are unlabelled;
+// per-session counters carry session and engine labels. Mount it on
+// /metrics:
 //
 //	http.Handle("/metrics", srv.MetricsHandler())
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var b strings.Builder
-		writeProcessMetrics(&b, s.ProcessStats())
+		w.Header().Set("Content-Type", metrics.ContentType)
+		mw := metrics.NewWriter(w)
+		writeProcessMetrics(mw, s.ProcessStats())
 		tenants, throttled := s.TenantMetrics()
-		writeTenantMetrics(&b, tenants, throttled, s.adm.Evicted())
-		writeSessionMetrics(&b, s.Metrics())
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, b.String())
+		writeTenantMetrics(mw, tenants, throttled, s.adm.Evicted())
+		writeSessionMetrics(mw, s.Metrics())
 	})
 }
 
-func writeProcessMetrics(b *strings.Builder, ps ProcessStats) {
-	gauge := func(name, help string, value any) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	gauge("streamd_sessions_active", "Live client sessions.", ps.SessionsActive)
-	fmt.Fprintf(b, "# HELP streamd_sessions_total Sessions ever opened.\n# TYPE streamd_sessions_total counter\nstreamd_sessions_total %d\n", ps.SessionsTotal)
-	gauge("streamd_credits_outstanding", "Batch credits currently withheld from clients (in-flight batches).", ps.CreditsOutstanding)
-	fmt.Fprint(b, "# HELP streamd_sessions_rejected_total Sessions turned away before reaching an engine, by reason.\n# TYPE streamd_sessions_rejected_total counter\n")
+func writeProcessMetrics(w *metrics.Writer, ps ProcessStats) {
+	w.Gauge("streamd_sessions_active", "Live client sessions.", ps.SessionsActive)
+	w.Counter("streamd_sessions_total", "Sessions ever opened.", ps.SessionsTotal)
+	w.Gauge("streamd_credits_outstanding", "Batch credits currently withheld from clients (in-flight batches).", ps.CreditsOutstanding)
+	w.Family("streamd_sessions_rejected_total", "counter", "Sessions turned away before reaching an engine, by reason.")
 	reasons := make([]string, 0, len(ps.SessionsRejected))
 	for reason := range ps.SessionsRejected {
 		reasons = append(reasons, reason)
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		fmt.Fprintf(b, "streamd_sessions_rejected_total{reason=%q} %d\n", reason, ps.SessionsRejected[reason])
+		w.Sample("streamd_sessions_rejected_total", ps.SessionsRejected[reason], "reason", reason)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	gauge("streamd_goroutines", "Goroutines in the process.", runtime.NumGoroutine())
-	gauge("streamd_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc)
-	fmt.Fprintf(b, "# HELP streamd_build_info Build identity of the running server (constant 1).\n# TYPE streamd_build_info gauge\nstreamd_build_info{version=%q} 1\n",
-		buildinfo.Version())
-	fmt.Fprintf(b, "# HELP streamd_probe_kernel Default probe kernel for soft-uni sessions, and the lanes its block scan runs on (constant 1).\n# TYPE streamd_probe_kernel gauge\nstreamd_probe_kernel{kernel=%q,lanes=%q} 1\n",
-		ps.ProbeKernel, stream.ScanLanes())
+	w.Gauge("streamd_goroutines", "Goroutines in the process.", runtime.NumGoroutine())
+	w.Gauge("streamd_heap_alloc_bytes", "Heap bytes allocated and in use.", ms.HeapAlloc)
+	w.Family("streamd_build_info", "gauge", "Build identity of the running server (constant 1).")
+	w.Sample("streamd_build_info", 1, "version", buildinfo.Version())
+	w.Family("streamd_probe_kernel", "gauge", "Default probe kernel for soft-uni sessions, and the lanes its block scan runs on (constant 1).")
+	w.Sample("streamd_probe_kernel", 1, "kernel", ps.ProbeKernel, "lanes", stream.ScanLanes())
 	if ps.Checkpoints.Enabled {
-		writeCheckpointMetrics(b, ps.Checkpoints)
+		writeCheckpointMetrics(w, ps.Checkpoints)
 	}
 }
 
-func writeCheckpointMetrics(b *strings.Builder, cs CheckpointStats) {
-	counter := func(name, help string, value uint64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, value)
-	}
-	gauge := func(name, help string, value any) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, value)
-	}
-	counter("streamd_checkpoints_written_total", "Durable snapshots written.", cs.Written)
-	counter("streamd_checkpoint_errors_total", "Snapshot attempts that failed.", cs.Errors)
-	counter("streamd_checkpoints_skipped_total", "Automatic snapshots skipped because a write was in flight.", cs.Skipped)
+func writeCheckpointMetrics(w *metrics.Writer, cs CheckpointStats) {
+	w.Counter("streamd_checkpoints_written_total", "Durable snapshots written.", cs.Written)
+	w.Counter("streamd_checkpoint_errors_total", "Snapshot attempts that failed.", cs.Errors)
+	w.Counter("streamd_checkpoints_skipped_total", "Automatic snapshots skipped because a write was in flight.", cs.Skipped)
 	age := float64(-1)
 	if cs.LastUnixNanos > 0 {
 		age = time.Since(time.Unix(0, cs.LastUnixNanos)).Seconds()
 	}
-	gauge("streamd_checkpoint_age_seconds", "Seconds since the newest snapshot was cut (-1: none yet).", age)
-	gauge("streamd_checkpoint_last_bytes", "Encoded size of the newest snapshot.", cs.LastBytes)
-	gauge("streamd_checkpoint_last_duration_seconds", "Wall time the newest snapshot write took.", cs.LastDuration.Seconds())
-	counter("streamd_checkpoint_restores_total", "Snapshots restored into sessions at open.", cs.Restores)
-	counter("streamd_checkpoint_restored_tuples_total", "Window tuples installed by restores.", cs.RestoredTuples)
+	w.Gauge("streamd_checkpoint_age_seconds", "Seconds since the newest snapshot was cut (-1: none yet).", age)
+	w.Gauge("streamd_checkpoint_last_bytes", "Encoded size of the newest snapshot.", cs.LastBytes)
+	w.Gauge("streamd_checkpoint_last_duration_seconds", "Wall time the newest snapshot write took.", cs.LastDuration.Seconds())
+	w.Counter("streamd_checkpoint_restores_total", "Snapshots restored into sessions at open.", cs.Restores)
+	w.Counter("streamd_checkpoint_restored_tuples_total", "Window tuples installed by restores.", cs.RestoredTuples)
 }
 
 // writeTenantMetrics emits the admission controller's per-tenant
-// accounting. Tenant identities are restricted to a label-safe charset at
-// the wire layer (wire.ValidTenant), so they are quoted verbatim.
-func writeTenantMetrics(b *strings.Builder, tenants []admission.TenantUsage, throttledTotal, evicted uint64) {
-	fmt.Fprintf(b, "# HELP streamd_tenants_live Distinct tenant entries currently accounted.\n# TYPE streamd_tenants_live gauge\nstreamd_tenants_live %d\n", len(tenants))
-	fmt.Fprintf(b, "# HELP streamd_tenants_evicted_total Idle zero-usage tenant entries swept from the accounting table.\n# TYPE streamd_tenants_evicted_total counter\nstreamd_tenants_evicted_total %d\n", evicted)
-	fmt.Fprint(b, "# HELP streamd_tenant_sessions Live sessions per tenant.\n# TYPE streamd_tenant_sessions gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(b, "streamd_tenant_sessions{tenant=%q} %d\n", t.Tenant, t.Sessions)
+// accounting.
+func writeTenantMetrics(w *metrics.Writer, tenants []admission.TenantUsage, throttledTotal, evicted uint64) {
+	w.Gauge("streamd_tenants_live", "Distinct tenant entries currently accounted.", len(tenants))
+	w.Counter("streamd_tenants_evicted_total", "Idle zero-usage tenant entries swept from the accounting table.", evicted)
+	perTenant := func(name, kind, help string, value func(admission.TenantUsage) any) {
+		w.Family(name, kind, help)
+		for _, t := range tenants {
+			w.Sample(name, value(t), "tenant", t.Tenant)
+		}
 	}
-	fmt.Fprint(b, "# HELP streamd_tenant_window_bytes Aggregate window memory accounted per tenant (2*window*16 bytes per session).\n# TYPE streamd_tenant_window_bytes gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(b, "streamd_tenant_window_bytes{tenant=%q} %d\n", t.Tenant, t.WindowBytes)
-	}
-	fmt.Fprint(b, "# HELP streamd_tenant_sessions_admitted_total Sessions ever admitted per tenant.\n# TYPE streamd_tenant_sessions_admitted_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(b, "streamd_tenant_sessions_admitted_total{tenant=%q} %d\n", t.Tenant, t.Admitted)
-	}
-	fmt.Fprint(b, "# HELP streamd_tenant_throttled_total Batch credits withheld by rate shaping, per tenant.\n# TYPE streamd_tenant_throttled_total counter\n")
-	for _, t := range tenants {
-		fmt.Fprintf(b, "streamd_tenant_throttled_total{tenant=%q} %d\n", t.Tenant, t.Throttled)
-	}
-	fmt.Fprintf(b, "# HELP streamd_throttled_total Batch credits withheld by rate shaping, server-wide.\n# TYPE streamd_throttled_total counter\nstreamd_throttled_total %d\n", throttledTotal)
+	perTenant("streamd_tenant_sessions", "gauge", "Live sessions per tenant.", func(t admission.TenantUsage) any { return t.Sessions })
+	perTenant("streamd_tenant_window_bytes", "gauge", "Aggregate window memory accounted per tenant (2*window*16 bytes per session).", func(t admission.TenantUsage) any { return t.WindowBytes })
+	perTenant("streamd_tenant_sessions_admitted_total", "counter", "Sessions ever admitted per tenant.", func(t admission.TenantUsage) any { return t.Admitted })
+	perTenant("streamd_tenant_throttled_total", "counter", "Batch credits withheld by rate shaping, per tenant.", func(t admission.TenantUsage) any { return t.Throttled })
+	w.Counter("streamd_throttled_total", "Batch credits withheld by rate shaping, server-wide.", throttledTotal)
 }
 
-func writeSessionMetrics(b *strings.Builder, sessions []SessionMetrics) {
-	counter := func(name, help string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+// writeSessionMetrics emits the per-session families, one row per session
+// in the order given (Server.Metrics sorts by session ID).
+func writeSessionMetrics(w *metrics.Writer, sessions []SessionMetrics) {
+	labels := func(m SessionMetrics) []string {
+		return []string{"session", strconv.FormatUint(m.ID, 10), "engine", m.Engine.String()}
 	}
-	label := func(m SessionMetrics) string {
-		return fmt.Sprintf(`{session="%d",engine="%s"}`, m.ID, m.Engine)
+	perSession := func(name, kind, help string, value func(SessionMetrics) any) {
+		w.Family(name, kind, help)
+		for _, m := range sessions {
+			w.Sample(name, value(m), labels(m)...)
+		}
 	}
-	// Keep output deterministic for scrapers and tests.
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
-	counter("streamd_session_tuples_in_total", "Tuples ingested per session.")
-	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_tuples_in_total%s %d\n", label(m), m.TuplesIn)
-	}
-	counter("streamd_session_batches_in_total", "Batch frames ingested per session.")
-	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_batches_in_total%s %d\n", label(m), m.BatchesIn)
-	}
-	counter("streamd_session_results_out_total", "Join results streamed back per session.")
-	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_results_out_total%s %d\n", label(m), m.ResultsOut)
-	}
+	perSession("streamd_session_tuples_in_total", "counter", "Tuples ingested per session.", func(m SessionMetrics) any { return m.TuplesIn })
+	perSession("streamd_session_batches_in_total", "counter", "Batch frames ingested per session.", func(m SessionMetrics) any { return m.BatchesIn })
+	perSession("streamd_session_results_out_total", "counter", "Join results streamed back per session.", func(m SessionMetrics) any { return m.ResultsOut })
 	// Histogram-style sum/count pair: sum/count = mean results coalesced
 	// per Results frame, the emit-path batching the slab pipeline feeds.
-	counter("streamd_session_result_frame_tuples_sum", "Join results carried in Results frames per session (pairs with _count for mean frame size).")
+	perSession("streamd_session_result_frame_tuples_sum", "counter", "Join results carried in Results frames per session (pairs with _count for mean frame size).", func(m SessionMetrics) any { return m.ResultsOut })
+	perSession("streamd_session_result_frame_tuples_count", "counter", "Results frames written per session.", func(m SessionMetrics) any { return m.ResultFrames })
+	perSession("streamd_session_open", "gauge", "Whether the session is live (1) or closed (0).", func(m SessionMetrics) any { return m.Open })
+	perSession("streamd_session_backlog", "gauge", "Undelivered engine results queued per live session.", func(m SessionMetrics) any { return m.Backlog })
+	w.Family("streamd_session_probe_kernel", "gauge", "Concrete probe kernel the session's engine runs (constant 1).")
 	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_result_frame_tuples_sum%s %d\n", label(m), m.ResultsOut)
-	}
-	counter("streamd_session_result_frame_tuples_count", "Results frames written per session.")
-	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_result_frame_tuples_count%s %d\n", label(m), m.ResultFrames)
-	}
-	fmt.Fprint(b, "# HELP streamd_session_open Whether the session is live (1) or closed (0).\n# TYPE streamd_session_open gauge\n")
-	for _, m := range sessions {
-		open := 0
-		if m.Open {
-			open = 1
+		if m.Kernel != "" { // engines without probe kernels have no row
+			w.Sample("streamd_session_probe_kernel", 1, append(labels(m), "kernel", m.Kernel)...)
 		}
-		fmt.Fprintf(b, "streamd_session_open%s %d\n", label(m), open)
-	}
-	fmt.Fprint(b, "# HELP streamd_session_backlog Undelivered engine results queued per live session.\n# TYPE streamd_session_backlog gauge\n")
-	for _, m := range sessions {
-		fmt.Fprintf(b, "streamd_session_backlog%s %d\n", label(m), m.Backlog)
-	}
-	fmt.Fprint(b, "# HELP streamd_session_probe_kernel Concrete probe kernel the session's engine runs (constant 1).\n# TYPE streamd_session_probe_kernel gauge\n")
-	for _, m := range sessions {
-		if m.Kernel == "" {
-			continue // engine without probe kernels
-		}
-		fmt.Fprintf(b, "streamd_session_probe_kernel{session=\"%d\",engine=%q,kernel=%q} 1\n", m.ID, m.Engine, m.Kernel)
 	}
 }

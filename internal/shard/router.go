@@ -299,28 +299,29 @@ func (r *Router) spawnSender(sc *shardConn) {
 // window and its residue class, with per-side arrival offsets for resume.
 func (sc *shardConn) openConfig(baseR, baseS uint64) wire.OpenConfig {
 	return wire.OpenConfig{
-		Engine:      wire.EngineSoftUni,
-		Cores:       sc.r.cfg.Cores,
-		Window:      sc.window,
-		ShardCount:  sc.modulus,
-		ShardIndex:  sc.index,
-		BaseSeqR:    baseR,
-		BaseSeqS:    baseS,
-		ProbeKernel: sc.r.cfg.ProbeKernel,
+		Engine:     wire.EngineSoftUni,
+		Cores:      sc.r.cfg.Cores,
+		Window:     sc.window,
+		ShardCount: sc.modulus,
+		ShardIndex: sc.index,
+		BaseSeqR:   baseR,
+		BaseSeqS:   baseS,
 	}
 }
 
 // dialOptions is how every shard session — first dial, redial, and
 // rebalance-installed session alike — reaches its endpoint: same TLS
-// configuration, same auth token, same tenant identity, same connect
-// timeout. Rebalance passes these through to internal/rebalance, so a
-// generation swap cannot shed the deployment's tenant accounting.
+// configuration, same auth token, same tenant identity, same probe
+// kernel, same connect timeout. Rebalance passes these through to
+// internal/rebalance, so a generation swap (or its abort-restore) cannot
+// shed the deployment's tenant accounting or its kernel choice.
 func (r *Router) dialOptions() server.DialOptions {
 	return server.DialOptions{
-		TLS:       r.cfg.TLS,
-		AuthToken: r.cfg.AuthToken,
-		Tenant:    r.cfg.Tenant,
-		Timeout:   r.cfg.DialTimeout,
+		TLS:         r.cfg.TLS,
+		AuthToken:   r.cfg.AuthToken,
+		Tenant:      r.cfg.Tenant,
+		ProbeKernel: r.cfg.ProbeKernel,
+		Timeout:     r.cfg.DialTimeout,
 	}
 }
 

@@ -7,22 +7,28 @@ import (
 	"time"
 
 	"accelstream/internal/server"
+	"accelstream/internal/stream"
 	"accelstream/internal/workload"
 )
 
-// tenantOf returns the tenant of the server's single open session, waiting
-// briefly for the handshake (and any redial) to land.
-func tenantOf(t *testing.T, srv *server.Server) string {
+// openSession returns the server's one open session, waiting briefly for
+// the handshake to land and for any session a redial or rebalance
+// replaced to retire.
+func openSession(t *testing.T, srv *server.Server) server.SessionMetrics {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		var open []server.SessionMetrics
 		for _, m := range srv.Metrics() {
 			if m.Open {
-				return m.Tenant
+				open = append(open, m)
 			}
 		}
+		if len(open) == 1 {
+			return open[0]
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("no open session on shard server")
+			t.Fatalf("%d open sessions on shard server, want 1", len(open))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -56,7 +62,7 @@ func TestRouterTenantSurvivesRedialAndRebalance(t *testing.T) {
 		}
 	}()
 	for i, srv := range servers {
-		if got := tenantOf(t, srv); got != tenant {
+		if got := openSession(t, srv).Tenant; got != tenant {
 			t.Fatalf("shard %d opened under tenant %q, want %q", i, got, tenant)
 		}
 	}
@@ -85,7 +91,7 @@ func TestRouterTenantSurvivesRedialAndRebalance(t *testing.T) {
 		replacement.Shutdown(ctx)
 	})
 	sendAll(t, r, gen.Take(200), 20) // push traffic so the drop is noticed
-	if got := tenantOf(t, replacement); got != tenant {
+	if got := openSession(t, replacement).Tenant; got != tenant {
 		t.Fatalf("redialed session opened under tenant %q, want %q", got, tenant)
 	}
 
@@ -95,10 +101,49 @@ func TestRouterTenantSurvivesRedialAndRebalance(t *testing.T) {
 	if _, err := r.Rebalance(append(append([]string(nil), addrs...), extraAddr)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tenantOf(t, extra); got != tenant {
+	if got := openSession(t, extra).Tenant; got != tenant {
 		t.Fatalf("rebalance-installed session opened under tenant %q, want %q", got, tenant)
 	}
 
+	if _, err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+}
+
+// TestRouterKernelSurvivesRebalance: a named probe kernel must reach the
+// sessions a resize installs, not only the first dials — every backend
+// runs the scan kernel after a 2→3 grow, where auto would resolve the
+// equi-join to hash.
+func TestRouterKernelSurvivesRebalance(t *testing.T) {
+	servers := make([]*server.Server, 3)
+	addrs := make([]string, 3)
+	for i := range addrs {
+		servers[i], addrs[i] = startShardServer(t)
+	}
+	r, err := Dial(Config{
+		Addrs:       addrs[:2],
+		Window:      96, // divides evenly across both the 2- and 3-shard layouts
+		ProbeKernel: stream.KernelScan,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range r.Results() {
+		}
+	}()
+	if _, err := r.Rebalance(addrs); err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range servers {
+		if got := openSession(t, srv).Kernel; got != "scan" {
+			t.Errorf("shard %d runs the %q kernel after the resize, want scan", i, got)
+		}
+	}
 	if _, err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
