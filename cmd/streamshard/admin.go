@@ -179,16 +179,8 @@ func (g *routerRegistry) snapshotOne(id int64, r *shard.Router, meta routerMeta)
 			SeqR:       seqR,
 			SeqS:       seqS,
 			UnixNanos:  time.Now().UnixNano(),
-			Session:    uint64(id),
 		},
 		Tuples: tuples,
-	}
-	for i := range tuples {
-		if tuples[i].Side == accelstream.SideR {
-			snap.Meta.TuplesR++
-		} else {
-			snap.Meta.TuplesS++
-		}
 	}
 	n, err := g.ckpt.Write(snap)
 	if err != nil {

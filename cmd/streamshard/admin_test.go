@@ -238,7 +238,7 @@ func TestAdminSnapshot(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no valid snapshot on disk: ok=%v err=%v", ok, err)
 	}
-	if snap.Meta.Session != uint64(id) || snap.Meta.Window != window || snap.Meta.Cores != 2 {
+	if snap.Meta.Window != window || snap.Meta.Cores != 2 {
 		t.Fatalf("snapshot manifest %+v does not match the session", snap.Meta)
 	}
 	if snap.Meta.SeqR+snap.Meta.SeqS != tuples {

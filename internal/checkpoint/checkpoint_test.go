@@ -1,15 +1,22 @@
 package checkpoint
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
+	"accelstream/internal/wire"
 )
+
+// maxWindow is the window bound a manifest must respect
+// (wire.OpenConfig.Validate's).
+const maxWindow = 1 << 26
 
 // randSnapshot builds a snapshot with n window tuples split across both
 // sides, sequence-ordered per side the way SnapshotState emits them.
@@ -22,7 +29,6 @@ func randSnapshot(rng *rand.Rand, n int) Snapshot {
 			Ordered:    rng.Intn(2) == 0,
 			ShardCount: 1,
 			UnixNanos:  1_700_000_000_000_000_000 + rng.Int63n(1_000_000_000),
-			Session:    rng.Uint64(),
 		},
 	}
 	var seqR, seqS uint64
@@ -49,8 +55,9 @@ func randSnapshot(rng *rand.Rand, n int) Snapshot {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 7, MaxChunkTuples, MaxChunkTuples + 1, 3*MaxChunkTuples + 5} {
+	for _, n := range []int{0, 1, 7, wire.MaxStateChunk, wire.MaxStateChunk + 1, 3*wire.MaxStateChunk + 5} {
 		snap := randSnapshot(rng, n)
+		snap.Meta.UnixNanos = 0 // kept in the file name, not the file
 		data, err := Encode(snap)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -124,12 +131,16 @@ func TestDecodeBounds(t *testing.T) {
 		t.Error("decoded snapshot with window beyond the format bound")
 	}
 
-	// A manifest claiming more resident tuples than the per-side window
-	// must be rejected before any chunk allocation happens.
-	bad := randSnapshot(rng, 10).Meta
-	bad.TuplesR = uint64(bad.Window) + 1
-	if _, _, err := DecodeManifest(EncodeManifest(bad, 1)); err == nil {
-		t.Error("decoded manifest claiming more resident tuples than the window")
+	// A file carrying more resident tuples on one side than the per-side
+	// window must be rejected.
+	bad := randSnapshot(rng, 10)
+	bad.Meta.Window = int(max(bad.Meta.TuplesR, bad.Meta.TuplesS)) - 1
+	data, err = Encode(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err == nil {
+		t.Error("decoded snapshot with more resident tuples than the window")
 	}
 }
 
@@ -229,6 +240,99 @@ func TestCrashMidSnapshotFallsBack(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("stale temp file survived prune: %s", e.Name())
 		}
+	}
+}
+
+// TestDecodeDeclaredSizesCostNothing: a small CRC-valid file declaring a
+// maximal window and full per-side counts, but carrying no chunks, is
+// rejected without allocating for what it declares (the ACSCKPT1 decoder
+// sized its tuple slice from the manifest and allocated 4 GiB here).
+func TestDecodeDeclaredSizesCostNothing(t *testing.T) {
+	const huge = maxWindow
+	var buf bytes.Buffer
+	buf.WriteString(Magic)
+	w := wire.NewWriter(&buf)
+	if err := w.WriteOpen(wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: huge,
+		BaseSeqR: huge, BaseSeqS: huge}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteCheckpointDone(wire.RebalanceInfo{TuplesR: huge, TuplesS: huge, SeqR: huge, SeqS: huge}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoded a file whose footer declares tuples it does not carry")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding a %d-byte file allocated %d KiB", buf.Len(), grew>>10)
+	}
+}
+
+// TestTrailingDataRejected: nothing may follow the footer — neither a
+// stray byte (a torn frame) nor a whole CRC-valid frame.
+func TestTrailingDataRejected(t *testing.T) {
+	data, err := Encode(randSnapshot(rand.New(rand.NewSource(47)), 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := wire.NewWriter(&frame).WriteStateChunk(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{{byte(wire.FrameStateChunk)}, frame.Bytes()} {
+		if _, err := Decode(append(append([]byte(nil), data...), tail...)); err == nil {
+			t.Errorf("accepted a snapshot followed by % x", tail)
+		}
+	}
+}
+
+// installV1 copies the ACSCKPT1 file captured from the previous layout
+// into dir under a snapshot name newer than any test snapshot.
+func installV1(t *testing.T, dir string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "acsckpt1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := "ckpt-00000000000099999999-00000000000000000001.ckpt"
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreviousGenerationSkipped: an ACSCKPT1 file is skipped like a
+// corrupt one — alone it leaves nothing to restore, and beside an older
+// ACSCKPT2 file the ACSCKPT2 file is restored.
+func TestPreviousGenerationSkipped(t *testing.T) {
+	dir := t.TempDir()
+	installV1(t, dir)
+	st, err := NewStore(dir, 3, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.LatestValid(); ok || err != nil {
+		t.Fatalf("ACSCKPT1 only: ok=%v err=%v, want nothing to restore", ok, err)
+	}
+
+	dir = t.TempDir()
+	st, err = NewStore(dir, 3, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := randSnapshot(rand.New(rand.NewSource(43)), 20)
+	if _, err := st.Write(v2); err != nil {
+		t.Fatal(err)
+	}
+	installV1(t, dir)
+	got, ok, err := st.LatestValid()
+	if err != nil || !ok {
+		t.Fatalf("LatestValid: ok=%v err=%v", ok, err)
+	}
+	if got.Meta != v2.Meta {
+		t.Fatalf("restored %+v, want the ACSCKPT2 snapshot %+v", got.Meta, v2.Meta)
 	}
 }
 

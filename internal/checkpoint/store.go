@@ -2,9 +2,11 @@ package checkpoint
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -45,18 +47,24 @@ func (st *Store) Dir() string { return st.dir }
 
 // fileName builds a snapshot file name that sorts lexically by recency:
 // total consumed sequence first (monotone across snapshots of one
-// stream), wall-clock nanos as tie-break.
+// stream), wall-clock nanos as tie-break. The nanos are the only place
+// Meta.UnixNanos is kept; nanosOf reads them back.
 func fileName(m Meta) string {
 	return fmt.Sprintf("ckpt-%020d-%020d.ckpt", m.SeqR+m.SeqS, uint64(m.UnixNanos))
 }
 
-// Write encodes the snapshot and installs it atomically, then prunes old
-// snapshots beyond the retain count. Returns the encoded size.
+// nanosOf recovers Meta.UnixNanos from a name list accepted (0 when the
+// file was not named by fileName).
+func nanosOf(name string) int64 {
+	rest := strings.TrimSuffix(name, ".ckpt")
+	n, _ := strconv.ParseUint(rest[strings.LastIndexByte(rest, '-')+1:], 10, 64)
+	return int64(n)
+}
+
+// Write streams the snapshot into a temp file and installs it
+// atomically, then prunes old snapshots beyond the retain count. Returns
+// the encoded size.
 func (st *Store) Write(s Snapshot) (int, error) {
-	data, err := Encode(s)
-	if err != nil {
-		return 0, err
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	final := filepath.Join(st.dir, fileName(s.Meta))
@@ -64,25 +72,23 @@ func (st *Store) Write(s Snapshot) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: create temp: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		cleanup()
-		return 0, fmt.Errorf("checkpoint: write temp: %w", err)
+	err = encode(tmp, s)
+	var size int64
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		cleanup()
-		return 0, fmt.Errorf("checkpoint: sync temp: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("checkpoint: close temp: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, final); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("checkpoint: rename: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), final)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return 0, fmt.Errorf("checkpoint: write %s: %w", final, err)
 	}
 	// Best-effort directory sync so the rename itself is durable.
 	if d, err := os.Open(st.dir); err == nil {
@@ -90,7 +96,7 @@ func (st *Store) Write(s Snapshot) (int, error) {
 		d.Close()
 	}
 	st.pruneLocked()
-	return len(data), nil
+	return int(size), nil
 }
 
 // list returns the snapshot files in the directory sorted newest-first.
@@ -114,25 +120,26 @@ func (st *Store) list() ([]string, error) {
 }
 
 // LatestValid loads the newest snapshot that decodes and validates,
-// skipping (and logging) corrupt or torn files. Returns ok=false when the
-// directory holds no usable snapshot.
+// skipping (and logging) corrupt, torn, or other-generation files.
+// Returns ok=false when the directory holds no usable snapshot.
 func (st *Store) LatestValid() (Snapshot, bool, error) {
 	names, err := st.list()
 	if err != nil {
 		return Snapshot{}, false, err
 	}
 	for _, name := range names {
-		path := filepath.Join(st.dir, name)
-		data, err := os.ReadFile(path)
+		f, err := os.Open(filepath.Join(st.dir, name))
 		if err != nil {
 			st.logf("checkpoint: skip %s: %v", name, err)
 			continue
 		}
-		snap, err := Decode(data)
+		snap, err := decode(f)
+		f.Close()
 		if err != nil {
 			st.logf("checkpoint: skip corrupt %s: %v", name, err)
 			continue
 		}
+		snap.Meta.UnixNanos = nanosOf(name)
 		return snap, true, nil
 	}
 	return Snapshot{}, false, nil

@@ -7,7 +7,6 @@ import (
 
 	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
-	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 )
 
@@ -117,13 +116,7 @@ func (s *session) cutSnapshot() ([]core.Input, wire.RebalanceInfo, error) {
 	s.flushResults(snap.ResultsEmitted())
 
 	info := wire.RebalanceInfo{SeqR: seqR, SeqS: seqS}
-	for i := range tuples {
-		if tuples[i].Side == stream.SideR {
-			info.TuplesR++
-		} else {
-			info.TuplesS++
-		}
-	}
+	info.Tally(tuples)
 	return tuples, info, nil
 }
 
@@ -146,7 +139,6 @@ func (s *session) persistSnapshot(tuples []core.Input, info wire.RebalanceInfo, 
 			TuplesR:    info.TuplesR,
 			TuplesS:    info.TuplesS,
 			UnixNanos:  time.Now().UnixNano(),
-			Session:    s.id,
 		},
 		Tuples: tuples,
 	}
@@ -192,16 +184,8 @@ func (s *session) serveCut(persist bool) (wire.RebalanceInfo, error) {
 	if persist && s.srv.ckpt != nil {
 		s.persistSnapshot(tuples, info, true)
 	}
-	for rest := tuples; len(rest) > 0; {
-		n := len(rest)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
-		}
-		chunk := rest[:n]
-		rest = rest[n:]
-		if err := s.send(func(w *wire.Writer) error { return w.WriteStateChunk(chunk) }); err != nil {
-			return wire.RebalanceInfo{}, fmt.Errorf("writing state chunk: %w", err)
-		}
+	if err := s.send(func(w *wire.Writer) error { return w.WriteState(tuples) }); err != nil {
+		return wire.RebalanceInfo{}, fmt.Errorf("writing state chunk: %w", err)
 	}
 	return info, nil
 }

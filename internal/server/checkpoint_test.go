@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -339,5 +340,78 @@ func TestCheckpointMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, family) {
 			t.Errorf("metrics missing %q", family)
 		}
+	}
+}
+
+// TestCheckpointKeepsSecretsOffDisk: a snapshot's manifest is the
+// session's Open without its credentials. A server run with an auth
+// token (what WithServeAuthToken sets), serving a named tenant, writes
+// neither string into its snapshot files, and a restarted server under
+// another token restores the snapshot into a session whose Open differs
+// only in token and tenant.
+func TestCheckpointKeepsSecretsOffDisk(t *testing.T) {
+	const window, token, tenant = 64, "tok-7f3a9c-secret", "acme.prod-eu"
+	dir := t.TempDir()
+	_, addr := startServer(t, Config{CheckpointDir: dir, CheckpointInterval: -1, AuthToken: token})
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 23, KeyDomain: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: window, AuthToken: token, Tenant: tenant}
+	c, err := Dial(addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range c.Results() {
+		}
+	}()
+	if err := c.SendBatch(gen.Take(200)); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".ckpt") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, secret := range []string{token, tenant} {
+			if bytes.Contains(data, []byte(secret)) {
+				t.Fatalf("%s carries %q", e.Name(), secret)
+			}
+		}
+		files++
+	}
+	if files == 0 {
+		t.Fatal("no snapshot files on disk")
+	}
+
+	const token2 = "another-token"
+	_, addr2 := startServer(t, Config{CheckpointDir: dir, CheckpointInterval: -1, AuthToken: token2})
+	cfg.AuthToken, cfg.Tenant = token2, "other.tenant"
+	c2, err := Dial(addr2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqR, seqS, ok := c2.Resumed(); !ok || seqR != info.SeqR || seqS != info.SeqS {
+		t.Fatalf("resumed=%v at (%d, %d), snapshot cut at (%d, %d)", ok, seqR, seqS, info.SeqR, info.SeqS)
+	}
+	if _, err := c2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -357,23 +357,9 @@ func (c *Client) Close() (wire.Stats, error) {
 // session's residue class (the form Client.ExportState emits, sliced).
 func (c *Client) ImportState(tuples []core.Input) error {
 	info := wire.RebalanceInfo{SeqR: c.baseSeqR, SeqS: c.baseSeqS}
-	for i := range tuples {
-		if tuples[i].Side == stream.SideR {
-			info.TuplesR++
-		} else {
-			info.TuplesS++
-		}
-	}
+	info.Tally(tuples)
 	c.wmu.Lock()
-	var err error
-	for rest := tuples; len(rest) > 0 && err == nil; {
-		n := len(rest)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
-		}
-		err = c.w.WriteStateChunk(rest[:n])
-		rest = rest[n:]
-	}
+	err := c.w.WriteState(tuples)
 	if err == nil {
 		err = c.w.WriteRebalanceCommit(info)
 	}

@@ -531,13 +531,7 @@ func (s *session) readLoop() closeMode {
 				s.srv.logf("session %d: state import: %v", s.id, err)
 				return closeAbort
 			}
-			for i := range tuples {
-				if tuples[i].Side == stream.SideR {
-					imported.TuplesR++
-				} else {
-					imported.TuplesS++
-				}
-			}
+			imported.Tally(tuples)
 		case wire.FrameRebalanceCommit:
 			// The client ends its state transfer; echo what this session
 			// actually installed (counts observed, base counters configured)

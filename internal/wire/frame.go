@@ -318,6 +318,19 @@ func (w *Writer) WriteStateChunk(tuples []core.Input) error {
 	return w.writeFrame(FrameStateChunk, b)
 }
 
+// WriteState emits tuples as consecutive StateChunk frames of at most
+// MaxStateChunk tuples each; no tuples means no frames.
+func (w *Writer) WriteState(tuples []core.Input) error {
+	for len(tuples) > 0 {
+		n := min(len(tuples), MaxStateChunk)
+		if err := w.WriteStateChunk(tuples[:n]); err != nil {
+			return err
+		}
+		tuples = tuples[n:]
+	}
+	return nil
+}
+
 // WriteRebalanceCommit emits a RebalanceCommit frame carrying the transfer
 // summary.
 func (w *Writer) WriteRebalanceCommit(info RebalanceInfo) error {

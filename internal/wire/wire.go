@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"accelstream/internal/core"
 	"accelstream/internal/stream"
 )
 
@@ -380,6 +381,17 @@ type RebalanceInfo struct {
 	// boundary the transfer snapshots.
 	SeqR uint64
 	SeqS uint64
+}
+
+// Tally adds the per-side counts of tuples to TuplesR and TuplesS.
+func (info *RebalanceInfo) Tally(tuples []core.Input) {
+	for i := range tuples {
+		if tuples[i].Side == stream.SideR {
+			info.TuplesR++
+		} else {
+			info.TuplesS++
+		}
+	}
 }
 
 // OpenAck is the server's answer to an Open frame: an acceptance carrying

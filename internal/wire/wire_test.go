@@ -258,6 +258,56 @@ func TestRebalanceFrameRoundTrips(t *testing.T) {
 	}
 }
 
+// TestWriteState checks the one chunk loop and the one side tally: a cut
+// leaves as full MaxStateChunk frames then the remainder, in order, an
+// empty cut as no frame at all, and Tally counts each side exactly.
+func TestWriteState(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, MaxStateChunk, 2*MaxStateChunk + 1} {
+		tuples := randStateTuples(rng, n)
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteState(tuples); err != nil {
+			t.Fatal(err)
+		}
+		var got []core.Input
+		r := NewReader(&buf)
+		for frames := 0; ; frames++ {
+			f, err := r.ReadFrame()
+			if err == io.EOF {
+				if want := (n + MaxStateChunk - 1) / MaxStateChunk; frames != want {
+					t.Fatalf("n=%d: %d frames, want %d", n, frames, want)
+				}
+				break
+			}
+			if err != nil || f.Type != FrameStateChunk {
+				t.Fatalf("n=%d: frame %d: %v %v", n, frames, f.Type, err)
+			}
+			chunk, err := DecodeStateChunk(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(MaxStateChunk, n-len(got)); len(chunk) != want {
+				t.Fatalf("n=%d: frame %d carries %d tuples, want %d", n, frames, len(chunk), want)
+			}
+			got = append(got, chunk...)
+		}
+		var info RebalanceInfo
+		info.Tally(tuples)
+		var nr uint64
+		for i := range tuples {
+			if got[i] != tuples[i] {
+				t.Fatalf("n=%d: tuple %d: got %+v, want %+v", n, i, got[i], tuples[i])
+			}
+			if tuples[i].Side == stream.SideR {
+				nr++
+			}
+		}
+		if info.TuplesR != nr || info.TuplesS != uint64(n)-nr {
+			t.Fatalf("n=%d: Tally %+v, want %d R + %d S", n, info, nr, uint64(n)-nr)
+		}
+	}
+}
+
 // TestStateChunkLimits checks both directions of the chunk bound: the
 // writer refuses oversized chunks, and the decoder rejects payloads whose
 // count prefix lies about the tuple count or exceeds MaxStateChunk.
@@ -826,8 +876,12 @@ func TestOpenAckV2RoundTrips(t *testing.T) {
 // byte, CRC included. The expected frames were captured from the encoder
 // that still carried the v1 positional layout beside v2, so they prove
 // deleting v1 left every v2 byte where it was. The last case is a v1 Open
-// frame from that encoder, which DecodeOpen must refuse by version.
+// frame from that encoder, which DecodeOpen must refuse by version. The
+// state-cut frames (StateChunk, CheckpointDone, RebalanceCommit) were
+// captured before checkpoint files were made of them; a checkpoint file
+// reads back only while these bytes hold.
 func TestHandshakeGoldenBytes(t *testing.T) {
+	info := RebalanceInfo{TuplesR: 3, TuplesS: 300, SeqR: 1 << 40, SeqS: 77}
 	cases := []struct {
 		name  string
 		write func(*Writer) error
@@ -850,6 +904,21 @@ func TestHandshakeGoldenBytes(t *testing.T) {
 		{"ack, reject with retry-after", func(w *Writer) error {
 			return w.WriteOpenAck(OpenAck{Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
 		}, "020900020601040702dc0bdc5a4025"},
+		{"state chunk", func(w *Writer) error {
+			return w.WriteStateChunk([]core.Input{
+				{Side: stream.SideR, Tuple: stream.Tuple{Key: 7, Val: 0xdeadbeef, Seq: 0}},
+				{Side: stream.SideS, Tuple: stream.Tuple{Key: 1 << 31, Val: 1, Seq: 1 << 40}},
+			})
+		}, "0a1a020100000007deadbeef0002800000000000000180808080802015528a27"},
+		{"state chunk, empty", func(w *Writer) error {
+			return w.WriteStateChunk(nil)
+		}, "0a0100bb36fa75"},
+		{"checkpoint done", func(w *Writer) error {
+			return w.WriteCheckpointDone(info)
+		}, "0d0a03ac028080808080204dbd54cbe1"},
+		{"rebalance commit", func(w *Writer) error {
+			return w.WriteRebalanceCommit(info)
+		}, "0b0a03ac028080808080204d55e101a2"},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
