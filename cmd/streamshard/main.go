@@ -96,7 +96,7 @@ func metricsHandler(srv *accelstream.Server, reg *routerRegistry) http.Handler {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "streamshard:", err)
 		os.Exit(1)
 	}
@@ -148,40 +148,57 @@ func (e *routerEngine) ImportState(tuples []accelstream.Input) error {
 	return e.r.ImportState(tuples)
 }
 
-func run() error {
-	addr := flag.String("addr", ":7800", "listen address")
-	shards := flag.String("shards", "", "comma-separated backing streamd addresses (required; order fixes residue classes)")
-	standbyShards := flag.String("standby-shards", "", "comma-separated standby streamd addresses the autoscaler may grow into, in activation order")
-	autoscaleOn := flag.Bool("autoscale", false, "closed-loop shard autoscaling over -shards plus -standby-shards (conservative default policy; tune with -autoscale-config)")
-	autoscaleConfig := flag.String("autoscale-config", "", "autoscale policy from this JSON file (implies -autoscale; see README, \"Autoscaling\")")
-	credits := flag.Int("credits", 8, "per-session batch-credit window")
-	maxBatch := flag.Int("maxbatch", 8192, "maximum tuples per batch frame")
-	idle := flag.Duration("idle", 2*time.Minute, "idle session timeout (negative disables)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
-	queueDepth := flag.Int("queue", 4, "per-shard pending-batch queue depth")
-	redials := flag.Int("redials", 3, "redial attempts before a dropped shard is abandoned (negative disables redial)")
-	failFast := flag.Bool("failfast", false, "fail sessions when a shard is permanently lost instead of degrading")
-	maxSessions := flag.Int("max-sessions", 0, "concurrent front-side session cap (0: unlimited)")
-	quotaConfig := flag.String("quota-config", "", "multi-tenant admission quotas for front-side sessions from this JSON file (see README, \"Multi-tenant operation\")")
-	maxWindowMem := flag.Int64("max-window-mem", 0, "aggregate window-memory budget in bytes across front-side sessions (0: unlimited; overrides the -quota-config server entry)")
-	rateLimit := flag.Float64("rate-limit", 0, "sustained ingest cap in tuples/sec across front-side sessions, enforced by credit shaping (0: unlimited; overrides the -quota-config server entry)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus-format metrics on this address at /metrics (empty disables)")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics listener")
-	tlsCert := flag.String("tls-cert", "", "serve front-side sessions over TLS with this PEM certificate (requires -tls-key)")
-	tlsKey := flag.String("tls-key", "", "PEM private key matching -tls-cert")
-	authToken := flag.String("auth-token", "", "require this session auth token on front-side sessions")
-	shardTLS := flag.Bool("shard-tls", false, "dial backing shards over TLS")
-	shardTLSCA := flag.String("shard-tls-ca", "", "PEM CA bundle that signs the shards' certificates (implies -shard-tls)")
-	shardTLSServerName := flag.String("shard-tls-servername", "", "hostname to verify on shard certificates (when dialing by IP)")
-	shardTLSSkipVerify := flag.Bool("shard-tls-skip-verify", false, "dial shards over TLS without verifying their certificates (testing only)")
-	shardAuthToken := flag.String("shard-auth-token", "", "session auth token presented to the backing shards")
-	shardTenant := flag.String("shard-tenant", "", "tenant identity presented to the backing shards when the front session names none (front-session tenants are forwarded as-is)")
-	probeKernel := flag.String("probe-kernel", "auto", "default probe kernel forwarded to the backing shard engines: auto, hash, or scan (sessions naming a kernel keep their choice)")
-	ckptDir := flag.String("checkpoint-dir", "", "durable global-window snapshots in this directory (restored on restart; empty disables)")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "automatic snapshot cadence (0: default 5s; negative: only final snapshots)")
-	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// parseAddrs splits a comma-separated address flag into its trimmed
+// entries. An empty value is no list; an empty entry, such as the one a
+// trailing comma leaves, is refused rather than dialed.
+func parseAddrs(name, value string) ([]string, error) {
+	if value == "" {
+		return nil, nil
+	}
+	addrs := strings.Split(value, ",")
+	for i := range addrs {
+		if addrs[i] = strings.TrimSpace(addrs[i]); addrs[i] == "" {
+			return nil, fmt.Errorf("-%s %q has an empty entry", name, value)
+		}
+	}
+	return addrs, nil
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("streamshard", flag.ExitOnError)
+	addr := fs.String("addr", ":7800", "listen address")
+	shards := fs.String("shards", "", "comma-separated backing streamd addresses (required; order fixes residue classes)")
+	standbyShards := fs.String("standby-shards", "", "comma-separated standby streamd addresses the autoscaler may grow into, in activation order")
+	autoscaleOn := fs.Bool("autoscale", false, "closed-loop shard autoscaling over -shards plus -standby-shards (conservative default policy; tune with -autoscale-config)")
+	autoscaleConfig := fs.String("autoscale-config", "", "autoscale policy from this JSON file (implies -autoscale; see README, \"Autoscaling\")")
+	credits := fs.Int("credits", 8, "per-session batch-credit window")
+	maxBatch := fs.Int("maxbatch", 8192, "maximum tuples per batch frame")
+	idle := fs.Duration("idle", 2*time.Minute, "idle session timeout (negative disables)")
+	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
+	queueDepth := fs.Int("queue", 4, "per-shard pending-batch queue depth")
+	redials := fs.Int("redials", 3, "redial attempts before a dropped shard is abandoned (negative disables redial)")
+	failFast := fs.Bool("failfast", false, "fail sessions when a shard is permanently lost instead of degrading")
+	maxSessions := fs.Int("max-sessions", 0, "concurrent front-side session cap (0: unlimited)")
+	quotaConfig := fs.String("quota-config", "", "multi-tenant admission quotas for front-side sessions from this JSON file (see README, \"Multi-tenant operation\")")
+	maxWindowMem := fs.Int64("max-window-mem", 0, "aggregate window-memory budget in bytes across front-side sessions (0: unlimited; overrides the -quota-config server entry)")
+	rateLimit := fs.Float64("rate-limit", 0, "sustained ingest cap in tuples/sec across front-side sessions, enforced by credit shaping (0: unlimited; overrides the -quota-config server entry)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus-format metrics on this address at /metrics (empty disables)")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics listener")
+	tlsCert := fs.String("tls-cert", "", "serve front-side sessions over TLS with this PEM certificate (requires -tls-key)")
+	tlsKey := fs.String("tls-key", "", "PEM private key matching -tls-cert")
+	authToken := fs.String("auth-token", "", "require this session auth token on front-side sessions")
+	shardTLS := fs.Bool("shard-tls", false, "dial backing shards over TLS")
+	shardTLSCA := fs.String("shard-tls-ca", "", "PEM CA bundle that signs the shards' certificates (implies -shard-tls)")
+	shardTLSServerName := fs.String("shard-tls-servername", "", "hostname to verify on shard certificates (when dialing by IP)")
+	shardTLSSkipVerify := fs.Bool("shard-tls-skip-verify", false, "dial shards over TLS without verifying their certificates (testing only)")
+	shardAuthToken := fs.String("shard-auth-token", "", "session auth token presented to the backing shards")
+	shardTenant := fs.String("shard-tenant", "", "tenant identity presented to the backing shards when the front session names none (front-session tenants are forwarded as-is)")
+	probeKernel := fs.String("probe-kernel", "auto", "default probe kernel forwarded to the backing shard engines: auto, hash, or scan (sessions naming a kernel keep their choice)")
+	ckptDir := fs.String("checkpoint-dir", "", "durable global-window snapshots in this directory (restored on restart; empty disables)")
+	ckptInterval := fs.Duration("checkpoint-interval", 0, "automatic snapshot cadence (0: default 5s; negative: only final snapshots)")
+	quiet := fs.Bool("quiet", false, "suppress per-session log lines")
+	version := fs.Bool("version", false, "print version and exit")
+	fs.Parse(args)
 
 	if *version {
 		fmt.Println(accelstream.Version("streamshard"))
@@ -194,18 +211,16 @@ func run() error {
 		return fmt.Errorf("-tls-cert and -tls-key must be given together")
 	}
 
-	addrs := strings.Split(*shards, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	addrs, err := parseAddrs("shards", *shards)
+	if err != nil {
+		return err
 	}
-	if *shards == "" || len(addrs) == 0 {
+	if len(addrs) == 0 {
 		return fmt.Errorf("-shards is required (comma-separated streamd addresses)")
 	}
-	var standby []string
-	for _, a := range strings.Split(*standbyShards, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			standby = append(standby, a)
-		}
+	standby, err := parseAddrs("standby-shards", *standbyShards)
+	if err != nil {
+		return err
 	}
 	if *autoscaleConfig != "" {
 		*autoscaleOn = true

@@ -1,20 +1,12 @@
 package rebalance
 
 import (
-	"context"
 	"maps"
 	"math/rand"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
-	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
-	"accelstream/internal/server"
 	"accelstream/internal/stream"
-	"accelstream/internal/wire"
-	"accelstream/internal/workload"
 )
 
 // TestResliceProperties: for shuffled pooled state of both sides and every
@@ -80,155 +72,6 @@ func TestEffectiveWindow(t *testing.T) {
 	} {
 		if got := EffectiveWindow(c.window, c.shards, c.cores); got != c.want {
 			t.Errorf("EffectiveWindow(%d, %d, %d) = %d, want %d", c.window, c.shards, c.cores, got, c.want)
-		}
-	}
-}
-
-// TestRunRoundTripWritesNoSnapshot resizes a live stream 2 → 3 → 2 over
-// in-process servers that each have a checkpoint store. The merged
-// results stay oracle-equal, and the hand-off writes no snapshot on the
-// shards it drains — neither at the cut nor at their close. The graceful
-// close at the end is the positive control: it does write one.
-func TestRunRoundTripWritesNoSnapshot(t *testing.T) {
-	const (
-		window  = 120 // splits evenly over 2 and 3 shards of 2 cores
-		cores   = 2
-		tuples  = 3000
-		batchSz = 50
-	)
-	srvs := make([]*server.Server, 5)
-	addrs := make([]string, 5)
-	dirs := make([]string, 5)
-	for i := range srvs {
-		dirs[i] = t.TempDir()
-		srvs[i], addrs[i] = startCheckpointServer(t, dirs[i])
-	}
-	gen, err := workload.NewGenerator(workload.Spec{Seed: 41, KeyDomain: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := gen.Take(tuples)
-
-	var mu sync.Mutex
-	var results []stream.Result
-	var drains sync.WaitGroup
-	drain := func(c *server.Client) {
-		drains.Add(1)
-		go func() {
-			defer drains.Done()
-			for res := range c.Results() {
-				mu.Lock()
-				results = append(results, res)
-				mu.Unlock()
-			}
-		}()
-	}
-	var seqR, seqS uint64
-	send := func(clients []*server.Client, part []core.Input) {
-		for off := 0; off < len(part); off += batchSz {
-			batch := part[off : off+batchSz]
-			for _, c := range clients {
-				if err := c.SendBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, in := range batch {
-				if in.Side == stream.SideR {
-					seqR++
-				} else {
-					seqS++
-				}
-			}
-		}
-	}
-	resize := func(old []*server.Client, oldAddrs, newAddrs []string) []*server.Client {
-		t.Helper()
-		clients, rep, err := Run(Config{
-			OldClients: old, OldAddrs: oldAddrs, NewAddrs: newAddrs,
-			Window: window, Cores: cores, SeqR: seqR, SeqS: seqS, Logf: t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("rebalance %d → %d: %v", len(oldAddrs), len(newAddrs), err)
-		}
-		if rep.Aborted || rep.SlicesLost != 0 || rep.TuplesMigrated == 0 {
-			t.Fatalf("rebalance %d → %d: report %+v", len(oldAddrs), len(newAddrs), rep)
-		}
-		for _, c := range clients {
-			drain(c)
-		}
-		return clients
-	}
-
-	layout := make([]*server.Client, 2)
-	for i := range layout {
-		c, err := server.Dial(addrs[i], wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: cores,
-			Window: window / 2, ShardCount: 2, ShardIndex: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		layout[i] = c
-		drain(c)
-	}
-	send(layout, inputs[:tuples/3])
-	layout = resize(layout, addrs[:2], addrs[2:5])
-	assertNoSnapshot(t, srvs[:2], dirs[:2])
-	send(layout, inputs[tuples/3:2*tuples/3])
-	layout = resize(layout, addrs[2:5], addrs[:2])
-	assertNoSnapshot(t, srvs[2:5], dirs[2:5])
-	send(layout, inputs[2*tuples/3:])
-	for _, c := range layout {
-		if _, err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drains.Wait()
-
-	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, results); err != nil {
-		t.Fatal(err)
-	}
-	for i := range 2 {
-		if n := srvs[i].ProcessStats().Checkpoints.Written; n == 0 {
-			t.Errorf("server %d wrote no snapshot at a graceful close: the store check above proves nothing", i)
-		}
-	}
-}
-
-// startCheckpointServer launches a server with a checkpoint store in dir
-// on a loopback listener, shut down at cleanup. Interval snapshots are off,
-// so every snapshot the store holds was cut by a session's cut or close.
-func startCheckpointServer(t *testing.T, dir string) (*server.Server, string) {
-	t.Helper()
-	srv, err := server.New(server.Config{CheckpointDir: dir, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	return srv, ln.Addr().String()
-}
-
-// assertNoSnapshot checks that drained shards neither counted nor stored a
-// snapshot.
-func assertNoSnapshot(t *testing.T, srvs []*server.Server, dirs []string) {
-	t.Helper()
-	for i, srv := range srvs {
-		if st := srv.ProcessStats().Checkpoints; st.Written != 0 || st.Errors != 0 {
-			t.Errorf("drained shard %d: checkpoint stats %+v, want none written", i, st)
-		}
-		store, err := checkpoint.NewStore(dirs[i], 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := store.LatestValid(); ok || err != nil {
-			t.Errorf("drained shard %d: store holds a snapshot (ok=%v, err=%v)", i, ok, err)
 		}
 	}
 }

@@ -3,15 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"accelstream/internal/autoscale"
 	"accelstream/internal/core"
-	"accelstream/internal/rebalance"
 	"accelstream/internal/server"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
@@ -53,8 +50,8 @@ type Router struct {
 	drainWG sync.WaitGroup
 
 	// sendMu serializes the broadcast path against generation changes:
-	// SendBatch holds it per batch, Rebalance for the whole pause-and-swap,
-	// and Close while retiring the current generation's queues.
+	// SendBatch holds it per batch, a state operation for its whole pause
+	// (see pause), and Close while retiring the current generation's queues.
 	sendMu sync.Mutex
 
 	// Rebalance observability (Prometheus-style counters).
@@ -82,14 +79,13 @@ type Router struct {
 
 // shardConn is one shard endpoint: a FIFO batch queue consumed by a
 // dedicated sender goroutine that owns the client (and its redials).
-// modulus and window are fixed per generation — a rebalance replaces the
-// whole shardConn set rather than mutating a live one.
+// modulus is fixed per generation — a rebalance replaces the whole
+// shardConn set rather than mutating a live one.
 type shardConn struct {
 	r       *Router
 	index   int
 	addr    string
 	modulus int // shard count of this generation
-	window  int // per-shard window slice of this generation
 
 	queue  chan *shardBatch
 	client *server.Client // owned by the sender goroutine after Dial
@@ -103,9 +99,9 @@ type shardConn struct {
 	dropped atomic.Uint64
 	results atomic.Uint64
 
-	// drain mirrors the current client's drain goroutine state; a
-	// coordinated snapshot's flush barrier reads it to learn when every
-	// result the client has received was forwarded into the merged stream.
+	// drain mirrors the current client's drain goroutine state; a state
+	// cut's flush barrier reads it to learn when every result the client
+	// has received was forwarded into the merged stream.
 	drain atomic.Pointer[drainState]
 
 	closeErr error // written by the sender, read after sendWG.Wait
@@ -130,7 +126,7 @@ type shardBatch struct {
 	refs   atomic.Int32
 	// stop, when non-nil, marks a pause sentinel instead of a batch: the
 	// sender closes it and exits WITHOUT tearing down its client, handing
-	// session ownership to the rebalance coordinator.
+	// session ownership to the paused state operation.
 	stop chan struct{}
 }
 
@@ -177,7 +173,7 @@ func Dial(cfg Config) (*Router, error) {
 	r.seqR, r.seqS = cfg.BaseSeqR, cfg.BaseSeqS
 	for i, addr := range cfg.Addrs {
 		sc := r.newShardConn(i, addr, len(cfg.Addrs))
-		c, err := server.DialWith(addr, sc.openConfig(cfg.BaseSeqR, cfg.BaseSeqS), r.dialOptions())
+		c, err := server.DialWith(addr, r.openConfig(len(cfg.Addrs), i, cfg.BaseSeqR, cfg.BaseSeqS), r.dialOptions())
 		if err != nil {
 			for _, prev := range r.shards {
 				prev.client.Close()
@@ -215,14 +211,9 @@ func (c Config) autoscaleDeployment() (*Deployment, error) {
 	if pol.MaxShards > 0 && pol.MaxShards < max {
 		max = pol.MaxShards
 	}
-	baseEff := rebalance.EffectiveWindow(c.Window, len(c.Addrs), c.Cores)
 	for n := pol.MinShards; n <= max; n++ {
-		if c.Window%n != 0 {
-			return nil, fmt.Errorf("shard: autoscale could target %d shards but Window %d does not divide evenly", n, c.Window)
-		}
-		if eff := rebalance.EffectiveWindow(c.Window, n, c.Cores); eff != baseEff {
-			return nil, fmt.Errorf("shard: autoscale could target %d shards but the effective window changes %d -> %d (per-shard slice must divide by %d cores)",
-				n, baseEff, eff, c.Cores)
+		if err := c.checkResize(len(c.Addrs), n); err != nil {
+			return nil, fmt.Errorf("shard: autoscale could target %d shards: %w", n, err)
 		}
 	}
 	return dep, nil
@@ -281,7 +272,6 @@ func (r *Router) newShardConn(index int, addr string, modulus int) *shardConn {
 		index:   index,
 		addr:    addr,
 		modulus: modulus,
-		window:  r.cfg.Window / modulus,
 		queue:   make(chan *shardBatch, r.cfg.QueueDepth),
 	}
 }
@@ -295,15 +285,16 @@ func (r *Router) spawnSender(sc *shardConn) {
 	}()
 }
 
-// openConfig is the shard's session config: its slice of the global
-// window and its residue class, with per-side arrival offsets for resume.
-func (sc *shardConn) openConfig(baseR, baseS uint64) wire.OpenConfig {
+// openConfig is the session config of shard index in a modulus-shard
+// layout: its slice of the global window and its residue class, with
+// per-side arrival offsets for resume. Every shard session opens with it.
+func (r *Router) openConfig(modulus, index int, baseR, baseS uint64) wire.OpenConfig {
 	return wire.OpenConfig{
 		Engine:     wire.EngineSoftUni,
-		Cores:      sc.r.cfg.Cores,
-		Window:     sc.window,
-		ShardCount: sc.modulus,
-		ShardIndex: sc.index,
+		Cores:      r.cfg.Cores,
+		Window:     r.cfg.Window / modulus,
+		ShardCount: modulus,
+		ShardIndex: index,
 		BaseSeqR:   baseR,
 		BaseSeqS:   baseS,
 	}
@@ -312,9 +303,9 @@ func (sc *shardConn) openConfig(baseR, baseS uint64) wire.OpenConfig {
 // dialOptions is how every shard session — first dial, redial, and
 // rebalance-installed session alike — reaches its endpoint: same TLS
 // configuration, same auth token, same tenant identity, same probe
-// kernel, same connect timeout. Rebalance passes these through to
-// internal/rebalance, so a generation swap (or its abort-restore) cannot
-// shed the deployment's tenant accounting or its kernel choice.
+// kernel, same connect timeout, so a generation swap (or its
+// abort-restore) cannot shed the deployment's tenant accounting or its
+// kernel choice.
 func (r *Router) dialOptions() server.DialOptions {
 	return server.DialOptions{
 		TLS:         r.cfg.TLS,
@@ -343,7 +334,7 @@ func (r *Router) spawnDrain(sc *shardConn, c *server.Client) {
 		for b := range c.Batches() {
 			n := uint64(len(b.Results))
 			r.merged <- b
-			// Counted after the hand-off, forwarded last: when the snapshot
+			// Counted after the hand-off, forwarded last: when the cut's
 			// flush barrier sees forwarded == the client's received count,
 			// every result is in the merged channel and already counted.
 			sc.results.Add(n)
@@ -414,8 +405,8 @@ func (r *Router) SendBatch(batch []core.Input) error {
 func (sc *shardConn) run() {
 	for b := range sc.queue {
 		if b.stop != nil {
-			// Pause sentinel: exit without teardown — the rebalance
-			// coordinator now owns this shard's client (if any).
+			// Pause sentinel: exit without teardown — the paused state
+			// operation now owns this shard's client (if any).
 			close(b.stop)
 			return
 		}
@@ -474,7 +465,7 @@ func (sc *shardConn) redial(baseR, baseS uint64) bool {
 	}
 	delay := pol.BaseDelay
 	for attempt := 1; attempt <= pol.Attempts; attempt++ {
-		c, err := server.DialWith(sc.addr, sc.openConfig(baseR, baseS), sc.r.dialOptions())
+		c, err := server.DialWith(sc.addr, sc.r.openConfig(sc.modulus, sc.index, baseR, baseS), sc.r.dialOptions())
 		if err == nil {
 			sc.client = c
 			sc.pub.Store(c)
@@ -588,322 +579,6 @@ func (r *Router) Shards() []State {
 		}
 	}
 	return out
-}
-
-// Rebalance re-slices the deployment onto a new shard set while the
-// logical session keeps running: broadcasting pauses at a punctuation
-// boundary, every live shard session is terminally drained and its window
-// slice exported, the pooled state is re-partitioned by the new modulus
-// and installed on freshly dialed sessions (internal/rebalance does the
-// heavy lifting), and the router swaps generations and resumes. The global
-// window and arrival counters are preserved, so the merged result stream
-// stays oracle-equal across the transition.
-//
-// On failure the old layout is restored from the exported state and the
-// error returned; the router remains usable either way (a shard whose
-// slice could not be restored degrades exactly like a crashed shard).
-// Rebalance may be called concurrently with SendBatch — the batch producer
-// simply blocks for the duration of the pause.
-//
-// On a self-scaling router (Config.Autoscale) Rebalance goes through the
-// router's deployment: a successful resize becomes its active set and
-// takes the addresses it activates out of the standby pool, so the
-// autoscaler keeps sizing from the layout the router actually runs.
-func (r *Router) Rebalance(newAddrs []string) (rebalance.Report, error) {
-	if r.dep != nil {
-		r.dep.mu.Lock()
-		defer r.dep.mu.Unlock()
-		rep, err := r.rebalance(newAddrs)
-		if err == nil {
-			r.dep.activateLocked(newAddrs)
-		}
-		return rep, err
-	}
-	return r.rebalance(newAddrs)
-}
-
-func (r *Router) rebalance(newAddrs []string) (rebalance.Report, error) {
-	if len(newAddrs) == 0 {
-		return rebalance.Report{}, fmt.Errorf("shard: rebalance needs at least one shard")
-	}
-	if r.cfg.Window%len(newAddrs) != 0 {
-		return rebalance.Report{}, fmt.Errorf("shard: Window %d does not divide evenly across %d shards",
-			r.cfg.Window, len(newAddrs))
-	}
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return rebalance.Report{}, fmt.Errorf("shard: router closed")
-	}
-	oldShards := r.shards
-	r.mu.Unlock()
-
-	// Refuse a resize that would change the effective window (the engine
-	// rounds each core's sub-window up, so a slice that does not divide
-	// by the core count stores slightly more than window/shards): the
-	// merged results would silently stop being oracle-equal. Checked
-	// under sendMu, before the pause, so rejection disturbs nothing.
-	oldEff := rebalance.EffectiveWindow(r.cfg.Window, len(oldShards), r.cfg.Cores)
-	newEff := rebalance.EffectiveWindow(r.cfg.Window, len(newAddrs), r.cfg.Cores)
-	if oldEff != newEff {
-		return rebalance.Report{}, fmt.Errorf(
-			"shard: resizing %d -> %d shards would change the effective window %d -> %d (per-shard slice must divide by %d cores)",
-			len(oldShards), len(newAddrs), oldEff, newEff, r.cfg.Cores)
-	}
-
-	// Pause: a stop sentinel through each queue flushes the queued batches
-	// ahead of it (FIFO), then parks the sender without tearing down its
-	// session. After the last stop closes, no batch is in flight anywhere.
-	r.pauseSenders(oldShards)
-
-	oldClients := make([]*server.Client, len(oldShards))
-	oldAddrs := make([]string, len(oldShards))
-	for i, sc := range oldShards {
-		oldAddrs[i] = sc.addr
-		oldClients[i] = sc.client // nil for a dropped or downed shard
-	}
-
-	newClients, rep, err := rebalance.Run(rebalance.Config{
-		OldClients:  oldClients,
-		OldAddrs:    oldAddrs,
-		NewAddrs:    newAddrs,
-		Window:      r.cfg.Window,
-		Cores:       r.cfg.Cores,
-		SeqR:        r.seqR, // stable: sendMu held, senders parked
-		SeqS:        r.seqS,
-		DialOptions: r.dialOptions(),
-		Logf:        r.cfg.Logf,
-	})
-	addrs := newAddrs
-	if rep.Aborted || newClients == nil {
-		addrs = oldAddrs
-		r.rebalanceAborts.Add(1)
-	} else {
-		r.rebalances.Add(1)
-	}
-	r.rebalanceNanos.Add(uint64(rep.Duration.Nanoseconds()))
-	r.rebalanceMoved.Add(rep.TuplesMigrated)
-	if newClients == nil {
-		// Catastrophic: every session is gone. Rebuild the old topology
-		// with empty connections; the next batch redials each shard with
-		// fresh arrival offsets (window state lost, as on a full crash).
-		newClients = make([]*server.Client, len(oldAddrs))
-	}
-
-	// Swap generations: fresh shardConns under the new modulus, counters
-	// of the retired generation folded into the cumulative totals.
-	gen := make([]*shardConn, len(addrs))
-	for j, addr := range addrs {
-		sc := r.newShardConn(j, addr, len(addrs))
-		if c := newClients[j]; c != nil {
-			sc.client = c
-			sc.pub.Store(c)
-			sc.up.Store(true)
-			r.spawnDrain(sc, c)
-		}
-		gen[j] = sc
-	}
-	r.mu.Lock()
-	for _, sc := range oldShards {
-		r.retired.redials += sc.redials.Load()
-		r.retired.dropped += sc.dropped.Load()
-		r.retired.results += sc.results.Load()
-		if sc.down.Load() {
-			r.retired.down++
-		}
-	}
-	r.shards = gen
-	r.cfg.Addrs = addrs
-	r.mu.Unlock()
-	for _, sc := range gen {
-		r.spawnSender(sc)
-	}
-	return rep, err
-}
-
-// pauseSenders parks every sender goroutine at a punctuation boundary: a
-// stop sentinel through each queue flushes the queued batches ahead of it
-// (FIFO), then the sender exits without tearing down its session. The
-// caller must hold sendMu and respawn the senders (or swap generations)
-// before releasing it.
-func (r *Router) pauseSenders(shards []*shardConn) {
-	stops := make([]chan struct{}, len(shards))
-	for i, sc := range shards {
-		stops[i] = make(chan struct{})
-		sc.queue <- &shardBatch{stop: stops[i]}
-	}
-	for _, st := range stops {
-		<-st
-	}
-}
-
-// SnapshotState cuts a coordinated all-shard snapshot of the deployment's
-// global window at a punctuation boundary, implementing the server
-// Snapshotter capability so a whole shard cluster checkpoints behind one
-// streamshard session. Broadcasting pauses exactly as for a rebalance
-// (stop sentinels through the per-shard queues), every shard session cuts
-// a live checkpoint concurrently, the per-shard flush barriers guarantee
-// each shard's pre-snapshot results have been forwarded into the merged
-// stream, and the union of the residue-class slices — sorted back into
-// ascending per-side sequence order — is returned with the global arrival
-// counters. The router resumes streaming on return.
-//
-// Every shard must be up: a snapshot missing a residue class would
-// restore a window with holes. The output must be drained concurrently
-// (exactly as with SendBatch) or the flush barriers cannot complete.
-func (r *Router) SnapshotState() ([]core.Input, uint64, uint64, error) {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	r.mu.Lock()
-	closed := r.closed
-	shards := r.shards
-	r.mu.Unlock()
-	if closed {
-		return nil, 0, 0, fmt.Errorf("shard: router closed")
-	}
-
-	r.pauseSenders(shards)
-	defer func() {
-		for _, sc := range shards {
-			r.spawnSender(sc)
-		}
-	}()
-
-	// Senders are parked, so reading sc.client is safe now.
-	for _, sc := range shards {
-		if sc.client == nil || sc.down.Load() {
-			return nil, 0, 0, fmt.Errorf("shard: snapshot needs every shard up; shard %d (%s) is down", sc.index, sc.addr)
-		}
-	}
-
-	type shardSnap struct {
-		tuples []core.Input
-		info   wire.RebalanceInfo
-		err    error
-	}
-	snaps := make([]shardSnap, len(shards))
-	var wg sync.WaitGroup
-	for i, sc := range shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			tuples, info, err := sc.client.Checkpoint()
-			if err == nil {
-				// Each shard counts the same global arrivals; a divergent
-				// counter means a residue class desynchronized.
-				if info.SeqR != r.seqR || info.SeqS != r.seqS {
-					err = fmt.Errorf("shard %d (%s): snapshot at seqs (%d, %d), router at (%d, %d)",
-						sc.index, sc.addr, info.SeqR, info.SeqS, r.seqR, r.seqS)
-				}
-			}
-			snaps[i] = shardSnap{tuples: tuples, info: info, err: err}
-		}(i, sc)
-	}
-	wg.Wait()
-	for _, sn := range snaps {
-		if sn.err != nil {
-			return nil, 0, 0, fmt.Errorf("shard: coordinated snapshot: %w", sn.err)
-		}
-	}
-
-	// Flush barrier: every result a shard delivered before its
-	// CheckpointDone must be forwarded into the merged stream before the
-	// snapshot is handed to the caller, so the caller's own result-flush
-	// barrier covers the full pre-snapshot output.
-	for _, sc := range shards {
-		ds := sc.drain.Load()
-		if ds == nil || ds.client != sc.client {
-			return nil, 0, 0, fmt.Errorf("shard: shard %d (%s) has no active drain", sc.index, sc.addr)
-		}
-		target := sc.client.ResultsReceived()
-		for ds.forwarded.Load() < target {
-			runtime.Gosched()
-		}
-	}
-
-	// Pool the residue-class slices back into one global window image in
-	// ascending per-side sequence order (all of R, then all of S).
-	var pooled []core.Input
-	for _, sn := range snaps {
-		pooled = append(pooled, sn.tuples...)
-	}
-	sort.SliceStable(pooled, func(i, j int) bool {
-		if pooled[i].Side != pooled[j].Side {
-			return pooled[i].Side == stream.SideR
-		}
-		return pooled[i].Tuple.Seq < pooled[j].Tuple.Seq
-	})
-	return pooled, r.seqR, r.seqS, nil
-}
-
-// ResultsEmitted returns how many results have been forwarded into the
-// merged stream — the Snapshotter flush target: at the boundary
-// SnapshotState establishes, the count is exact for the input so far.
-func (r *Router) ResultsEmitted() uint64 { return r.resultsOut.Load() }
-
-// ImportState installs a previously snapshotted global window into the
-// freshly dialed deployment, before any batch has been broadcast: the
-// tuples are re-sliced by residue class under the current modulus and
-// installed on every shard session concurrently. The router must have
-// been dialed with Config.BaseSeqR/BaseSeqS set to the snapshot's arrival
-// counters, so each shard session verifies the slice against the same
-// base offsets. This is the restore path a streamshard daemon runs when
-// its server hands it a recovered checkpoint at session open.
-func (r *Router) ImportState(tuples []core.Input) error {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	if r.tuplesIn.Load() != 0 {
-		return fmt.Errorf("shard: ImportState must precede the first batch")
-	}
-	r.mu.Lock()
-	closed := r.closed
-	shards := r.shards
-	r.mu.Unlock()
-	if closed {
-		return fmt.Errorf("shard: router closed")
-	}
-
-	r.pauseSenders(shards)
-	defer func() {
-		for _, sc := range shards {
-			r.spawnSender(sc)
-		}
-	}()
-	for _, sc := range shards {
-		if sc.client == nil || sc.down.Load() {
-			return fmt.Errorf("shard: restore needs every shard up; shard %d (%s) is down", sc.index, sc.addr)
-		}
-	}
-
-	slices := rebalance.Reslice(tuples, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sc := range shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			errs[i] = sc.client.ImportState(slices[i])
-		}(i, sc)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard: restoring shard %d (%s): %w", shards[i].index, shards[i].addr, err)
-		}
-	}
-	r.logf("restored %d window tuples across %d shards at seqs (%d, %d)",
-		len(tuples), len(shards), r.seqR, r.seqS)
-	return nil
-}
-
-// RebalanceMetrics reports cumulative rebalance counters: completed and
-// aborted runs, window tuples migrated, and total wall time spent
-// rebalancing.
-func (r *Router) RebalanceMetrics() (completed, aborted, migrated uint64, total time.Duration) {
-	return r.rebalances.Load(), r.rebalanceAborts.Load(), r.rebalanceMoved.Load(),
-		time.Duration(r.rebalanceNanos.Load())
 }
 
 // Close drains the session: queued batches are flushed to their shards,

@@ -135,15 +135,12 @@ func (c *Config) applyDefaults() {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	n := len(c.Addrs)
-	if n == 0 {
-		return fmt.Errorf("shard: at least one shard address required")
-	}
 	if c.Window <= 0 {
 		return fmt.Errorf("shard: Window must be positive, got %d", c.Window)
 	}
-	if c.Window%n != 0 {
-		return fmt.Errorf("shard: Window %d does not divide evenly across %d shards", c.Window, n)
+	// The first layout is held to the resize rule against itself.
+	if err := c.checkResize(len(c.Addrs), len(c.Addrs)); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	if c.Cores < 0 || c.QueueDepth < 0 {
 		return fmt.Errorf("shard: Cores and QueueDepth must be non-negative")
