@@ -35,6 +35,12 @@ var ErrUnauthorized = errors.New("server: unauthorized")
 // retrying after the hint can succeed — quota frees as sessions close.
 var ErrAdmissionDenied = errors.New("server: admission denied")
 
+// ErrCreditOverGrant reports that the server returned more batch credits
+// than the session had batches awaiting acknowledgement — a protocol
+// violation that would otherwise silently widen the credit window. The
+// session fails with it (wrapped); test with errors.Is.
+var ErrCreditOverGrant = errors.New("server: credit over-grant")
+
 // AdmissionError is the typed admission rejection carried by a v2
 // handshake's OpenAck. It wraps ErrAdmissionDenied.
 type AdmissionError struct {
@@ -539,7 +545,13 @@ func (c *Client) readLoop(r *wire.Reader) {
 			}
 			now := time.Now()
 			c.rttMu.Lock()
-			for i := 0; i < n && c.sendLen > 0; i++ {
+			if n > c.sendLen {
+				unacked := c.sendLen
+				c.rttMu.Unlock()
+				c.setErr(fmt.Errorf("%w: %d credits returned with %d batches unacknowledged", ErrCreditOverGrant, n, unacked))
+				return
+			}
+			for i := 0; i < n; i++ {
 				rtt := now.Sub(c.sendTime[c.sendHead])
 				c.sendHead = (c.sendHead + 1) % len(c.sendTime)
 				c.sendLen--
@@ -550,11 +562,10 @@ func (c *Client) readLoop(r *wire.Reader) {
 				}
 			}
 			c.rttMu.Unlock()
+			// Every unacknowledged send took a credit out of the channel, so
+			// the check above leaves room for all n.
 			for i := 0; i < n; i++ {
-				select {
-				case c.credits <- struct{}{}:
-				default:
-				}
+				c.credits <- struct{}{}
 			}
 		case wire.FrameStateChunk:
 			tuples, err := wire.DecodeStateChunk(f.Payload)

@@ -270,6 +270,79 @@ func TestQuotaRateShapingLossless(t *testing.T) {
 	}
 }
 
+// TestQuotaRateShapingPipelined: batches pipelined in one write reach the
+// read loop together, where credits would otherwise be granted as one
+// cumulative ack. Shaping must still withhold each throttled batch's
+// credit for its own debt, so the wall-clock bound holds, and the session
+// stays lossless and oracle-equal.
+func TestQuotaRateShapingPipelined(t *testing.T) {
+	const (
+		window  = 128
+		batches = 8
+		batchSz = 250
+		tuples  = batches * batchSz
+		rate    = 10000
+		burst   = 200
+	)
+	_, addr := startServer(t, Config{
+		Quotas: admission.Config{
+			Tenants: map[string]admission.Quota{
+				"slow": {RatePerSec: rate, Burst: burst},
+			},
+		},
+	})
+	rs := dialRaw(t, addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 2, Window: window, Tenant: "slow"})
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 11, KeyDomain: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := gen.Take(tuples)
+	start := time.Now()
+	rs.write(t, encode(t, func(w *wire.Writer) error {
+		for i := 0; i < batches; i++ {
+			if err := w.WriteBatch(uint64(i+1), inputs[i*batchSz:(i+1)*batchSz]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
+	got := rs.read(t, untilCredits(batches))
+	elapsed := time.Since(start)
+	// Every batch overdraws the bucket, and each withhold starts only
+	// after the earlier batches' credits went out: one grant per batch.
+	if got.credits != batches || got.frames != batches {
+		t.Fatalf("%d credits in %d Credit frames for %d throttled batches, want one frame each",
+			got.credits, got.frames, batches)
+	}
+	// Every credit, the last batch's included, waits out its own debt:
+	// everything past the burst pays 1/rate per tuple. The bound leaves
+	// one batch of slack, as TestQuotaRateShapingLossless does.
+	if minElapsed := time.Duration(float64(tuples-burst-batchSz) / rate * float64(time.Second)); elapsed < minElapsed {
+		t.Fatalf("credits for %d pipelined batches returned in %v, shaping demands at least %v", batches, elapsed, minElapsed)
+	}
+	rs.write(t, encode(t, (*wire.Writer).WriteClose))
+	var st wire.Stats
+	rest := rs.read(t, func(f wire.Frame, _ *tally) bool {
+		if f.Type != wire.FrameClosed {
+			return false
+		}
+		if st, err = wire.DecodeClosed(f.Payload); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if rest.credits != 0 {
+		t.Fatalf("%d extra credits after all %d batches were credited", rest.credits, batches)
+	}
+	if st.TuplesIn != tuples {
+		t.Fatalf("server ingested %d tuples, want %d — shaping must never drop", st.TuplesIn, tuples)
+	}
+	results := append(got.results, rest.results...)
+	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, results); err != nil {
+		t.Fatalf("pipelined throttled session not oracle-equal: %v", err)
+	}
+}
+
 // TestQuotaRejectRateLimitedOpen: a tenant deep in rate debt has new
 // opens rejected with rate_limited and a retry-after hint sized to the
 // debt.

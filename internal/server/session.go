@@ -38,7 +38,7 @@ type SessionMetrics struct {
 	// Backlog is the engine's undelivered-result queue depth.
 	Backlog int
 	// AvgBatchLatency / MaxBatchLatency measure frame-decode to
-	// engine-accept time (the interval the batch's credit is withheld).
+	// engine-accept time (the least time the batch's credit is withheld).
 	AvgBatchLatency time.Duration
 	MaxBatchLatency time.Duration
 	// Kernel is the concrete probe kernel the session's engine runs
@@ -179,6 +179,28 @@ func (s *session) throttleWait(d time.Duration) {
 	case <-t.C:
 	case <-s.closing:
 	}
+}
+
+// grantCredits writes one Credit frame returning the *pending withheld
+// batch credits, if any, and releases them from the gauge. The read loop
+// calls it whenever it would otherwise wait: before a read that may block
+// (the buffer holds no whole next frame), before a throttle withhold and
+// before any non-Batch frame. A run of small frames that arrived together
+// is thus acknowledged with one write(2), while a frame larger than the
+// read buffer can never be whole in it and is acknowledged on its own.
+func (s *session) grantCredits(pending *int) bool {
+	n := *pending
+	if n == 0 {
+		return true
+	}
+	err := s.send(func(w *wire.Writer) error { return w.WriteCredit(n) })
+	s.srv.creditsHeld.Add(-int64(n))
+	*pending = 0
+	if err != nil {
+		s.srv.logf("session %d: writing credit: %v", s.id, err)
+		return false
+	}
+	return true
 }
 
 // fail sends a best-effort Error frame and records the cause.
@@ -411,7 +433,16 @@ func (s *session) readLoop() closeMode {
 	// client's RebalanceCommit closes the import.
 	var imported wire.RebalanceInfo
 	importDone := false
+	// pending counts accepted batches whose credits are not yet written:
+	// one cumulative Credit frame acknowledges every batch the read buffer
+	// held (see grantCredits). An aborting loop writes nothing more but
+	// still hands the withheld credits back to the gauge.
+	pending := 0
+	defer func() { s.srv.creditsHeld.Add(-int64(pending)) }()
 	for {
+		if !s.r.FrameBuffered() && !s.grantCredits(&pending) {
+			return closeAbort
+		}
 		if s.srv.cfg.IdleTimeout > 0 {
 			s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
 		} else {
@@ -429,6 +460,12 @@ func (s *session) readLoop() closeMode {
 			}
 			return closeAbort
 		}
+		// Every frame but a Batch is a control-plane step the client may
+		// wait on (CheckpointDone, RebalanceCommit, Closed): credits for the
+		// batches before it go out first.
+		if f.Type != wire.FrameBatch && !s.grantCredits(&pending) {
+			return closeAbort
+		}
 		switch f.Type {
 		case wire.FrameBatch:
 			start := time.Now()
@@ -441,7 +478,7 @@ func (s *session) readLoop() closeMode {
 			}
 			// PushBatch blocks while the engine (or the result path
 			// back to this client) is saturated; the credit for this
-			// batch is withheld for exactly that long, which is the
+			// batch is withheld for at least that long, which is the
 			// backpressure signal the client observes. The withheld
 			// interval is visible process-wide as credits_outstanding.
 			s.srv.creditsHeld.Add(1)
@@ -466,16 +503,16 @@ func (s *session) readLoop() closeMode {
 			// the debt. The batch itself was already accepted — shaping
 			// delays credits, it never drops data — and the sleep happens
 			// while creditsHeld still counts the batch, so the backpressure
-			// gauge reflects throttling too.
+			// gauge reflects throttling too. The earlier batches' credits
+			// go out before the sleep: only the throttled batch is delayed.
 			if d := s.lease.Throttle(len(batch)); d > 0 {
+				if !s.grantCredits(&pending) {
+					s.srv.creditsHeld.Add(-1)
+					return closeAbort
+				}
 				s.throttleWait(d)
 			}
-			err = s.send(func(w *wire.Writer) error { return w.WriteCredit(1) })
-			s.srv.creditsHeld.Add(-1)
-			if err != nil {
-				s.srv.logf("session %d: writing credit: %v", s.id, err)
-				return closeAbort
-			}
+			pending++
 			// Each batch boundary is a punctuation boundary — the cheapest
 			// place to cut an interval-driven durable snapshot.
 			s.maybeAutoCheckpoint()

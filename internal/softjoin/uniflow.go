@@ -248,20 +248,30 @@ func (e *UniFlow) Kernel() stream.ProbeKernel { return e.kernel }
 // store inserts t into the core's sub-window for side, keeping the probe
 // index (hash kernel) in sync. Every window insert — live ingest, preload,
 // and state import alike — must go through here, or hash-kernel probes
-// would miss the tuple.
+// would miss the tuple. It does not count: callers tally locally and
+// publish once per batch or call with noteStored, because a locked add
+// per tuple waits behind the index stores just issued.
 func (c *softCore) store(side stream.Side, t stream.Tuple) {
 	if side == stream.SideR {
 		c.windowR.Insert(t)
 		if c.idxR != nil {
 			c.idxR.NoteInsert(t.Key)
 		}
-		c.storedR.Add(1)
 	} else {
 		c.windowS.Insert(t)
 		if c.idxS != nil {
 			c.idxS.NoteInsert(t.Key)
 		}
-		c.storedS.Add(1)
+	}
+}
+
+// noteStored publishes r and s newly stored tuples to StoredPerCore.
+func (c *softCore) noteStored(r, s uint64) {
+	if r > 0 {
+		c.storedR.Add(r)
+	}
+	if s > 0 {
+		c.storedS.Add(s)
 	}
 }
 
@@ -286,7 +296,10 @@ func (e *UniFlow) Preload(r, s []stream.Tuple) error {
 	}
 	fill(stream.SideR, r)
 	fill(stream.SideS, s)
-	for _, c := range e.cores {
+	// Core i got every n-th tuple from index i on.
+	share := func(total, i int) uint64 { return uint64((total - i + n - 1) / n) }
+	for i, c := range e.cores {
+		c.noteStored(share(len(r), i), share(len(s), i))
 		c.countR = uint64(len(r))
 		c.countS = uint64(len(s))
 	}
@@ -315,6 +328,13 @@ func (e *UniFlow) ImportState(tuples []core.Input) error {
 	}
 	shardN := uint64(e.cfg.ShardCount)
 	cores := uint64(len(e.cores))
+	storedR := make([]uint64, len(e.cores))
+	storedS := make([]uint64, len(e.cores))
+	defer func() {
+		for i, c := range e.cores {
+			c.noteStored(storedR[i], storedS[i])
+		}
+	}()
 	for i := range tuples {
 		side, t := tuples[i].Side, tuples[i].Tuple
 		base := e.cfg.BaseSeqR
@@ -328,7 +348,13 @@ func (e *UniFlow) ImportState(tuples []core.Input) error {
 			return fmt.Errorf("softjoin: imported %v tuple seq %d is outside residue class %d (mod %d)",
 				side, t.Seq, e.cfg.ShardIndex, shardN)
 		}
-		e.cores[(t.Seq/shardN)%cores].store(side, t)
+		k := (t.Seq / shardN) % cores
+		e.cores[k].store(side, t)
+		if side == stream.SideR {
+			storedR[k]++
+		} else {
+			storedS[k]++
+		}
 	}
 	return nil
 }
@@ -545,7 +571,7 @@ func (c *softCore) run(e *UniFlow) {
 		// Single-writer counters: keep local copies across the batch and
 		// publish once at the end, so the probe loop pays no atomics.
 		proc := c.processed.Load()
-		var work uint64
+		var work, storedR, storedS uint64
 		for i := range batch {
 			in := &batch[i]
 			t := in.Tuple
@@ -554,12 +580,14 @@ func (c *softCore) run(e *UniFlow) {
 				work += c.probe(t, stream.SideR, out)
 				if c.shard.StoreTurn(c.countR) && c.part.StoreTurn(c.countR/shardN) {
 					c.store(stream.SideR, t)
+					storedR++
 				}
 				c.countR++
 			case stream.SideS:
 				work += c.probe(t, stream.SideS, out)
 				if c.shard.StoreTurn(c.countS) && c.part.StoreTurn(c.countS/shardN) {
 					c.store(stream.SideS, t)
+					storedS++
 				}
 				c.countS++
 			}
@@ -572,6 +600,7 @@ func (c *softCore) run(e *UniFlow) {
 			proc++
 		}
 		c.compared.Add(work)
+		c.noteStored(storedR, storedS)
 		// Decide (and count) the send before publishing the processed
 		// watermark: Quiesce reads processed to learn when the slab count
 		// is final, so slabsSent must be visible first.

@@ -377,6 +377,21 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r)}
 }
 
+// FrameBuffered reports whether a whole next frame (header, payload and
+// CRC) already sits in the read buffer, so that ReadFrame will return it
+// without reading from the underlying reader. It never reads itself: a
+// frame still arriving, a frame larger than the buffer, and a malformed
+// header all report false (ReadFrame then names the error).
+func (r *Reader) FrameBuffered() bool {
+	n := r.br.Buffered()
+	if n == 0 {
+		return false
+	}
+	b, _ := r.br.Peek(n) // at most Buffered: served from the buffer
+	size, k := binary.Uvarint(b[1:])
+	return k > 0 && size <= MaxPayload && size+crc32.Size <= uint64(n-1-k)
+}
+
 // ReadFrame reads and CRC-validates the next frame. The returned payload
 // aliases an internal buffer valid until the next call.
 func (r *Reader) ReadFrame() (Frame, error) {

@@ -114,9 +114,15 @@ func FuzzReadFrame(f *testing.F) {
 		seedWithFlips(f, frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		// Two reads' worth, so frames also straddle a read boundary.
+		src := &chunkReader{chunks: [][]byte{data[:len(data)/2], data[len(data)/2:]}}
+		r := NewReader(src)
 		for {
+			whole, reads := r.FrameBuffered(), src.reads
 			frame, err := r.ReadFrame()
+			if whole && src.reads != reads {
+				t.Fatal("FrameBuffered reported a whole frame, but ReadFrame had to read for it")
+			}
 			if err != nil {
 				return
 			}

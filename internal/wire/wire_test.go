@@ -619,6 +619,89 @@ func TestReaderSequence(t *testing.T) {
 	}
 }
 
+// chunkReader serves its chunks one Read call at a time (a Read shorter
+// than the chunk leaves the rest for the next call) and counts the calls.
+type chunkReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	c.reads++
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestFrameBuffered pins the non-blocking probe the server's credit
+// coalescing relies on: true only for a whole frame already in the read
+// buffer, never a read of its own, false for a partly arrived frame, a
+// frame larger than the buffer, and a malformed header.
+func TestFrameBuffered(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	frame := func(n int) []byte {
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteBatch(1, randInputs(rng, n)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b, c := frame(64), frame(64), frame(64)
+	src := &chunkReader{chunks: [][]byte{
+		append(append(append([]byte{}, a...), b...), c[:3]...),
+		c[3:],
+	}}
+	r := NewReader(src)
+	step := func(wantBuffered bool, wantReads int) {
+		t.Helper()
+		if got := r.FrameBuffered(); got != wantBuffered || src.reads != wantReads {
+			t.Fatalf("FrameBuffered = %v after %d reads, want %v after %d", got, src.reads, wantBuffered, wantReads)
+		}
+	}
+	step(false, 0) // nothing buffered yet, and the probe does not read
+	for i, want := range []struct {
+		buffered bool
+		reads    int
+	}{{true, 1}, {false, 1}, {false, 2}} {
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		step(want.buffered, want.reads)
+	}
+
+	// A frame over the buffer size is never whole in it, even when every
+	// byte the buffer can hold has arrived.
+	big := frame(600)
+	if len(big) <= 4096 {
+		t.Fatalf("big frame is only %d bytes", len(big))
+	}
+	r = NewReader(bytes.NewReader(append(big, a...)))
+	if _, err := r.br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if r.br.Buffered() != 4096 || r.FrameBuffered() {
+		t.Fatalf("FrameBuffered = true over %d buffered bytes of a %d-byte frame", r.br.Buffered(), len(big))
+	}
+	if _, err := r.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.FrameBuffered() {
+		t.Fatal("small frame behind a big one not reported buffered")
+	}
+
+	// A length uvarint that never terminates is not a frame.
+	r = NewReader(bytes.NewReader(append([]byte{byte(FrameBatch)}, bytes.Repeat([]byte{0xff}, 12)...)))
+	r.br.Peek(1)
+	if r.FrameBuffered() {
+		t.Fatal("malformed header reported as a buffered frame")
+	}
+}
+
 // TestCheckpointFrameRoundTrips covers the durable-checkpoint control
 // frames: Checkpoint is empty, CheckpointDone carries the snapshot
 // summary, and the OpenAck resume tail round-trips — present only when
