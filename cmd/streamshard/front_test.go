@@ -1,24 +1,28 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
 	"accelstream"
+	"accelstream/internal/core"
+	"accelstream/internal/stream"
+	"accelstream/internal/wire"
 	"accelstream/internal/workload"
 )
 
-// TestFrontSessionServesRouterBatches runs the daemon's own session
-// engine — routerEngine over a shard router — behind a front server, the
-// way run() wires it: the front session must pull the router's merged
-// result batches through the batch capability (never the per-result
-// Results view) and the client must still see the oracle's multiset.
-func TestFrontSessionServesRouterBatches(t *testing.T) {
-	const window, tuples, batchSz = 64, 8000, 64
+// startFront serves the daemon's own session engine — routerEngine over a
+// shard router across two fresh backends — behind a front server, the way
+// run() wires it. It returns the front address and a channel that carries
+// each session's engine once the session has built it.
+func startFront(t *testing.T) (string, <-chan *routerEngine) {
+	t.Helper()
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
-	var eng *routerEngine
+	engines := make(chan *routerEngine, 1)
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
 		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
 			r, err := accelstream.DialSharded(accelstream.ShardConfig{
@@ -27,7 +31,8 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			eng = &routerEngine{r: r, reg: reg, id: reg.add(r, routerMeta{cores: oc.Cores, window: oc.Window})}
+			eng := &routerEngine{r: r, reg: reg, id: reg.add(r, routerMeta{cores: oc.Cores, window: oc.Window})}
+			engines <- eng
 			return eng, nil
 		},
 	})
@@ -39,13 +44,23 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 		defer cancel()
 		front.Shutdown(ctx)
 	})
+	return front.Addr().String(), engines
+}
 
-	c, err := accelstream.Dial(front.Addr().String(), accelstream.SessionConfig{
+// TestFrontSessionServesRouterBatches: the front session must pull the
+// router's merged result batches through the batch capability (never the
+// per-result Results view) and the client must still see the oracle's
+// multiset.
+func TestFrontSessionServesRouterBatches(t *testing.T) {
+	const window, tuples, batchSz = 64, 8000, 64
+	addr, engines := startFront(t)
+	c, err := accelstream.Dial(addr, accelstream.SessionConfig{
 		Engine: accelstream.EngineSoftwareUniFlow, Cores: 2, Window: window,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := <-engines
 	gen, err := workload.NewGenerator(workload.Spec{Seed: 4, KeyDomain: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -75,5 +90,97 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 	if st.ResultsOut != uint64(len(results)) || eng.r.ResultsEmitted() != st.ResultsOut {
 		t.Errorf("front session sent %d results, router merged %d, client received %d",
 			st.ResultsOut, eng.r.ResultsEmitted(), len(results))
+	}
+}
+
+// TestFrontSessionMergedPushesOracle pipelines 32-tuple frames, many per
+// write, into the front session, which merges the frames its read buffer
+// holds into one router push — and the router broadcasts what it is
+// pushed, so the shards see larger batches than the client sent. The
+// client must still see the oracle's multiset.
+func TestFrontSessionMergedPushesOracle(t *testing.T) {
+	const window, tuples, frame, perWrite = 64, 8192, 32, 16
+	addr, _ := startFront(t)
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 29, KeyDomain: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := gen.Take(tuples)
+	var writes [][]byte
+	for off := 0; off < tuples; off += frame * perWrite {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		for i := off; i < min(off+frame*perWrite, tuples); i += frame {
+			if err := w.WriteBatch(uint64(i/frame+1), inputs[i:i+frame]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes = append(writes, buf.Bytes())
+	}
+	var closing bytes.Buffer
+	if err := wire.NewWriter(&closing).WriteClose(); err != nil {
+		t.Fatal(err)
+	}
+	writes = append(writes, closing.Bytes())
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := wire.NewReader(conn)
+	if err := wire.NewWriter(conn).WriteOpen(wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 2, Window: window}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := r.ReadFrame(); err != nil || f.Type != wire.FrameOpenAck {
+		t.Fatalf("handshake answered with %v, %v", f.Type, err)
+	}
+	// Results flow back while frames are still going out, so the writes
+	// run beside the reads.
+	writeErr := make(chan error, 1)
+	go func() {
+		var err error
+		for _, b := range writes {
+			if _, err = conn.Write(b); err != nil {
+				break
+			}
+		}
+		writeErr <- err
+	}()
+	var results []stream.Result
+	credits := 0
+	for closed := false; !closed; {
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatalf("after %d results: %v", len(results), err)
+		}
+		switch f.Type {
+		case wire.FrameResults:
+			res, err := wire.DecodeResults(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res...)
+		case wire.FrameCredit:
+			n, err := wire.DecodeCredit(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			credits += n
+		case wire.FrameError:
+			t.Fatalf("front session error: %s", wire.DecodeError(f.Payload))
+		case wire.FrameClosed:
+			closed = true
+		}
+	}
+	if err := <-writeErr; err != nil {
+		t.Fatal(err)
+	}
+	if credits != tuples/frame {
+		t.Errorf("%d credits for %d frames", credits, tuples/frame)
+	}
+	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, results); err != nil {
+		t.Fatal(err)
 	}
 }

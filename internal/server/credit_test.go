@@ -20,15 +20,24 @@ import (
 
 // discardEngine accepts every batch and produces nothing: the session's
 // read loop and credit protocol with no engine work behind them. Its
-// empty snapshot lets a session serve Checkpoint frames.
-type discardEngine struct{ out chan stream.Result }
+// empty snapshot lets a session serve Checkpoint frames. When pushes is
+// set, it counts the PushBatch calls.
+type discardEngine struct {
+	out    chan stream.Result
+	pushes *atomic.Uint64
+}
 
 func newDiscardEngine(wire.OpenConfig) (Engine, error) {
 	return &discardEngine{out: make(chan stream.Result)}, nil
 }
 
-func (e *discardEngine) Start() error                  { return nil }
-func (e *discardEngine) PushBatch([]core.Input) error  { return nil }
+func (e *discardEngine) Start() error { return nil }
+func (e *discardEngine) PushBatch([]core.Input) error {
+	if e.pushes != nil {
+		e.pushes.Add(1)
+	}
+	return nil
+}
 func (e *discardEngine) Results() <-chan stream.Result { return e.out }
 func (e *discardEngine) Close() error                  { close(e.out); return nil }
 func (e *discardEngine) Backlog() int                  { return 0 }
@@ -392,13 +401,17 @@ func (c creditCountingConn) Write(b []byte) (int, error) {
 // BenchmarkSessionSmallBatch drives a loopback session with a discarding
 // engine in a closed loop of SendBatch calls (the default 8-credit
 // window), so the cost per batch is the client's send, the session's read
-// loop and the credit round trip. It reports ns/batch and the Credit
-// frames the server wrote per batch: below 1 when small frames pipeline,
-// exactly 1 for frames larger than the session's 4 KiB read buffer.
+// loop and the credit round trip. It reports ns/batch, the Credit frames
+// the server wrote per batch and the engine pushes per batch: both below 1
+// when small frames pipeline, exactly 1 for frames larger than the
+// session's 4 KiB read buffer.
 func BenchmarkSessionSmallBatch(b *testing.B) {
 	for _, tuples := range []int{64, 512} {
 		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
-			srv, err := New(Config{NewEngine: newDiscardEngine})
+			var pushes atomic.Uint64
+			srv, err := New(Config{NewEngine: func(wire.OpenConfig) (Engine, error) {
+				return &discardEngine{out: make(chan stream.Result), pushes: &pushes}, nil
+			}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -428,6 +441,7 @@ func BenchmarkSessionSmallBatch(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/batch")
 			b.ReportMetric(float64(credits.Load())/float64(b.N), "credit_frames/batch")
+			b.ReportMetric(float64(pushes.Load())/float64(b.N), "pushes/batch")
 		})
 	}
 }

@@ -319,6 +319,9 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// A client's Close returns on the Closed frame, which the session
+	// writes just before it retires.
+	waitFor(t, "every session to be retired", func() bool { return srv.ProcessStats().SessionsActive == 0 })
 	m := srv.Metrics()
 	if len(m) != sessions*rounds {
 		t.Fatalf("metrics report %d sessions, want %d", len(m), sessions*rounds)

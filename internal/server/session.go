@@ -26,7 +26,9 @@ type SessionMetrics struct {
 	Engine wire.EngineKind
 	// Remote is the client address.
 	Remote string
-	// TuplesIn / BatchesIn count ingested input.
+	// TuplesIn / BatchesIn count ingested input. BatchesIn counts Batch
+	// frames, not engine pushes: small frames that arrived together share
+	// one push but are counted (and credited) one by one.
 	TuplesIn  uint64
 	BatchesIn uint64
 	// ResultsOut counts join results (matches) streamed back.
@@ -37,8 +39,10 @@ type SessionMetrics struct {
 	ResultFrames uint64
 	// Backlog is the engine's undelivered-result queue depth.
 	Backlog int
-	// AvgBatchLatency / MaxBatchLatency measure frame-decode to
-	// engine-accept time (the least time the batch's credit is withheld).
+	// AvgBatchLatency / MaxBatchLatency measure, per Batch frame, the time
+	// from the frame's decode to the engine accepting the push that carried
+	// it (the least time the frame's credit is withheld). Avg is over
+	// BatchesIn frames, so Avg ≤ Max.
 	AvgBatchLatency time.Duration
 	MaxBatchLatency time.Duration
 	// Kernel is the concrete probe kernel the session's engine runs
@@ -425,22 +429,22 @@ const (
 // readLoop ingests frames until Close (graceful), RebalancePrepare
 // (hand-off), or a connection/protocol error (abort).
 func (s *session) readLoop() closeMode {
-	// One decode buffer for the session's whole life: DecodeBatchInto
-	// reuses its storage, and the Engine contract says PushBatch does not
+	// One decode buffer for the session's whole life: ingestBatches decodes
+	// into its storage, and the Engine contract says PushBatch does not
 	// retain the slice, so steady-state frame decoding never allocates.
 	var decodeBuf []core.Input
 	// imported accumulates the client-pushed state-chunk counts until the
 	// client's RebalanceCommit closes the import.
 	var imported wire.RebalanceInfo
 	importDone := false
-	// pending counts accepted batches whose credits are not yet written:
-	// one cumulative Credit frame acknowledges every batch the read buffer
-	// held (see grantCredits). An aborting loop writes nothing more but
-	// still hands the withheld credits back to the gauge.
+	// pending counts accepted Batch frames whose credits are not yet
+	// written: one cumulative Credit frame acknowledges every batch the
+	// read buffer held (see grantCredits). An aborting loop writes nothing
+	// more but still hands the withheld credits back to the gauge.
 	pending := 0
 	defer func() { s.srv.creditsHeld.Add(-int64(pending)) }()
 	for {
-		if !s.r.FrameBuffered() && !s.grantCredits(&pending) {
+		if _, whole := s.r.FrameBuffered(); !whole && !s.grantCredits(&pending) {
 			return closeAbort
 		}
 		if s.srv.cfg.IdleTimeout > 0 {
@@ -468,52 +472,10 @@ func (s *session) readLoop() closeMode {
 		}
 		switch f.Type {
 		case wire.FrameBatch:
-			start := time.Now()
-			_, batch, err := wire.DecodeBatchInto(f.Payload, s.srv.cfg.MaxBatch, decodeBuf)
-			decodeBuf = batch
-			if err != nil {
-				s.fail(err.Error())
-				s.srv.logf("session %d: bad batch: %v", s.id, err)
+			if !s.ingestBatches(f.Payload, &decodeBuf, &pending) {
 				return closeAbort
 			}
-			// PushBatch blocks while the engine (or the result path
-			// back to this client) is saturated; the credit for this
-			// batch is withheld for at least that long, which is the
-			// backpressure signal the client observes. The withheld
-			// interval is visible process-wide as credits_outstanding.
-			s.srv.creditsHeld.Add(1)
-			if err := s.eng.PushBatch(batch); err != nil {
-				s.srv.creditsHeld.Add(-1)
-				s.fail(err.Error())
-				s.srv.logf("session %d: engine push: %v", s.id, err)
-				return closeAbort
-			}
-			elapsed := time.Since(start)
-			s.tuplesIn.Add(uint64(len(batch)))
-			s.batchesIn.Add(1)
-			s.latNanos.Add(uint64(elapsed.Nanoseconds()))
-			for {
-				prev := s.latMax.Load()
-				if uint64(elapsed.Nanoseconds()) <= prev || s.latMax.CompareAndSwap(prev, uint64(elapsed.Nanoseconds())) {
-					break
-				}
-			}
-			// Rate shaping: charge the batch against the tenant's (and the
-			// server's) token bucket and withhold this batch's credit for
-			// the debt. The batch itself was already accepted — shaping
-			// delays credits, it never drops data — and the sleep happens
-			// while creditsHeld still counts the batch, so the backpressure
-			// gauge reflects throttling too. The earlier batches' credits
-			// go out before the sleep: only the throttled batch is delayed.
-			if d := s.lease.Throttle(len(batch)); d > 0 {
-				if !s.grantCredits(&pending) {
-					s.srv.creditsHeld.Add(-1)
-					return closeAbort
-				}
-				s.throttleWait(d)
-			}
-			pending++
-			// Each batch boundary is a punctuation boundary — the cheapest
+			// Each push boundary is a punctuation boundary — the cheapest
 			// place to cut an interval-driven durable snapshot.
 			s.maybeAutoCheckpoint()
 		case wire.FrameCheckpoint, wire.FrameRebalancePrepare:
@@ -600,6 +562,145 @@ func (s *session) readLoop() closeMode {
 			return closeAbort
 		}
 	}
+}
+
+// mergeBelow is the engine batch size under which the read loop keeps
+// appending the Batch frames its read buffer already holds to one push.
+// Each push pays a fixed hand-off (the reader to the engine's distributor
+// to every core) that costs about as much as a 64-tuple batch's join work
+// and is mostly amortized by 256 tuples (BenchmarkUniFlowPush's
+// small-batch curve). A frame of mergeBelow tuples or more is always
+// pushed alone, straight from its own decode.
+const mergeBelow = 256
+
+// ingestBatches hands a Batch frame's payload to the engine, together with
+// the Batch frames behind it that the read buffer already holds: they are
+// decoded back to back into one slice and pushed with one PushBatch — the
+// input-side twin of pumpResults' coalescing and of the one Credit frame
+// per drained read buffer. A merge ends, and the push happens, at the
+// first of: the push reaching mergeBelow tuples, a next frame that is not
+// a whole buffered Batch (no push spans a control frame), a frame that
+// would take the push past MaxBatch (the frames before it go alone), and a
+// frame whose rate-shaping charge comes back non-zero. Accounting stays
+// per frame: each is one batch in, one credit and one decode-to-accept
+// latency sample. It reports false when the session must abort.
+func (s *session) ingestBatches(payload []byte, decodeBuf *[]core.Input, pending *int) bool {
+	batch := (*decodeBuf)[:0]
+	var (
+		frames int           // Batch frames in batch
+		first  time.Time     // when the first of them began decoding
+		later  time.Duration // Σ over them of decode start − first
+	)
+	// push hands batch to the engine. PushBatch blocks while the engine (or
+	// the result path back to this client) is saturated; the frames'
+	// credits are withheld for at least that long, which is the
+	// backpressure signal the client observes. The withheld interval is
+	// visible process-wide as credits_outstanding.
+	push := func() bool {
+		s.srv.creditsHeld.Add(int64(frames))
+		if err := s.eng.PushBatch(batch); err != nil {
+			s.srv.creditsHeld.Add(-int64(frames))
+			s.fail(err.Error())
+			s.srv.logf("session %d: engine push: %v", s.id, err)
+			return false
+		}
+		// Every frame waited from its own decode start; the first waited
+		// longest.
+		elapsed := time.Since(first)
+		s.tuplesIn.Add(uint64(len(batch)))
+		s.batchesIn.Add(uint64(frames))
+		s.latNanos.Add(uint64((time.Duration(frames)*elapsed - later).Nanoseconds()))
+		for {
+			prev := s.latMax.Load()
+			if uint64(elapsed.Nanoseconds()) <= prev || s.latMax.CompareAndSwap(prev, uint64(elapsed.Nanoseconds())) {
+				break
+			}
+		}
+		*pending += frames
+		frames, later = 0, 0
+		return true
+	}
+	var debt time.Duration
+	for {
+		start := time.Now()
+		// Decode behind the frames already merged. DecodeBatchInto writes
+		// into tail's storage when it has room, so the frame lands in place;
+		// otherwise it returns fresh storage of exactly the frame's size,
+		// which a lone frame keeps and a merge is copied onto once. The
+		// session keeps the larger storage, so steady state decodes in place.
+		tail := batch[len(batch):]
+		_, more, err := wire.DecodeBatchInto(payload, s.srv.cfg.MaxBatch, tail)
+		if err != nil {
+			// The frames before the bad one are good: they reach the engine
+			// and are credited before the Error frame.
+			if frames > 0 && (!push() || !s.grantCredits(pending)) {
+				return false
+			}
+			s.fail(err.Error())
+			s.srv.logf("session %d: bad batch: %v", s.id, err)
+			return false
+		}
+		if frames > 0 && len(batch)+len(more) > s.srv.cfg.MaxBatch {
+			// The frames before this one go alone; it starts the next merge.
+			if !push() {
+				return false
+			}
+			batch = tail
+		}
+		switch {
+		case cap(more) == cap(tail):
+			batch = batch[:len(batch)+len(more)]
+		case len(batch) == 0:
+			batch = more
+		default:
+			batch = append(batch, more...)
+		}
+		if cap(batch) > cap(*decodeBuf) {
+			*decodeBuf = batch[:0]
+		}
+		if frames == 0 {
+			first = start
+		}
+		frames++
+		later += start.Sub(first)
+		// Rate shaping: charge the frame against the tenant's (and the
+		// server's) token bucket as it is decoded. A debt closes the merge
+		// and withholds this frame's credit; the frame itself is still
+		// accepted — shaping delays credits, it never drops data.
+		if debt = s.lease.Throttle(len(more)); debt > 0 || len(batch) >= mergeBelow {
+			break
+		}
+		if typ, whole := s.r.FrameBuffered(); !whole || typ != wire.FrameBatch {
+			break
+		}
+		f, err := s.r.ReadFrame() // served from the buffer
+		if err != nil {
+			// A buffered frame that fails its CRC: the good frames still
+			// reach the engine, then the session aborts, as it would have
+			// reading the bad frame on its own.
+			s.srv.logf("session %d: read: %v", s.id, err)
+			push()
+			return false
+		}
+		payload = f.Payload
+	}
+	if !push() {
+		return false
+	}
+	if debt > 0 {
+		// The sleep happens while creditsHeld still counts the throttled
+		// frame, so the backpressure gauge reflects throttling too. The
+		// earlier frames' credits go out first: only the throttled frame's
+		// credit is delayed.
+		*pending--
+		ok := s.grantCredits(pending)
+		*pending++
+		if !ok {
+			return false
+		}
+		s.throttleWait(debt)
+	}
+	return true
 }
 
 // isIncompleteTLS reports whether conn is a TLS connection whose handshake

@@ -7,6 +7,7 @@ import (
 
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
+	"accelstream/internal/workload"
 )
 
 // benchCore builds one warm softCore whose opposite window is full, with
@@ -125,7 +126,8 @@ func TestStoreAllocFree(t *testing.T) {
 
 // BenchmarkUniFlowPush is the whole-pipeline hand-off benchmark: pooled
 // input batches in, slab emission out, at a selectivity where the emit
-// path carries real traffic.
+// path carries real traffic, then the per-push cost across batch sizes at
+// the small-batch ingest shape.
 func BenchmarkUniFlowPush(b *testing.B) {
 	for _, ordered := range []bool{false, true} {
 		name := "relaxed"
@@ -172,5 +174,45 @@ func BenchmarkUniFlowPush(b *testing.B) {
 				b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "tuples/s")
 			})
 		}
+	}
+	// The small-batch ingest shape (the ingest_small_batch benchmark
+	// workload's engine): 2 cores, W = 2^16, disjoint keys so no probe
+	// matches, swept over the batch size. The ns/tuple curve is the fixed
+	// per-push hand-off amortized over the batch; the server session's
+	// mergeBelow is read off it.
+	for _, batchSize := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("disjoint/W=65536/batch=%d", batchSize), func(b *testing.B) {
+			const window = 1 << 16
+			gen, err := workload.NewGenerator(workload.Spec{Seed: 1, Dist: workload.Disjoint, KeyDomain: window})
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs := gen.Take(window) // a whole number of batches at every size
+			e, err := NewUniFlow(Config{NumCores: 2, WindowSize: window})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range e.Results() {
+				}
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * batchSize % len(inputs)
+				e.PushBatch(inputs[off : off+batchSize])
+			}
+			if err := e.Close(); err != nil {
+				b.Fatal(err)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/tuple")
+		})
 	}
 }

@@ -379,17 +379,21 @@ func NewReader(r io.Reader) *Reader {
 
 // FrameBuffered reports whether a whole next frame (header, payload and
 // CRC) already sits in the read buffer, so that ReadFrame will return it
-// without reading from the underlying reader. It never reads itself: a
-// frame still arriving, a frame larger than the buffer, and a malformed
-// header all report false (ReadFrame then names the error).
-func (r *Reader) FrameBuffered() bool {
+// without reading from the underlying reader, and that frame's type. It
+// never reads itself: a frame still arriving, a frame larger than the
+// buffer, and a malformed header all report false (ReadFrame then names
+// the error). The type is unvalidated until ReadFrame checks the CRC.
+func (r *Reader) FrameBuffered() (FrameType, bool) {
 	n := r.br.Buffered()
 	if n == 0 {
-		return false
+		return 0, false
 	}
 	b, _ := r.br.Peek(n) // at most Buffered: served from the buffer
 	size, k := binary.Uvarint(b[1:])
-	return k > 0 && size <= MaxPayload && size+crc32.Size <= uint64(n-1-k)
+	if k > 0 && size <= MaxPayload && size+crc32.Size <= uint64(n-1-k) {
+		return FrameType(b[0]), true
+	}
+	return 0, false
 }
 
 // ReadFrame reads and CRC-validates the next frame. The returned payload

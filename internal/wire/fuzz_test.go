@@ -118,13 +118,17 @@ func FuzzReadFrame(f *testing.F) {
 		src := &chunkReader{chunks: [][]byte{data[:len(data)/2], data[len(data)/2:]}}
 		r := NewReader(src)
 		for {
-			whole, reads := r.FrameBuffered(), src.reads
+			typ, whole := r.FrameBuffered()
+			reads := src.reads
 			frame, err := r.ReadFrame()
 			if whole && src.reads != reads {
 				t.Fatal("FrameBuffered reported a whole frame, but ReadFrame had to read for it")
 			}
 			if err != nil {
 				return
+			}
+			if whole && typ != frame.Type {
+				t.Fatalf("FrameBuffered reported a %v frame, ReadFrame returned %v", typ, frame.Type)
 			}
 			if len(frame.Payload) > MaxPayload {
 				t.Fatalf("accepted payload of %d bytes beyond MaxPayload", len(frame.Payload))

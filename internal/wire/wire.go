@@ -19,10 +19,14 @@
 // exactly-once pairing invariant against the oracle.
 //
 // Flow control is credit-based: the server grants an initial window of
-// batch credits in the OpenAck frame and returns one credit per Batch
-// frame once that batch has been accepted by the engine. A client blocks
-// when its credits are exhausted, which propagates engine backpressure all
-// the way to the producer without unbounded buffering on either side.
+// batch credits in the OpenAck frame, and every Batch frame consumes one.
+// Credits come back in Credit(n) frames once the engine has accepted the
+// batches: one Credit frame returns n credits at once, one for each Batch
+// frame the server's read buffer held. Small Batch frames that arrived
+// together may also reach the engine as one merged push, but credits
+// still count frames. A client blocks when its credits are exhausted,
+// which propagates engine backpressure all the way to the producer
+// without unbounded buffering on either side.
 package wire
 
 import (

@@ -639,9 +639,10 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 // TestFrameBuffered pins the non-blocking probe the server's credit
-// coalescing relies on: true only for a whole frame already in the read
-// buffer, never a read of its own, false for a partly arrived frame, a
-// frame larger than the buffer, and a malformed header.
+// coalescing and batch merging rely on: true, with the frame's type, only
+// for a whole frame already in the read buffer, never a read of its own,
+// false for a partly arrived frame, a frame larger than the buffer, and a
+// malformed header.
 func TestFrameBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	frame := func(n int) []byte {
@@ -659,8 +660,12 @@ func TestFrameBuffered(t *testing.T) {
 	r := NewReader(src)
 	step := func(wantBuffered bool, wantReads int) {
 		t.Helper()
-		if got := r.FrameBuffered(); got != wantBuffered || src.reads != wantReads {
+		typ, got := r.FrameBuffered()
+		if got != wantBuffered || src.reads != wantReads {
 			t.Fatalf("FrameBuffered = %v after %d reads, want %v after %d", got, src.reads, wantBuffered, wantReads)
+		}
+		if got && typ != FrameBatch {
+			t.Fatalf("FrameBuffered reported a %v frame, want %v", typ, FrameBatch)
 		}
 	}
 	step(false, 0) // nothing buffered yet, and the probe does not read
@@ -684,20 +689,33 @@ func TestFrameBuffered(t *testing.T) {
 	if _, err := r.br.Peek(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.br.Buffered() != 4096 || r.FrameBuffered() {
+	if _, whole := r.FrameBuffered(); r.br.Buffered() != 4096 || whole {
 		t.Fatalf("FrameBuffered = true over %d buffered bytes of a %d-byte frame", r.br.Buffered(), len(big))
 	}
 	if _, err := r.ReadFrame(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.FrameBuffered() {
+	if _, whole := r.FrameBuffered(); !whole {
 		t.Fatal("small frame behind a big one not reported buffered")
+	}
+
+	// A control frame behind a batch is reported with its own type.
+	var ctl bytes.Buffer
+	if err := NewWriter(&ctl).WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r = NewReader(bytes.NewReader(append(append([]byte{}, a...), ctl.Bytes()...)))
+	if _, err := r.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if typ, whole := r.FrameBuffered(); !whole || typ != FrameCheckpoint {
+		t.Fatalf("FrameBuffered = %v, %v behind a batch, want %v, true", typ, whole, FrameCheckpoint)
 	}
 
 	// A length uvarint that never terminates is not a frame.
 	r = NewReader(bytes.NewReader(append([]byte{byte(FrameBatch)}, bytes.Repeat([]byte{0xff}, 12)...)))
 	r.br.Peek(1)
-	if r.FrameBuffered() {
+	if _, whole := r.FrameBuffered(); whole {
 		t.Fatal("malformed header reported as a buffered frame")
 	}
 }
