@@ -116,21 +116,17 @@ func run(args []string) error {
 	if !*quiet {
 		cfg.Logf = logger.Printf
 	}
-	var opts []accelstream.ServeOption
 	if *tlsCert != "" {
-		opts = append(opts, accelstream.WithServeTLSFiles(*tlsCert, *tlsKey))
-	}
-	if *authToken != "" {
-		opts = append(opts, accelstream.WithServeAuthToken(*authToken))
-		if *tlsCert == "" {
-			logger.Printf("warning: -auth-token without TLS sends the token in the clear")
+		if cfg.TLS, err = accelstream.LoadServerTLS(*tlsCert, *tlsKey); err != nil {
+			return err
 		}
+	}
+	cfg.AuthToken = *authToken
+	if *authToken != "" && *tlsCert == "" {
+		logger.Printf("warning: -auth-token without TLS sends the token in the clear")
 	}
 	if *ckptDir != "" {
-		opts = append(opts, accelstream.WithCheckpointDir(*ckptDir))
-		if *ckptInterval != 0 {
-			opts = append(opts, accelstream.WithCheckpointInterval(*ckptInterval))
-		}
+		cfg.CheckpointDir, cfg.CheckpointInterval = *ckptDir, *ckptInterval
 		logger.Printf("checkpoints in %s", *ckptDir)
 	} else if *ckptInterval != 0 {
 		return fmt.Errorf("-checkpoint-interval requires -checkpoint-dir")
@@ -151,10 +147,10 @@ func run(args []string) error {
 		quotas.Server.RatePerSec = *rateLimit
 	}
 	if quotas.Enabled() {
-		opts = append(opts, accelstream.WithServeQuotas(quotas))
+		cfg.Quotas = quotas
 		logger.Printf("admission quotas enabled (%d tenant overrides)", len(quotas.Tenants))
 	}
-	srv, err := accelstream.Serve(*addr, cfg, opts...)
+	srv, err := accelstream.Serve(*addr, cfg)
 	if err != nil {
 		return err
 	}

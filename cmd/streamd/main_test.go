@@ -22,6 +22,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{"pprof without metrics", []string{"-pprof"}, "-pprof requires -metrics"},
 		{"cert without key", []string{"-tls-cert", "cert.pem"}, "-tls-cert and -tls-key must be given together"},
 		{"key without cert", []string{"-tls-key", "key.pem"}, "-tls-cert and -tls-key must be given together"},
+		{"missing key pair", []string{"-tls-cert", "/nonexistent/cert.pem", "-tls-key", "/nonexistent/key.pem"}, "loading TLS key pair"},
 		{"checkpoint interval without dir", []string{"-checkpoint-interval", "1s"}, "-checkpoint-interval requires -checkpoint-dir"},
 		{"bad probe kernel", []string{"-probe-kernel", "bogus"}, `unknown probe kernel "bogus"`},
 	} {

@@ -117,6 +117,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, accelstream.Version("streamload"))
 		return nil
 	}
+	if (*tlsCert == "") != (*tlsKey == "") {
+		return fmt.Errorf("-tls-cert and -tls-key must be given together")
+	}
 
 	engine, err := accelstream.ParseSessionEngine(*engineName)
 	if err != nil {
@@ -139,9 +142,6 @@ func run(args []string, out io.Writer) error {
 	}
 	var opts []accelstream.DialOption
 	if *useTLS || *tlsCA != "" || *tlsSkipVerify || *tlsCert != "" {
-		if (*tlsCert == "") != (*tlsKey == "") {
-			return fmt.Errorf("-tls-cert and -tls-key must be given together")
-		}
 		tlsCfg, err := accelstream.LoadClientTLS(*tlsCA, *tlsServerName, *tlsSkipVerify)
 		if err != nil {
 			return err
@@ -155,20 +155,16 @@ func run(args []string, out io.Writer) error {
 		}
 		opts = append(opts, accelstream.WithTLS(tlsCfg))
 	}
-	if *authToken != "" {
-		opts = append(opts, accelstream.WithAuthToken(*authToken))
-	}
-	if *tenant != "" {
-		opts = append(opts, accelstream.WithTenant(*tenant))
-	}
 	if *dialTimeout > 0 {
 		opts = append(opts, accelstream.WithDialTimeout(*dialTimeout))
 	}
 	sessCfg := accelstream.SessionConfig{
-		Engine:  engine,
-		Cores:   *cores,
-		Window:  *window,
-		Ordered: *ordered,
+		Engine:    engine,
+		Cores:     *cores,
+		Window:    *window,
+		Ordered:   *ordered,
+		AuthToken: *authToken,
+		Tenant:    *tenant,
 	}
 	var c session
 	var pool *accelstream.ClientPool

@@ -10,6 +10,30 @@ import (
 	"accelstream"
 )
 
+// TestRunRefusesBadFlags: each inconsistent flag combination is refused
+// with an error naming it, before anything is dialed. The address has no
+// port, so a refusal that went missing fails in the dial instead.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"key without cert", []string{"-tls-key", "key.pem"}, "-tls-cert and -tls-key must be given together"},
+		{"cert without key", []string{"-tls-cert", "cert.pem"}, "-tls-cert and -tls-key must be given together"},
+		{"verify with a pool", []string{"-conns", "2", "-verify"}, "-verify requires -conns 1"},
+		{"empty batch", []string{"-batch", "0"}, "batch and tuples must be positive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(append([]string{"-addr", "no-port"}, tc.args...), &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestRunVerifiesAgainstOracle runs the loadgen end to end against an
 // in-process server on loopback with the oracle check on: the run must
 // finish without error, every emitted result must arrive, and the

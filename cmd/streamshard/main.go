@@ -58,6 +58,7 @@ package main
 
 import (
 	"context"
+	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
@@ -233,16 +234,11 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "streamshard: ", log.LstdFlags)
 
-	var shardDialOpts []accelstream.DialOption
+	var shardTLSCfg *tls.Config
 	if *shardTLS || *shardTLSCA != "" || *shardTLSSkipVerify {
-		tlsCfg, err := accelstream.LoadClientTLS(*shardTLSCA, *shardTLSServerName, *shardTLSSkipVerify)
-		if err != nil {
+		if shardTLSCfg, err = accelstream.LoadClientTLS(*shardTLSCA, *shardTLSServerName, *shardTLSSkipVerify); err != nil {
 			return err
 		}
-		shardDialOpts = append(shardDialOpts, accelstream.WithTLS(tlsCfg))
-	}
-	if *shardAuthToken != "" {
-		shardDialOpts = append(shardDialOpts, accelstream.WithAuthToken(*shardAuthToken))
 	}
 
 	reg := newRouterRegistry(addrs, logger.Printf)
@@ -285,11 +281,13 @@ func run(args []string) error {
 				BaseSeqS:    oc.BaseSeqS,
 				ProbeKernel: kernel,
 				Tenant:      tenant,
+				TLS:         shardTLSCfg,
+				AuthToken:   *shardAuthToken,
 			}
 			if !*quiet {
 				scfg.Logf = logger.Printf
 			}
-			r, err := accelstream.DialSharded(scfg, shardDialOpts...)
+			r, err := accelstream.DialSharded(scfg)
 			if err != nil {
 				return nil, err
 			}
@@ -300,21 +298,17 @@ func run(args []string) error {
 	if !*quiet {
 		cfg.Logf = logger.Printf
 	}
-	var opts []accelstream.ServeOption
 	if *tlsCert != "" {
-		opts = append(opts, accelstream.WithServeTLSFiles(*tlsCert, *tlsKey))
-	}
-	if *authToken != "" {
-		opts = append(opts, accelstream.WithServeAuthToken(*authToken))
-		if *tlsCert == "" {
-			logger.Printf("warning: -auth-token without TLS sends the token in the clear")
+		if cfg.TLS, err = accelstream.LoadServerTLS(*tlsCert, *tlsKey); err != nil {
+			return err
 		}
+	}
+	cfg.AuthToken = *authToken
+	if *authToken != "" && *tlsCert == "" {
+		logger.Printf("warning: -auth-token without TLS sends the token in the clear")
 	}
 	if *ckptDir != "" {
-		opts = append(opts, accelstream.WithCheckpointDir(*ckptDir))
-		if *ckptInterval != 0 {
-			opts = append(opts, accelstream.WithCheckpointInterval(*ckptInterval))
-		}
+		cfg.CheckpointDir, cfg.CheckpointInterval = *ckptDir, *ckptInterval
 		if err := reg.enableCheckpoints(*ckptDir); err != nil {
 			return err
 		}
@@ -336,7 +330,7 @@ func run(args []string) error {
 		quotas.Server.RatePerSec = *rateLimit
 	}
 	if quotas.Enabled() {
-		opts = append(opts, accelstream.WithServeQuotas(quotas))
+		cfg.Quotas = quotas
 		logger.Printf("admission quotas enabled (%d tenant overrides)", len(quotas.Tenants))
 	}
 	// The autoscale policy is checked before the listener opens; the
@@ -361,7 +355,7 @@ func run(args []string) error {
 	} else if len(standby) > 0 {
 		logger.Printf("warning: -standby-shards without -autoscale; the standby pool is unused")
 	}
-	if srv, err = accelstream.Serve(*addr, cfg, opts...); err != nil {
+	if srv, err = accelstream.Serve(*addr, cfg); err != nil {
 		return err
 	}
 	if auto := reg.dep.Controller(); auto != nil {

@@ -22,6 +22,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	}{
 		{"pprof without metrics", append([]string{"-pprof"}, shards...), "-pprof requires -metrics"},
 		{"cert without key", append([]string{"-tls-cert", "cert.pem"}, shards...), "-tls-cert and -tls-key must be given together"},
+		{"missing key pair", append([]string{"-tls-cert", "/nonexistent/cert.pem", "-tls-key", "/nonexistent/key.pem"}, shards...), "loading TLS key pair"},
 		{"checkpoint interval without dir", append([]string{"-checkpoint-interval", "1s"}, shards...), "-checkpoint-interval requires -checkpoint-dir"},
 		{"bad probe kernel", append([]string{"-probe-kernel", "bogus"}, shards...), `unknown probe kernel "bogus"`},
 		{"missing shards", nil, "-shards is required"},

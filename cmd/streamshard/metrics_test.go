@@ -21,6 +21,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
+		CheckpointDir: t.TempDir(), // the checkpoint families too
 		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
 			r, err := accelstream.DialSharded(accelstream.ShardConfig{
 				Addrs: reg.dep.Addrs(), Cores: oc.Cores, Window: oc.Window,
@@ -30,7 +31,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 			}
 			return &routerEngine{r: r, reg: reg, id: reg.add(r, routerMeta{cores: oc.Cores, window: oc.Window})}, nil
 		},
-	}, accelstream.WithCheckpointDir(t.TempDir())) // the checkpoint families too
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

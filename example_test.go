@@ -1,7 +1,9 @@
 package accelstream_test
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"accelstream"
 )
@@ -78,4 +80,57 @@ func ExampleParseQuery() {
 	}
 	fmt.Printf("mapped onto %d OP-Blocks, %d free\n", len(asn.Blocks), len(fab.FreeBlocks()))
 	// Output: mapped onto 3 OP-Blocks, 1 free
+}
+
+// ExampleServe secures a deployment through config fields alone: TLS and
+// an auth token on the listener, the token and a tenant in a session's
+// config, and TLS plus the same Open-frame settings on every session of a
+// sharded router, redials included. TLS and the dial deadline are the
+// only Dial options. The example has no Output line, so it is compiled
+// but not run.
+func ExampleServe() {
+	srvTLS, err := accelstream.LoadServerTLS("cert.pem", "key.pem")
+	if err != nil {
+		panic(err)
+	}
+	srv, err := accelstream.Serve(":7800", accelstream.ServerConfig{
+		TLS:           srvTLS,
+		AuthToken:     "s3cret",
+		CheckpointDir: "/var/lib/streamd",
+		Quotas:        accelstream.QuotaConfig{Default: accelstream.TenantQuota{MaxSessions: 4}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	cliTLS, err := accelstream.LoadClientTLS("cert.pem", "", false)
+	if err != nil {
+		panic(err)
+	}
+	c, err := accelstream.Dial(srv.Addr().String(), accelstream.SessionConfig{
+		Engine:    accelstream.EngineSoftwareUniFlow,
+		Cores:     8,
+		Window:    1 << 16,
+		AuthToken: "s3cret",
+		Tenant:    "gold",
+	}, accelstream.WithTLS(cliTLS), accelstream.WithDialTimeout(5*time.Second))
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+
+	r, err := accelstream.DialSharded(accelstream.ShardConfig{
+		Addrs:       []string{"shard-a:7800", "shard-b:7800"},
+		Window:      1 << 16,
+		TLS:         cliTLS,
+		AuthToken:   "s3cret",
+		Tenant:      "gold",
+		ProbeKernel: accelstream.KernelScan,
+		Redial:      accelstream.ShardRedialPolicy{Attempts: 5},
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer r.Close()
 }

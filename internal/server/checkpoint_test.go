@@ -345,10 +345,10 @@ func TestCheckpointMetricsExposition(t *testing.T) {
 
 // TestCheckpointKeepsSecretsOffDisk: a snapshot's manifest is the
 // session's Open without its credentials. A server run with an auth
-// token (what WithServeAuthToken sets), serving a named tenant, writes
-// neither string into its snapshot files, and a restarted server under
-// another token restores the snapshot into a session whose Open differs
-// only in token and tenant.
+// token (Config.AuthToken, the streamd -auth-token flag), serving a
+// named tenant, writes neither string into its snapshot files, and a
+// restarted server under another token restores the snapshot into a
+// session whose Open differs only in token and tenant.
 func TestCheckpointKeepsSecretsOffDisk(t *testing.T) {
 	const window, token, tenant = 64, "tok-7f3a9c-secret", "acme.prod-eu"
 	dir := t.TempDir()

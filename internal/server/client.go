@@ -129,24 +129,12 @@ const DialTimeout = 10 * time.Second
 
 // DialOptions configures how a session is dialed, beyond the engine
 // configuration carried in the Open frame. The zero value dials plaintext
-// TCP with no token and the default timeout.
+// TCP with the default timeout.
 type DialOptions struct {
 	// TLS, when set, dials the server over TLS with this configuration
 	// (the TLS handshake shares the connect timeout). Against a plaintext
 	// server the handshake fails fast instead of hanging.
 	TLS *tls.Config
-	// AuthToken, when non-empty, rides the Open frame for the server's
-	// session-auth check; a rejection surfaces as ErrUnauthorized.
-	AuthToken string
-	// Tenant, when non-empty, names the tenant identity the server
-	// accounts this session under (requires the v2 handshake). It wins
-	// over any OpenConfig.Tenant already set; left empty, the server
-	// derives a tenant from the auth token, or uses the shared default.
-	Tenant string
-	// ProbeKernel, when not KernelAuto, selects the soft-uni probe kernel
-	// for this session, winning over any OpenConfig.ProbeKernel already
-	// set (and over the server-wide default, which only applies to auto).
-	ProbeKernel stream.ProbeKernel
 	// Timeout bounds connecting plus the session handshake (TLS and Open
 	// frame both); 0 means DialTimeout. A black-holed endpoint therefore
 	// fails within the deadline instead of hanging indefinitely.
@@ -162,17 +150,6 @@ func Dial(addr string, cfg wire.OpenConfig) (*Client, error) {
 // DialWith connects to a stream-join server and opens a session with the
 // given engine configuration and dial options.
 func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, error) {
-	// Explicit dial options win over whatever the OpenConfig carries; the
-	// server's own defaults apply only to fields left at zero end to end.
-	if opts.AuthToken != "" {
-		cfg.AuthToken = opts.AuthToken
-	}
-	if opts.Tenant != "" {
-		cfg.Tenant = opts.Tenant
-	}
-	if opts.ProbeKernel != stream.KernelAuto {
-		cfg.ProbeKernel = opts.ProbeKernel
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

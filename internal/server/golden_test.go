@@ -42,14 +42,16 @@ func TestMetricsGolden(t *testing.T) {
 			"beta":  {MaxWindowBytes: 1024}, // below one window-64 session's 2048
 		}},
 	})
-	open := wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64}
-	if _, err := DialWith(addr, open, DialOptions{AuthToken: "wrong"}); !errors.Is(err, ErrUnauthorized) {
+	open := func(token, tenant string) wire.OpenConfig {
+		return wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64, AuthToken: token, Tenant: tenant}
+	}
+	if _, err := Dial(addr, open("wrong", "")); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong-token dial: %v", err)
 	}
-	if _, err := DialWith(addr, open, DialOptions{AuthToken: token, Tenant: "beta"}); !errors.Is(err, ErrAdmissionDenied) {
+	if _, err := Dial(addr, open(token, "beta")); !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("over-quota dial: %v", err)
 	}
-	c, err := DialWith(addr, open, DialOptions{AuthToken: token, Tenant: "alpha"})
+	c, err := Dial(addr, open(token, "alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,7 @@ import (
 
 // dialTenant opens a soft-uni session for the given tenant.
 func dialTenant(addr, tenant string, window int) (*Client, error) {
-	return DialWith(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: window},
-		DialOptions{Tenant: tenant})
+	return Dial(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: window, Tenant: tenant})
 }
 
 // TestQuotaSessionCapConcurrent races concurrent opens against a
@@ -464,8 +463,7 @@ func TestV1OpenRefused(t *testing.T) {
 func TestTenantDerivedFromAuthToken(t *testing.T) {
 	const token = "s3cret-token"
 	srv, addr := startServer(t, Config{AuthToken: token})
-	c, err := DialWith(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64},
-		DialOptions{AuthToken: token})
+	c, err := Dial(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64, AuthToken: token})
 	if err != nil {
 		t.Fatal(err)
 	}

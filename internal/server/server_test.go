@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,6 +393,94 @@ func TestIdleTimeout(t *testing.T) {
 	}
 	if !errSeen {
 		t.Error("SendBatch kept succeeding after server reaped the session")
+	}
+}
+
+// TestMidFrameStallIsTimeout: a peer that stops sending, whether between
+// frames or inside one, is a deadline expiry. The handshake counts it
+// under the "timeout" reject reason (not "io"), and an open session gets
+// the "idle timeout" Error frame before the connection closes. The reader
+// wraps a deadline that fires inside a frame, so only an errors.As check
+// sees the timeout under it.
+func TestMidFrameStallIsTimeout(t *testing.T) {
+	frameBytes := func(write func(*wire.Writer) error) []byte {
+		var buf bytes.Buffer
+		if err := write(wire.NewWriter(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	open := wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 16}
+	openFrame := frameBytes(func(w *wire.Writer) error { return w.WriteOpen(open) })
+	batchFrame := frameBytes(func(w *wire.Writer) error {
+		return w.WriteBatch(0, []core.Input{{Side: stream.SideR}, {Side: stream.SideS}})
+	})
+	// prefix cuts a frame after its type byte, its header, or half its
+	// payload; "silent" sends nothing at all.
+	prefix := func(frame []byte, cut string) []byte {
+		size, n := binary.Uvarint(frame[1:])
+		switch cut {
+		case "silent":
+			return nil
+		case "type byte only":
+			return frame[:1]
+		case "header only":
+			return frame[:1+n]
+		default: // partial payload
+			return frame[:1+n+int(size)/2]
+		}
+	}
+	const stall = 200 * time.Millisecond
+	for _, cut := range []string{"silent", "type byte only", "header only", "partial payload"} {
+		t.Run("handshake/"+cut, func(t *testing.T) {
+			srv, addr := startServer(t, Config{HandshakeTimeout: stall})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(prefix(openFrame, cut)); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for len(srv.rejectCounts()) == 0 && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := srv.rejectCounts(); got[rejectTimeout] != 1 || len(got) != 1 {
+				t.Fatalf("rejects = %v, want exactly one %q", got, rejectTimeout)
+			}
+		})
+		t.Run("idle/"+cut, func(t *testing.T) {
+			_, addr := startServer(t, Config{IdleTimeout: stall})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write(openFrame); err != nil {
+				t.Fatal(err)
+			}
+			r := wire.NewReader(conn)
+			if f, err := r.ReadFrame(); err != nil || f.Type != wire.FrameOpenAck {
+				t.Fatalf("open-ack: %v frame, err %v", f.Type, err)
+			}
+			if _, err := conn.Write(prefix(batchFrame, cut)); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				f, err := r.ReadFrame()
+				if err != nil {
+					t.Fatalf("connection ended without an Error frame: %v", err)
+				}
+				if f.Type == wire.FrameError {
+					if msg := wire.DecodeError(f.Payload); !strings.Contains(msg, "idle timeout") {
+						t.Fatalf("Error frame %q, want idle timeout", msg)
+					}
+					return
+				}
+			}
+		})
 	}
 }
 

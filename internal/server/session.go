@@ -456,7 +456,7 @@ func (s *session) readLoop() closeMode {
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				s.srv.logf("session %d: client disconnected", s.id)
-			} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			} else if isTimeout(err) {
 				s.fail("idle timeout")
 				s.srv.logf("session %d: idle timeout", s.id)
 			} else {
@@ -711,10 +711,11 @@ func isIncompleteTLS(conn net.Conn) bool {
 	return ok && !tc.ConnectionState().HandshakeComplete
 }
 
-// isTimeout reports whether err is a network timeout (deadline expiry).
+// isTimeout reports whether err is a network timeout (deadline expiry),
+// also under the wrapping of a read that stalled inside a frame.
 func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 const maxResultsPerFrame = 1024

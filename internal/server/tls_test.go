@@ -55,8 +55,8 @@ func TestTLSEndToEndExactlyOnce(t *testing.T) {
 		token   = "tls-e2e-token"
 	)
 	srv, addr, clientTLS := startTLSServer(t, Config{AuthToken: token})
-	c, err := DialWith(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 4, Window: window},
-		DialOptions{TLS: clientTLS, AuthToken: token})
+	c, err := DialWith(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 4, Window: window, AuthToken: token},
+		DialOptions{TLS: clientTLS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,9 @@ func TestAuthTokenRejection(t *testing.T) {
 	if _, err := Dial(addr, open); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("token-less dial: got %v, want ErrUnauthorized", err)
 	}
-	if _, err := DialWith(addr, open, DialOptions{AuthToken: "wrong"}); !errors.Is(err, ErrUnauthorized) {
+	wrong, good := open, open
+	wrong.AuthToken, good.AuthToken = "wrong", token
+	if _, err := Dial(addr, wrong); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong-token dial: got %v, want ErrUnauthorized", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -139,7 +141,7 @@ func TestAuthTokenRejection(t *testing.T) {
 
 	// Rejections must not wedge the accept loop: a correct client after
 	// two failures gets a working session.
-	c, err := DialWith(addr, open, DialOptions{AuthToken: token})
+	c, err := Dial(addr, good)
 	if err != nil {
 		t.Fatalf("correct-token dial after rejections: %v", err)
 	}

@@ -287,33 +287,30 @@ func (r *Router) spawnSender(sc *shardConn) {
 
 // openConfig is the session config of shard index in a modulus-shard
 // layout: its slice of the global window and its residue class, with
-// per-side arrival offsets for resume. Every shard session opens with it.
+// per-side arrival offsets for resume. Every shard session — first dial,
+// redial, and rebalance-installed session alike — opens with it, so each
+// carries the deployment's auth token, tenant identity and probe kernel,
+// and a generation swap (or its abort-restore) cannot shed the tenant
+// accounting or the kernel choice.
 func (r *Router) openConfig(modulus, index int, baseR, baseS uint64) wire.OpenConfig {
 	return wire.OpenConfig{
-		Engine:     wire.EngineSoftUni,
-		Cores:      r.cfg.Cores,
-		Window:     r.cfg.Window / modulus,
-		ShardCount: modulus,
-		ShardIndex: index,
-		BaseSeqR:   baseR,
-		BaseSeqS:   baseS,
-	}
-}
-
-// dialOptions is how every shard session — first dial, redial, and
-// rebalance-installed session alike — reaches its endpoint: same TLS
-// configuration, same auth token, same tenant identity, same probe
-// kernel, same connect timeout, so a generation swap (or its
-// abort-restore) cannot shed the deployment's tenant accounting or its
-// kernel choice.
-func (r *Router) dialOptions() server.DialOptions {
-	return server.DialOptions{
-		TLS:         r.cfg.TLS,
+		Engine:      wire.EngineSoftUni,
+		Cores:       r.cfg.Cores,
+		Window:      r.cfg.Window / modulus,
+		ShardCount:  modulus,
+		ShardIndex:  index,
+		BaseSeqR:    baseR,
+		BaseSeqS:    baseS,
 		AuthToken:   r.cfg.AuthToken,
 		Tenant:      r.cfg.Tenant,
 		ProbeKernel: r.cfg.ProbeKernel,
-		Timeout:     r.cfg.DialTimeout,
 	}
+}
+
+// dialOptions is how every shard session reaches its endpoint: the same
+// TLS configuration and connect timeout.
+func (r *Router) dialOptions() server.DialOptions {
+	return server.DialOptions{TLS: r.cfg.TLS, Timeout: r.cfg.DialTimeout}
 }
 
 func (r *Router) logf(format string, args ...any) {

@@ -17,11 +17,18 @@ import (
 // so tests may also shut it down explicitly mid-test).
 func startShardServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	srv, err := server.New(server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return serveOn(t, server.Config{}, ln)
+}
+
+// serveOn serves a server built from cfg on ln until test cleanup and
+// returns it with its address.
+func serveOn(t *testing.T, cfg server.Config, ln net.Listener) (*server.Server, string) {
+	t.Helper()
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

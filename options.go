@@ -6,32 +6,22 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"accelstream/internal/server"
 )
 
-// This file is the unified options surface of the network-attached
-// service: Dial, DialSharded, and Serve all take the same style of
-// functional options, so securing a deployment — TLS on the listener,
-// TLS on every dial and redial, a session auth token on both ends — is
-// the same few options everywhere instead of three divergent dial paths.
-// See README.md, "Securing the service".
+// This file holds the two dial settings that are not part of a
+// session's Open frame — the TLS configuration and the dial timeout — and
+// the helpers that build TLS configurations. Everything else a session,
+// a shard router or a server takes is a field of SessionConfig,
+// ShardConfig or ServerConfig. See README.md, "Securing the service".
 
-// DialOption configures Dial and DialSharded. The zero set dials
-// plaintext TCP with no auth token and the default timeout, exactly like
-// the option-less calls from earlier revisions.
-type DialOption func(*dialOptions)
+// DialOption configures Dial and DialPool. The zero set dials plaintext
+// TCP with the default timeout.
+type DialOption func(*server.DialOptions)
 
-type dialOptions struct {
-	tls         *tls.Config
-	authToken   string
-	tenant      string
-	probeKernel ProbeKernel
-	timeout     time.Duration
-	redial      *ShardRedialPolicy
-	autoscale   *AutoscalePolicy
-	standby     []string
-}
-
-func (o dialOptions) apply(opts []DialOption) dialOptions {
+func dialOptions(opts []DialOption) server.DialOptions {
+	var o server.DialOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -42,137 +32,14 @@ func (o dialOptions) apply(opts []DialOption) dialOptions {
 // with LoadClientTLS, or supply your own (e.g. for mutual TLS). Against a
 // plaintext server the handshake fails fast with a clear error.
 func WithTLS(cfg *tls.Config) DialOption {
-	return func(o *dialOptions) { o.tls = cfg }
-}
-
-// WithAuthToken sends the session auth token in the Open frame. A server
-// that requires a different (or any) token rejects the session with
-// ErrUnauthorized.
-func WithAuthToken(token string) DialOption {
-	return func(o *dialOptions) { o.authToken = token }
-}
-
-// WithTenant names the tenant identity the session opens under, for the
-// server's admission-control accounting (quotas on sessions, window
-// memory, and ingest rate — see WithServeQuotas). Precedence, highest
-// first: this option, then a Tenant already set on the SessionConfig /
-// ShardConfig, then the server's derivation (a stable hash of the auth
-// token, or the shared "default" tenant).
-func WithTenant(tenant string) DialOption {
-	return func(o *dialOptions) { o.tenant = tenant }
-}
-
-// WithProbeKernel selects the probe kernel of a software uni-flow
-// session (KernelHash or KernelScan). Precedence, highest first: this
-// option, then a ProbeKernel already set on the SessionConfig /
-// ShardConfig, then the server's `-probe-kernel` default (which applies
-// only to sessions that left the kernel on KernelAuto).
-func WithProbeKernel(k ProbeKernel) DialOption {
-	return func(o *dialOptions) { o.probeKernel = k }
+	return func(o *server.DialOptions) { o.TLS = cfg }
 }
 
 // WithDialTimeout bounds each connect plus session handshake (TLS and
 // Open frame both). The default is 10 seconds; a black-holed endpoint
 // fails within the deadline instead of hanging.
 func WithDialTimeout(d time.Duration) DialOption {
-	return func(o *dialOptions) { o.timeout = d }
-}
-
-// WithRedialPolicy bounds reconnection of dropped shard sessions. It only
-// affects DialSharded (a plain Dial has no redial machinery) and
-// overrides ShardConfig.Redial when both are given.
-func WithRedialPolicy(p ShardRedialPolicy) DialOption {
-	return func(o *dialOptions) { o.redial = &p }
-}
-
-// WithAutoscale runs a closed-loop autoscaler inside the router: the
-// policy samples the deployment's live signals each tick, and scale
-// decisions rebalance the session across ShardConfig.Addrs plus the given
-// standby endpoints (activated in order; not dialed until a scale-up
-// targets them). Only affects DialSharded, and overrides any
-// ShardConfig.Autoscale/Standby already set. Inspect the loop with
-// ShardRouter.AutoscaleReport.
-func WithAutoscale(p AutoscalePolicy, standby ...string) DialOption {
-	return func(o *dialOptions) {
-		o.autoscale = &p
-		o.standby = standby
-	}
-}
-
-// ServeOption configures Serve. The zero set serves plaintext TCP with no
-// session authentication, exactly like the option-less calls from earlier
-// revisions.
-type ServeOption func(*serveOptions)
-
-type serveOptions struct {
-	tls                *tls.Config
-	tlsErr             error // deferred WithServeTLSFiles load failure
-	authToken          string
-	checkpointDir      string
-	checkpointInterval time.Duration
-	quotas             *QuotaConfig
-}
-
-func (o serveOptions) apply(opts []ServeOption) serveOptions {
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// WithServeTLS serves sessions over TLS with the given configuration
-// (it must carry at least one certificate).
-func WithServeTLS(cfg *tls.Config) ServeOption {
-	return func(o *serveOptions) { o.tls = cfg }
-}
-
-// WithServeTLSFiles serves sessions over TLS with the certificate/key
-// pair loaded from the given PEM files; a load failure surfaces as the
-// Serve error.
-func WithServeTLSFiles(certFile, keyFile string) ServeOption {
-	return func(o *serveOptions) {
-		cfg, err := LoadServerTLS(certFile, keyFile)
-		o.tls, o.tlsErr = cfg, err
-	}
-}
-
-// WithServeAuthToken requires every session's Open frame to carry this
-// token (compared in constant time). Rejections are typed ErrUnauthorized
-// client-side and counted under sessions_rejected_total. Combine with
-// WithServeTLS — without TLS the token crosses the wire in the clear.
-func WithServeAuthToken(token string) ServeOption {
-	return func(o *serveOptions) { o.authToken = token }
-}
-
-// WithServeQuotas enables multi-tenant admission control: per-tenant and
-// server-wide limits on concurrent sessions, aggregate window memory, and
-// token-bucket ingest rate. Over-limit opens are rejected with a typed
-// code (ErrAdmissionDenied client-side, with a retry-after hint); running
-// sessions over their rate are throttled by withheld credits, never
-// killed. Load a config from JSON with LoadQuotaConfig, or build one
-// directly from TenantQuota values.
-func WithServeQuotas(cfg QuotaConfig) ServeOption {
-	return func(o *serveOptions) { o.quotas = &cfg }
-}
-
-// WithCheckpointDir makes the server durable: window snapshots are
-// written to dir (created if absent), and on startup the newest valid
-// snapshot is restored into the first matching session before the
-// listener accepts anything — the client resumes with only the
-// post-snapshot suffix to replay. Snapshots are cut automatically at
-// punctuation boundaries (see WithCheckpointInterval) and once more at
-// session teardown.
-func WithCheckpointDir(dir string) ServeOption {
-	return func(o *serveOptions) { o.checkpointDir = dir }
-}
-
-// WithCheckpointInterval sets the automatic snapshot cadence (default 5s
-// when a checkpoint directory is configured). Zero keeps the default; a
-// negative interval disables automatic snapshots, leaving only
-// client-requested and teardown snapshots. No-op without
-// WithCheckpointDir.
-func WithCheckpointInterval(d time.Duration) ServeOption {
-	return func(o *serveOptions) { o.checkpointInterval = d }
+	return func(o *server.DialOptions) { o.Timeout = d }
 }
 
 // LoadServerTLS builds a server TLS configuration from a PEM

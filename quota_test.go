@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// startQuotaServer serves on loopback with the given config/options and
+// startQuotaServer serves on loopback with the given config and
 // registers a cleanup shutdown.
-func startQuotaServer(t *testing.T, cfg ServerConfig, opts ...ServeOption) (*Server, string) {
+func startQuotaServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	t.Helper()
-	srv, err := Serve("127.0.0.1:0", cfg, opts...)
+	srv, err := Serve("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func closeQuietly(c *Client) {
 }
 
 // TestDialOptionPrecedence pins the documented resolution order for the
-// per-session knobs that exist both as DialOptions and as SessionConfig
-// fields: explicit option > SessionConfig field > server default.
+// per-session knobs a SessionConfig carries and a server defaults:
+// SessionConfig field > server default.
 func TestDialOptionPrecedence(t *testing.T) {
 	srv, addr := startQuotaServer(t, ServerConfig{ProbeKernel: KernelScan})
 	base := SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 1, Window: 64}
@@ -45,9 +45,9 @@ func TestDialOptionPrecedence(t *testing.T) {
 	// sessionBy dials, reads the session's resolved tenant and kernel off
 	// the server's metrics, and closes. A prior case's session may still be
 	// winding down server-side, so it polls for exactly one open session.
-	sessionBy := func(cfg SessionConfig, opts ...DialOption) (tenant, kernel string) {
+	sessionBy := func(cfg SessionConfig) (tenant, kernel string) {
 		t.Helper()
-		c, err := Dial(addr, cfg, opts...)
+		c, err := Dial(addr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,23 +74,15 @@ func TestDialOptionPrecedence(t *testing.T) {
 	cases := []struct {
 		name           string
 		cfg            SessionConfig
-		opts           []DialOption
 		tenant, kernel string
 	}{
-		{"server defaults", base, nil, "default", "scan"},
+		{"server defaults", base, "default", "scan"},
 		{"config fields beat server default",
 			func() SessionConfig { c := base; c.Tenant = "cfg-tenant"; c.ProbeKernel = KernelHash; return c }(),
-			nil, "cfg-tenant", "hash"},
-		{"options beat config fields",
-			func() SessionConfig { c := base; c.Tenant = "cfg-tenant"; c.ProbeKernel = KernelHash; return c }(),
-			[]DialOption{WithTenant("opt-tenant"), WithProbeKernel(KernelScan)},
-			"opt-tenant", "scan"},
-		{"options alone beat server default", base,
-			[]DialOption{WithTenant("opt-tenant"), WithProbeKernel(KernelHash)},
-			"opt-tenant", "hash"},
+			"cfg-tenant", "hash"},
 	}
 	for _, tc := range cases {
-		tenant, kernel := sessionBy(tc.cfg, tc.opts...)
+		tenant, kernel := sessionBy(tc.cfg)
 		if tenant != tc.tenant || kernel != tc.kernel {
 			t.Errorf("%s: resolved (tenant=%q, kernel=%q), want (%q, %q)",
 				tc.name, tenant, kernel, tc.tenant, tc.kernel)
@@ -100,7 +92,7 @@ func TestDialOptionPrecedence(t *testing.T) {
 
 // TestServeQuotasFacade runs the two-tenant demo from the README through
 // the public API: a JSON quota file (the -quota-config format) loaded via
-// LoadQuotaConfig, WithServeQuotas on Serve, typed rejections on Dial,
+// LoadQuotaConfig, ServerConfig.Quotas on Serve, typed rejections on Dial,
 // and per-tenant accounting on Server.TenantMetrics.
 func TestServeQuotasFacade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "quotas.json")
@@ -114,29 +106,31 @@ func TestServeQuotasFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startQuotaServer(t, ServerConfig{}, WithServeQuotas(quotas))
+	srv, addr := startQuotaServer(t, ServerConfig{Quotas: quotas})
 
-	base := SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 1, Window: 64}
-	gold1, err := Dial(addr, base, WithTenant("gold"))
+	gold := SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 1, Window: 64, Tenant: "gold"}
+	bronze := gold
+	bronze.Tenant = "bronze"
+	gold1, err := Dial(addr, gold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeQuietly(gold1)
-	gold2, err := Dial(addr, base, WithTenant("gold"))
+	gold2, err := Dial(addr, gold)
 	if err != nil {
 		t.Fatalf("gold's second session within its override quota: %v", err)
 	}
 	defer closeQuietly(gold2)
-	if _, err := Dial(addr, base, WithTenant("gold")); !errors.Is(err, ErrAdmissionDenied) {
+	if _, err := Dial(addr, gold); !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("gold's third session: got %v, want ErrAdmissionDenied", err)
 	}
 
-	bronze, err := Dial(addr, base, WithTenant("bronze"))
+	bronze1, err := Dial(addr, bronze)
 	if err != nil {
 		t.Fatalf("bronze's first session under the default quota: %v", err)
 	}
-	defer closeQuietly(bronze)
-	_, err = Dial(addr, base, WithTenant("bronze"))
+	defer closeQuietly(bronze1)
+	_, err = Dial(addr, bronze)
 	var adm *AdmissionError
 	if !errors.As(err, &adm) {
 		t.Fatalf("bronze's second session: got %v, want *AdmissionError", err)

@@ -3,6 +3,7 @@ package accelstream
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,11 +24,11 @@ func secureWorkload(n int) []Input {
 	return inputs
 }
 
-// TestSecureServeDial is the facade-level acceptance test for the options
-// API: Serve with WithServeTLS + WithServeAuthToken, Dial with the
-// matching WithTLS + WithAuthToken, and the secured session must stream
-// oracle-equal results. Mismatched credentials come back as the typed
-// ErrUnauthorized.
+// TestSecureServeDial is the facade-level acceptance test for a secured
+// service: Serve with ServerConfig.TLS + AuthToken, Dial with the
+// matching WithTLS + SessionConfig.AuthToken, and the secured session
+// must stream oracle-equal results. Mismatched credentials come back as
+// the typed ErrUnauthorized.
 func TestSecureServeDial(t *testing.T) {
 	const (
 		window = 64
@@ -38,8 +39,7 @@ func TestSecureServeDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve("127.0.0.1:0", ServerConfig{},
-		WithServeTLS(serverTLS), WithServeAuthToken(token))
+	srv, err := Serve("127.0.0.1:0", ServerConfig{TLS: serverTLS, AuthToken: token})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestSecureServeDial(t *testing.T) {
 	addr := srv.Addr().String()
 
 	// Wrong credentials first: typed rejection, healthy accept loop after.
-	if _, err := Dial(addr, SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 1, Window: window},
-		WithTLS(clientTLS), WithAuthToken("wrong")); !errors.Is(err, ErrUnauthorized) {
+	if _, err := Dial(addr, SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 1, Window: window, AuthToken: "wrong"},
+		WithTLS(clientTLS)); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong-token facade dial: got %v, want ErrUnauthorized", err)
 	}
 
-	c, err := Dial(addr, SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 2, Window: window},
-		WithTLS(clientTLS), WithAuthToken(token), WithDialTimeout(5*time.Second))
+	c, err := Dial(addr, SessionConfig{Engine: EngineSoftwareUniFlow, Cores: 2, Window: window, AuthToken: token},
+		WithTLS(clientTLS), WithDialTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,9 @@ func TestSecureServeDial(t *testing.T) {
 	}
 }
 
-// TestSecureDialSharded drives DialSharded through the same DialOption
-// set: two secured streamd endpoints behind one router session.
+// TestSecureDialSharded drives DialSharded with the same TLS and token,
+// as ShardConfig fields: two secured streamd endpoints behind one router
+// session.
 func TestSecureDialSharded(t *testing.T) {
 	const (
 		window = 64
@@ -105,8 +106,7 @@ func TestSecureDialSharded(t *testing.T) {
 	}
 	addrs := make([]string, 2)
 	for i := range addrs {
-		srv, err := Serve("127.0.0.1:0", ServerConfig{},
-			WithServeTLS(serverTLS), WithServeAuthToken(token))
+		srv, err := Serve("127.0.0.1:0", ServerConfig{TLS: serverTLS, AuthToken: token})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,9 +117,9 @@ func TestSecureDialSharded(t *testing.T) {
 		})
 		addrs[i] = srv.Addr().String()
 	}
-	r, err := DialSharded(ShardConfig{Addrs: addrs, Window: window},
-		WithTLS(clientTLS), WithAuthToken(token),
-		WithRedialPolicy(ShardRedialPolicy{Attempts: 2}))
+	r, err := DialSharded(ShardConfig{Addrs: addrs, Window: window,
+		TLS: clientTLS, AuthToken: token,
+		Redial: ShardRedialPolicy{Attempts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,12 @@ func TestSecureDialSharded(t *testing.T) {
 	}
 }
 
-// TestServeTLSFilesError: a bad certificate path given to
-// WithServeTLSFiles must surface from Serve, not be silently dropped.
+// TestServeTLSFilesError: a bad certificate path given to LoadServerTLS
+// must come back as an error naming the key pair, not a nil config that
+// would serve plaintext.
 func TestServeTLSFilesError(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", ServerConfig{},
-		WithServeTLSFiles("/nonexistent/cert.pem", "/nonexistent/key.pem")); err == nil {
-		t.Fatal("Serve accepted a nonexistent certificate pair")
+	cfg, err := LoadServerTLS("/nonexistent/cert.pem", "/nonexistent/key.pem")
+	if err == nil || !strings.Contains(err.Error(), "loading TLS key pair") {
+		t.Fatalf("LoadServerTLS of a nonexistent pair = (%v, %v), want a key-pair error", cfg, err)
 	}
 }

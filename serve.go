@@ -89,7 +89,7 @@ type TenantQuota = admission.Quota
 
 // QuotaConfig is a server's admission-control configuration: a
 // server-wide aggregate quota, a default per-tenant quota, and per-tenant
-// overrides. Pass to Serve via WithServeQuotas.
+// overrides. Serve takes it as ServerConfig.Quotas.
 type QuotaConfig = admission.Config
 
 // TenantUsage is one tenant's live accounting snapshot, as returned by
@@ -102,19 +102,11 @@ type TenantUsage = admission.TenantUsage
 func LoadQuotaConfig(path string) (QuotaConfig, error) { return admission.LoadConfig(path) }
 
 // Dial connects to a stream-join server (see Serve / cmd/streamd) and
-// opens a session with the given engine configuration. Options secure the
-// session (WithTLS, WithAuthToken) or tune the dial (WithDialTimeout);
-// with none, it dials plaintext TCP exactly as before, so existing call
-// sites need no changes.
+// opens a session with the given engine configuration. The config carries
+// everything the Open frame does, auth token and tenant included; the
+// options choose TLS (WithTLS) and the dial deadline (WithDialTimeout).
 func Dial(addr string, cfg SessionConfig, opts ...DialOption) (*Client, error) {
-	o := dialOptions{}.apply(opts)
-	return server.DialWith(addr, cfg, server.DialOptions{
-		TLS:         o.tls,
-		AuthToken:   o.authToken,
-		Tenant:      o.tenant,
-		ProbeKernel: o.probeKernel,
-		Timeout:     o.timeout,
-	})
+	return server.DialWith(addr, cfg, dialOptions(opts))
 }
 
 // ClientPool stripes independent sessions over several connections to
@@ -129,42 +121,17 @@ type ClientPool = server.ClientPool
 // server, all with the same engine configuration; conns <= 0 defaults
 // to 1. It takes the same options as Dial.
 func DialPool(addr string, conns int, cfg SessionConfig, opts ...DialOption) (*ClientPool, error) {
-	o := dialOptions{}.apply(opts)
-	return server.DialPool(addr, conns, cfg, server.DialOptions{
-		TLS:         o.tls,
-		AuthToken:   o.authToken,
-		Tenant:      o.tenant,
-		ProbeKernel: o.probeKernel,
-		Timeout:     o.timeout,
-	})
+	return server.DialPool(addr, conns, cfg, dialOptions(opts))
 }
 
 // Serve listens on addr ("host:port"; ":0" picks a free port — see
 // Server.Addr) and serves stream-join sessions in a background goroutine
 // until Shutdown is called on the returned server. It is the programmatic
-// equivalent of running cmd/streamd. Options secure the service
-// (WithServeTLS / WithServeTLSFiles, WithServeAuthToken); with none, it
-// serves plaintext TCP exactly as before.
-func Serve(addr string, cfg ServerConfig, opts ...ServeOption) (*Server, error) {
-	o := serveOptions{}.apply(opts)
-	if o.tlsErr != nil {
-		return nil, o.tlsErr
-	}
-	if o.tls != nil {
-		cfg.TLS = o.tls
-	}
-	if o.authToken != "" {
-		cfg.AuthToken = o.authToken
-	}
-	if o.checkpointDir != "" {
-		cfg.CheckpointDir = o.checkpointDir
-	}
-	if o.checkpointInterval != 0 {
-		cfg.CheckpointInterval = o.checkpointInterval
-	}
-	if o.quotas != nil {
-		cfg.Quotas = *o.quotas
-	}
+// equivalent of running cmd/streamd. The config secures the service
+// (TLS, from LoadServerTLS; AuthToken), makes it durable (CheckpointDir,
+// CheckpointInterval) and bounds its tenants (Quotas); left zero, it
+// serves plaintext TCP to anyone, with no quotas and no checkpoints.
+func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, err

@@ -37,36 +37,10 @@ type ShardStats = shard.Stats
 type ShardRebalanceReport = rebalance.Report
 
 // DialSharded connects to every configured streamd endpoint and returns
-// the router fronting them as one logical join session. It takes the same
-// DialOption set as Dial — TLS and auth apply to every shard session,
-// redials included — plus WithRedialPolicy; option-less calls behave
-// exactly as before.
-func DialSharded(cfg ShardConfig, opts ...DialOption) (*ShardRouter, error) {
-	o := dialOptions{}.apply(opts)
-	if o.tls != nil {
-		cfg.TLS = o.tls
-	}
-	if o.authToken != "" {
-		cfg.AuthToken = o.authToken
-	}
-	if o.tenant != "" {
-		cfg.Tenant = o.tenant
-	}
-	if o.probeKernel != KernelAuto {
-		cfg.ProbeKernel = o.probeKernel
-	}
-	if o.timeout > 0 {
-		cfg.DialTimeout = o.timeout
-	}
-	if o.redial != nil {
-		cfg.Redial = *o.redial
-	}
-	if o.autoscale != nil {
-		cfg.Autoscale = o.autoscale
-		cfg.Standby = o.standby
-	}
-	return shard.Dial(cfg)
-}
+// the router fronting them as one logical join session. The config's TLS,
+// AuthToken, Tenant, ProbeKernel and DialTimeout apply to every shard
+// session, redials and rebalance-installed sessions included.
+func DialSharded(cfg ShardConfig) (*ShardRouter, error) { return shard.Dial(cfg) }
 
 // AutoscalePolicy parameterizes the closed-loop shard autoscaler: signal
 // thresholds (per-shard ingest rate, credit starvation, admission
