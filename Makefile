@@ -39,10 +39,12 @@ test-race:
 
 # Short fuzzing pass over the wire-protocol decoders (10s per target),
 # seeded from the corruption-test corpus, then the scan kernel's lanes
-# against scalar Comparator.Eval, then the hash and scan engines against
-# the oracle. CI-sized; run `go test -fuzz` directly for longer campaigns.
-# An engine trace can take ~0.1 s under coverage instrumentation, so its
-# minimization is capped by count: the default 60 s would stall the pass.
+# against scalar Comparator.Eval, the hash index against a linear scan
+# (starting generations near 2^32 included), then the hash and scan
+# engines against the oracle. CI-sized; run `go test -fuzz` directly for
+# longer campaigns. An engine trace can take ~0.1 s under coverage
+# instrumentation, so its minimization is capped by count: the default
+# 60 s would stall the pass.
 fuzz-short:
 	@for f in FuzzReadFrame FuzzDecodeBatch FuzzDecodeResults FuzzDecodeControl; do \
 		echo "fuzzing $$f"; \
@@ -56,6 +58,8 @@ fuzz-short:
 	$(GO) test -run '^FuzzParsePolicy$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/autoscale/
 	@echo "fuzzing FuzzBlockScan"; \
 	$(GO) test -run '^FuzzBlockScan$$' -fuzz '^FuzzBlockScan$$' -fuzztime 10s ./internal/stream/
+	@echo "fuzzing FuzzKeyIndex"; \
+	$(GO) test -run '^FuzzKeyIndex$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 10s ./internal/stream/
 	@echo "fuzzing FuzzKernelsAgainstOracle"; \
 	$(GO) test -run '^FuzzKernelsAgainstOracle$$' -fuzz '^FuzzKernelsAgainstOracle$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/softjoin/
 

@@ -401,10 +401,12 @@ func (c creditCountingConn) Write(b []byte) (int, error) {
 // BenchmarkSessionSmallBatch drives a loopback session with a discarding
 // engine in a closed loop of SendBatch calls (the default 8-credit
 // window), so the cost per batch is the client's send, the session's read
-// loop and the credit round trip. It reports ns/batch, the Credit frames
-// the server wrote per batch and the engine pushes per batch: both below 1
-// when small frames pipeline, exactly 1 for frames larger than the
-// session's 4 KiB read buffer.
+// loop and the credit round trip. It excludes the engine: a profile of it
+// ranks only the transport, never the join core a real session feeds
+// (BenchmarkUniFlowPush in internal/softjoin times that). It reports
+// ns/batch, the Credit frames the server wrote per batch and the engine
+// pushes per batch: both below 1 when small frames pipeline, exactly 1 for
+// frames larger than the session's 4 KiB read buffer.
 func BenchmarkSessionSmallBatch(b *testing.B) {
 	for _, tuples := range []int{64, 512} {
 		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {

@@ -2,6 +2,7 @@ package softjoin
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +16,6 @@ import (
 func benchCore(window, selInv int, kernel stream.ProbeKernel) *softCore {
 	c := &softCore{
 		part:    core.Partition{NumCores: 1, Position: 0},
-		shard:   core.Partition{NumCores: 1, Position: 0},
 		cond:    stream.EquiJoinOnKey(),
 		kernel:  kernel,
 		windowR: stream.NewSlidingWindow(window),
@@ -61,6 +61,11 @@ func BenchmarkProbe(b *testing.B) {
 			out.Release()
 		})
 	}
+	// The hash kernel at the benchmark workloads' per-core shape (2 cores
+	// over W = 2^16): a key no stored tuple carries, and one about five
+	// stored tuples carry.
+	run("W=32768/hits=none/hash", 1<<15, 1<<15/5+1, stream.KernelHash, 8)
+	run("W=32768/hits=5/hash", 1<<15, 1<<15/5+1, stream.KernelHash, 7)
 	for _, window := range []int{1 << 10, 1 << 13, 1 << 16} {
 		for _, selInv := range []int{16, 256, 4096} {
 			if selInv > window {
@@ -124,10 +129,33 @@ func TestStoreAllocFree(t *testing.T) {
 	}
 }
 
+// TestHashCoreFootprint pins the hash engine's resident state at the
+// ingest_small_batch shape (2 cores, W = 2^16): four sub-window rings of
+// 2^15 tuples (24 B each) and four key indexes of 2^17 packed 8-byte
+// slots make 7 MiB, and no word column is built for a kernel that never
+// sweeps one. Everything the engine allocates at construction counts.
+func TestHashCoreFootprint(t *testing.T) {
+	const budgetMiB = 7.5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 1 << 16, ProbeKernel: stream.KernelHash})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(e)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if got > budgetMiB {
+		t.Fatalf("NewUniFlow allocated %.2f MiB, budget %.2f MiB", got, budgetMiB)
+	}
+	t.Logf("NewUniFlow allocated %.2f MiB", got)
+}
+
 // BenchmarkUniFlowPush is the whole-pipeline hand-off benchmark: pooled
 // input batches in, slab emission out, at a selectivity where the emit
 // path carries real traffic, then the per-push cost across batch sizes at
-// the small-batch ingest shape.
+// the small-batch ingest shape and at the result-heavy shape.
 func BenchmarkUniFlowPush(b *testing.B) {
 	for _, ordered := range []bool{false, true} {
 		name := "relaxed"
@@ -182,37 +210,60 @@ func BenchmarkUniFlowPush(b *testing.B) {
 	// mergeBelow is read off it.
 	for _, batchSize := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("disjoint/W=65536/batch=%d", batchSize), func(b *testing.B) {
-			const window = 1 << 16
-			gen, err := workload.NewGenerator(workload.Spec{Seed: 1, Dist: workload.Disjoint, KeyDomain: window})
-			if err != nil {
-				b.Fatal(err)
-			}
-			inputs := gen.Take(window) // a whole number of batches at every size
-			e, err := NewUniFlow(Config{NumCores: 2, WindowSize: window})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.Start(); err != nil {
-				b.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range e.Results() {
-				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := i * batchSize % len(inputs)
-				e.PushBatch(inputs[off : off+batchSize])
-			}
-			if err := e.Close(); err != nil {
-				b.Fatal(err)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/tuple")
+			benchPushShape(b, workload.Spec{Seed: 1, Dist: workload.Disjoint, KeyDomain: 1 << 16}, batchSize, false)
 		})
 	}
+	// The result_heavy benchmark workload's engine: 2 cores, W = 2^16,
+	// uniform keys over W/10, so a probe into the preloaded full window
+	// matches about 10 stored tuples.
+	b.Run("uniform/W=65536/batch=1024", func(b *testing.B) {
+		benchPushShape(b, workload.Spec{Seed: 1, Dist: workload.Uniform, KeyDomain: (1 << 16) / 10}, 1024, true)
+	})
+}
+
+// benchPushShape pushes spec's arrivals in batchSize pieces into a 2-core
+// W = 2^16 engine whose output is drained batch-wise, as a server session
+// drains it, and reports ns/tuple; full preloads both windows first.
+func benchPushShape(b *testing.B, spec workload.Spec, batchSize int, full bool) {
+	const window = 1 << 16
+	gen, err := workload.NewGenerator(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := gen.Take(window) // a whole number of batches at every size
+	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if full {
+		r, s, err := workload.WindowFill(spec, window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Preload(r, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for rb := range e.Batches() {
+			rb.Release()
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * batchSize % len(inputs)
+		e.PushBatch(inputs[off : off+batchSize])
+	}
+	if err := e.Close(); err != nil {
+		b.Fatal(err)
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/tuple")
 }

@@ -639,3 +639,95 @@ func TestUniFlowBaseSeqResume(t *testing.T) {
 		t.Errorf("resumed shard stored %d R tuples, want 10", sum)
 	}
 }
+
+// TestStoreTurnMatchesPartition holds the division-free store schedule
+// (setCounts, and the counters run and prefetch advance) to the two-level
+// rule it replaces — arrival n is core k's iff shard.StoreTurn(n) and
+// part.StoreTurn(n/shardN) — over shards {1,2,3} × cores {1,2,3,4}, every
+// shard index, and arrival counters opened at 0, resumed at an offset (a
+// shard router re-opening a session mid-stream), or advanced by Preload.
+// Each core's windows must hold exactly the arrivals that rule gives it.
+func TestStoreTurnMatchesPartition(t *testing.T) {
+	const pushed = 40 // per side; no window fills, so nothing expires
+	check := func(t *testing.T, cfg Config, preR, preS int) {
+		t.Helper()
+		e, err := NewUniFlow(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := func(n int) []stream.Tuple {
+			out := make([]stream.Tuple, n)
+			for i := range out {
+				out[i] = stream.Tuple{Key: uint32(i), Seq: uint64(i)}
+			}
+			return out
+		}
+		if preR+preS > 0 {
+			if err := e.Preload(fill(preR), fill(preS)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for rb := range e.Batches() {
+				rb.Release()
+			}
+		}()
+		batch := make([]core.Input, 0, 2*pushed)
+		for i := 0; i < pushed; i++ {
+			batch = append(batch,
+				core.Input{Side: stream.SideR, Tuple: stream.Tuple{Key: uint32(i)}},
+				core.Input{Side: stream.SideS, Tuple: stream.Tuple{Key: 1 << 20}})
+		}
+		e.PushBatch(batch[:7]) // batch edges fall mid-stride too
+		e.PushBatch(batch[7:])
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shardN := uint64(cfg.ShardCount)
+		shard := core.Partition{NumCores: cfg.ShardCount, Position: cfg.ShardIndex}
+		for k, c := range e.cores {
+			part := core.Partition{NumCores: cfg.NumCores, Position: k}
+			for _, side := range []struct {
+				win      *stream.SlidingWindow
+				from, to uint64
+			}{
+				{c.windowR, cfg.BaseSeqR, cfg.BaseSeqR + uint64(preR) + pushed},
+				{c.windowS, cfg.BaseSeqS, cfg.BaseSeqS + uint64(preS) + pushed},
+			} {
+				var want []uint64
+				for n := side.from; n < side.to; n++ {
+					if shard.StoreTurn(n) && part.StoreTurn(n/shardN) {
+						want = append(want, n)
+					}
+				}
+				var got []uint64
+				for _, tu := range side.win.Snapshot() {
+					got = append(got, tu.Seq)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("core %d stored seqs %v, Partition.StoreTurn gives %v", k, got, want)
+				}
+			}
+		}
+	}
+	for _, shards := range []int{1, 2, 3} {
+		for _, cores := range []int{1, 2, 3, 4} {
+			for idx := 0; idx < shards; idx++ {
+				for _, base := range [][2]uint64{{0, 0}, {1, 6}, {17, 5}, {1<<32 + 3, 1 << 33}} {
+					cfg := Config{NumCores: cores, WindowSize: cores * 4 * pushed, ShardCount: shards, ShardIndex: idx,
+						BaseSeqR: base[0], BaseSeqS: base[1]}
+					t.Run(fmt.Sprintf("shards=%d/%d/cores=%d/base=%v", idx, shards, cores, base), func(t *testing.T) {
+						check(t, cfg, 0, 0)
+					})
+				}
+			}
+		}
+	}
+	for _, pre := range [][2]int{{1, 0}, {5, 2}, {13, 9}} {
+		cfg := Config{NumCores: 3, WindowSize: 3 * 4 * pushed, ShardCount: 1}
+		t.Run(fmt.Sprintf("preload=%v", pre), func(t *testing.T) { check(t, cfg, pre[0], pre[1]) })
+	}
+}

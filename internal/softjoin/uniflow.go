@@ -179,7 +179,6 @@ type UniFlow struct {
 // softCore is one join-core goroutine's state.
 type softCore struct {
 	part    core.Partition
-	shard   core.Partition // deployment-level residue class (unsharded: 1/0)
 	cond    stream.JoinCondition
 	kernel  stream.ProbeKernel // concrete kernel: KernelHash or KernelScan
 	ordered bool               // ordered mode needs a slab (punctuation) per batch, even empty
@@ -191,8 +190,15 @@ type softCore struct {
 	// probes never allocate. Nil/unused under the scan kernel.
 	idxR, idxS *stream.KeyIndex
 	matchBuf   []stream.Tuple
+	// touched sums the slots prefetch loads, so the compiler keeps them.
+	touched uint64
 
+	// countR/countS count each side's arrivals; nextR/nextS is the arrival
+	// count of the side's next tuple this core stores. The core stores the
+	// arrivals ≡ class (mod stride); see setCounts.
 	countR, countS   uint64
+	nextR, nextS     uint64
+	class, stride    uint64
 	storedR, storedS atomic.Uint64
 	processed        atomic.Uint64
 	compared         atomic.Uint64
@@ -221,16 +227,16 @@ func NewUniFlow(cfg Config) (*UniFlow, error) {
 	for i := 0; i < cfg.NumCores; i++ {
 		c := &softCore{
 			part:    core.Partition{NumCores: cfg.NumCores, Position: i},
-			shard:   core.Partition{NumCores: cfg.ShardCount, Position: cfg.ShardIndex},
 			cond:    cfg.Condition,
 			kernel:  e.kernel,
 			ordered: cfg.OrderedResults,
 			in:      make(chan *inputBatch, cfg.ChannelDepth),
 			windowR: stream.NewSlidingWindow(cfg.subWindowSize()),
 			windowS: stream.NewSlidingWindow(cfg.subWindowSize()),
-			countR:  cfg.BaseSeqR,
-			countS:  cfg.BaseSeqS,
+			class:   uint64(cfg.ShardIndex + cfg.ShardCount*i),
+			stride:  uint64(cfg.ShardCount * cfg.NumCores),
 		}
+		c.setCounts(cfg.BaseSeqR, cfg.BaseSeqS)
 		if e.kernel == stream.KernelHash {
 			c.idxR = stream.NewKeyIndex(c.windowR)
 			c.idxS = stream.NewKeyIndex(c.windowS)
@@ -263,6 +269,18 @@ func (c *softCore) store(side stream.Side, t stream.Tuple) {
 			c.idxS.NoteInsert(t.Key)
 		}
 	}
+}
+
+// setCounts starts the per-side arrival counters at r and s and schedules
+// each side's next store turn. The two-level turn — the deployment's
+// shard residue class first, then round-robin over the engine's cores —
+// is one residue class modulo shardN·cores: the n-th arrival is core k's
+// iff n ≡ ShardIndex + shardN·k. So run compares instead of dividing, and
+// a store advances the turn by the stride.
+func (c *softCore) setCounts(r, s uint64) {
+	turn := func(n uint64) uint64 { return n + (c.class+c.stride-n%c.stride)%c.stride }
+	c.countR, c.countS = r, s
+	c.nextR, c.nextS = turn(r), turn(s)
 }
 
 // noteStored publishes r and s newly stored tuples to StoredPerCore.
@@ -300,8 +318,7 @@ func (e *UniFlow) Preload(r, s []stream.Tuple) error {
 	share := func(total, i int) uint64 { return uint64((total - i + n - 1) / n) }
 	for i, c := range e.cores {
 		c.noteStored(share(len(r), i), share(len(s), i))
-		c.countR = uint64(len(r))
-		c.countS = uint64(len(s))
+		c.setCounts(uint64(len(r)), uint64(len(s)))
 	}
 	e.seqR = uint64(len(r))
 	e.seqS = uint64(len(s))
@@ -558,9 +575,9 @@ const releaseBatchResults = 1024
 // store turn is two-level: the deployment-level shard partition picks the
 // residue class this engine stores at all, and the engine-level partition
 // round-robins the stored subsequence over the cores (for the unsharded
-// 1-of-1 shard both collapse to the original per-core turn).
+// 1-of-1 shard both collapse to the original per-core turn); setCounts
+// folds the two into one counter per side.
 func (c *softCore) run(e *UniFlow) {
-	shardN := uint64(c.shard.NumCores)
 	out := coreBatches.Get()
 	var slab *resultSlab
 	if c.ordered {
@@ -568,6 +585,9 @@ func (c *softCore) run(e *UniFlow) {
 	}
 	for b := range c.in {
 		batch := b.items
+		if c.idxR != nil {
+			c.prefetch(batch)
+		}
 		// Single-writer counters: keep local copies across the batch and
 		// publish once at the end, so the probe loop pays no atomics.
 		proc := c.processed.Load()
@@ -578,16 +598,18 @@ func (c *softCore) run(e *UniFlow) {
 			switch in.Side {
 			case stream.SideR:
 				work += c.probe(t, stream.SideR, out)
-				if c.shard.StoreTurn(c.countR) && c.part.StoreTurn(c.countR/shardN) {
+				if c.countR == c.nextR {
 					c.store(stream.SideR, t)
 					storedR++
+					c.nextR += c.stride
 				}
 				c.countR++
 			case stream.SideS:
 				work += c.probe(t, stream.SideS, out)
-				if c.shard.StoreTurn(c.countS) && c.part.StoreTurn(c.countS/shardN) {
+				if c.countS == c.nextS {
 					c.store(stream.SideS, t)
 					storedS++
+					c.nextS += c.stride
 				}
 				c.countS++
 			}
@@ -639,6 +661,38 @@ func (c *softCore) run(e *UniFlow) {
 	} else {
 		out.Release()
 	}
+}
+
+// prefetch is the hash kernel's group-prefetch pass over an input batch,
+// run before the per-tuple loop: for every tuple it loads the first slot
+// of its probe chain in the opposite index and, on its store turn, of its
+// insert chain in its own index. The loads are independent of each other,
+// so their cache misses overlap, and the per-tuple loop then finds the
+// chain heads in cache instead of stalling on one miss per lookup. It
+// reads the store turns from copies of the counters run is about to
+// advance.
+func (c *softCore) prefetch(batch []core.Input) {
+	countR, countS, nextR, nextS := c.countR, c.countS, c.nextR, c.nextS
+	var sum uint64
+	for i := range batch {
+		key := batch[i].Tuple.Key
+		if batch[i].Side == stream.SideR {
+			sum += c.idxS.Touch(key)
+			if countR == nextR {
+				sum += c.idxR.Touch(key)
+				nextR += c.stride
+			}
+			countR++
+		} else {
+			sum += c.idxR.Touch(key)
+			if countS == nextS {
+				sum += c.idxS.Touch(key)
+				nextS += c.stride
+			}
+			countS++
+		}
+	}
+	c.touched += sum
 }
 
 // probe matches t against the opposite sub-window, appending results to

@@ -9,17 +9,23 @@ import "math/bits"
 // GPU stream-join kernels build over their window partitions.
 //
 // Design: open addressing with linear probing over a power-of-two table
-// of (key, insert number) entries. Expiry never touches the index — an
-// entry is live iff its insert number still falls inside the window's
-// resident generation range [Total-Len, Total), which makes the index
-// tombstone-free: stale entries need no marker, they age out by the
-// generation check alone. The ring-slot invariant (insert n occupies ring
-// slot n mod Cap) turns a live entry back into its tuple with one array
-// load. Inserts reclaim stale entries they cross (safe under open
-// addressing: the slot stays occupied, so other chains keep their
-// terminator-free prefix), and the table is rebuilt from the ring —
-// amortized O(1) per insert, zero allocations — whenever the occupied
-// fraction reaches half, so probe chains stay short forever.
+// of packed 8-byte slots, key<<32 | gen, so one probe step is one load
+// from one cache line. gen is the entry's insert number re-based to the
+// last rebuild: gen = n − base + 1, where base is the oldest resident at
+// that rebuild, and the zero slot marks an unused entry. Expiry never
+// touches the index — an entry is live iff its insert number still falls
+// inside the window's resident generation range [Total-Len, Total), that
+// is iff gen > (Total-Len) − base, which makes the index tombstone-free:
+// stale entries need no marker, they age out by the generation check
+// alone. The ring-slot invariant (insert n occupies ring slot n mod Cap)
+// turns a live entry back into its tuple with one array load. Inserts
+// reclaim stale entries they cross (safe under open addressing: the slot
+// stays occupied, so other chains keep their terminator-free prefix), and
+// the table is rebuilt from the ring — amortized O(1) per insert, zero
+// allocations — whenever the occupied fraction reaches half, so probe
+// chains stay short forever, and before a gen would reach 2^32−1, so a
+// stale slot no insert reclaimed can never wrap around into the live
+// range.
 //
 // The index is single-writer, like the window it covers. After
 // SlidingWindow.Reset (which restarts the generation counter) call
@@ -28,16 +34,15 @@ type KeyIndex struct {
 	w     *SlidingWindow
 	shift uint     // 64 - log2(table size): Fibonacci-hash bucket select
 	mask  uint64   // table size - 1
-	keys  []uint32 // entry keys
-	ns    []uint64 // entry insert numbers; emptySlot marks unused slots
+	slots []uint64 // key<<32 | gen; 0 marks an unused slot
+	base  uint64   // insert number of gen 1: the oldest resident at the last rebuild
 	used  int      // occupied (live or stale) slots
 	limit int      // rebuild threshold on used
 }
 
-// emptySlot marks a table slot that has never held an entry since the
-// last rebuild. Insert numbers are window generations and can never
-// reach it.
-const emptySlot = ^uint64(0)
+// maxGen bounds the gens NoteInsert hands out: the insert that would
+// reach it rebuilds instead, re-basing every resident to a small gen.
+const maxGen uint64 = 1<<32 - 1
 
 // fibMul is 2^64 divided by the golden ratio: Fibonacci multiplicative
 // hashing spreads the 32-bit keys over the table's high bits.
@@ -55,8 +60,7 @@ func NewKeyIndex(w *SlidingWindow) *KeyIndex {
 		w:     w,
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 		mask:  uint64(size - 1),
-		keys:  make([]uint32, size),
-		ns:    make([]uint64, size),
+		slots: make([]uint64, size),
 		limit: size / 2,
 	}
 	ix.Rebuild()
@@ -68,32 +72,40 @@ func (ix *KeyIndex) bucket(key uint32) uint64 {
 	return (uint64(key) * fibMul) >> ix.shift
 }
 
+// Touch loads the first slot of key's probe chain and returns it. A
+// caller about to probe or insert a batch of keys touches them all first:
+// the loads are independent, so their cache misses overlap instead of
+// stalling one lookup at a time.
+func (ix *KeyIndex) Touch(key uint32) uint64 {
+	return ix.slots[ix.bucket(key)]
+}
+
 // NoteInsert indexes the tuple the window just accepted; call it
 // immediately after every SlidingWindow.Insert on an indexed window. It
 // performs no allocation: table growth is fixed at construction, and the
-// periodic rebuild reuses the same arrays.
+// periodic rebuild reuses the same array.
 func (ix *KeyIndex) NoteInsert(key uint32) {
-	if ix.used >= ix.limit {
+	gen := ix.w.total - ix.base // (total-1) − base + 1
+	if ix.used >= ix.limit || gen >= maxGen {
 		// Rebuild reindexes every resident — including the tuple this call
 		// is noting, since the window insert has already happened.
 		ix.Rebuild()
 		return
 	}
-	minLive := ix.w.total - uint64(ix.w.count)
+	stale := ix.w.total - uint64(ix.w.count) - ix.base
 	i := ix.bucket(key)
 	for {
-		e := ix.ns[i]
-		if e == emptySlot {
+		e := ix.slots[i]
+		if e == 0 {
 			ix.used++
 			break
 		}
-		if e < minLive {
+		if uint64(uint32(e)) <= stale {
 			break // stale entry: reclaim it in place
 		}
 		i = (i + 1) & ix.mask
 	}
-	ix.keys[i] = key
-	ix.ns[i] = ix.w.total - 1
+	ix.slots[i] = uint64(key)<<32 | gen
 }
 
 // AppendMatches appends every resident tuple whose key equals key to dst
@@ -102,40 +114,38 @@ func (ix *KeyIndex) NoteInsert(key uint32) {
 // the currency a Comparisons() counter should report. Matches surface in
 // probe-chain order, not window arrival order.
 func (ix *KeyIndex) AppendMatches(key uint32, dst []Tuple) ([]Tuple, int) {
-	minLive := ix.w.total - uint64(ix.w.count)
+	stale := ix.w.total - uint64(ix.w.count) - ix.base
+	first := ix.base - 1 // insert number of gen 0
 	ring := uint64(len(ix.w.buf))
 	examined := 0
 	for i := ix.bucket(key); ; i = (i + 1) & ix.mask {
-		e := ix.ns[i]
-		if e == emptySlot {
+		e := ix.slots[i]
+		if e == 0 {
 			return dst, examined
 		}
 		examined++
-		if ix.keys[i] == key && e >= minLive {
-			dst = append(dst, ix.w.buf[e%ring])
+		if uint32(e>>32) == key && uint64(uint32(e)) > stale {
+			dst = append(dst, ix.w.buf[(first+uint64(uint32(e)))%ring])
 		}
 	}
 }
 
-// Rebuild reindexes the window from scratch, dropping every stale entry.
-// It runs automatically when the table's occupied fraction reaches half;
+// Rebuild reindexes the window from scratch, dropping every stale entry
+// and re-basing the gens to the oldest resident. It runs automatically
+// when the table's occupied fraction reaches half or the gens near 2^32;
 // call it manually only after SlidingWindow.Reset.
 func (ix *KeyIndex) Rebuild() {
-	for i := range ix.ns {
-		ix.ns[i] = emptySlot
-	}
+	clear(ix.slots)
 	w := ix.w
 	ix.used = w.count
-	minLive := w.total - uint64(w.count)
+	ix.base = w.total - uint64(w.count)
 	ring := uint64(len(w.buf))
 	for j := uint64(0); j < uint64(w.count); j++ {
-		n := minLive + j
-		key := w.buf[n%ring].Key
+		key := w.buf[(ix.base+j)%ring].Key
 		i := ix.bucket(key)
-		for ix.ns[i] != emptySlot {
+		for ix.slots[i] != 0 {
 			i = (i + 1) & ix.mask
 		}
-		ix.keys[i] = key
-		ix.ns[i] = n
+		ix.slots[i] = uint64(key)<<32 | (j + 1)
 	}
 }

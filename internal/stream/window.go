@@ -8,18 +8,20 @@ import "fmt"
 // buffers realized in BRAM on the hardware join cores: a fixed-capacity
 // ring where inserting into a full window expires the oldest tuple.
 //
-// Alongside the tuple ring the window maintains a structure-of-arrays
+// Alongside the tuple ring the window can maintain a structure-of-arrays
 // column of the packed 64-bit bus words (Tuple.Word: key in the high
-// half, value in the low half), kept in sync on every mutation. Probe
-// kernels scan this flat column instead of loading whole Tuple structs —
-// the cache-friendly dense-key-array layout the paper's GPU and FPGA
-// joins owe their data parallelism to — and materialize full tuples from
-// the ring only for actual matches.
+// half, value in the low half). Scan kernels sweep this flat column
+// instead of loading whole Tuple structs — the cache-friendly dense-key-
+// array layout the paper's GPU and FPGA joins owe their data parallelism
+// to — and materialize full tuples from the ring only for actual matches.
+// The column is built by the first WordSegments call and kept in sync on
+// every mutation from then on; a window nobody sweeps (hash-indexed,
+// bi-flow and hardware-model windows) never pays its 8 bytes per slot.
 //
 // The zero value is not usable; construct with NewSlidingWindow.
 type SlidingWindow struct {
 	buf   []Tuple  // fixed backing store of len == capacity
-	words []uint64 // SoA column: words[i] == buf[i].Word(), same ring layout
+	words []uint64 // SoA column: words[i] == buf[i].Word(), same ring layout; nil until WordSegments
 	head  int      // position of the oldest tuple
 	count int
 	total uint64 // inserts ever accepted (Reset zeroes it)
@@ -32,7 +34,7 @@ func NewSlidingWindow(capacity int) *SlidingWindow {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("stream: window capacity must be positive, got %d", capacity))
 	}
-	return &SlidingWindow{buf: make([]Tuple, capacity), words: make([]uint64, capacity)}
+	return &SlidingWindow{buf: make([]Tuple, capacity)}
 }
 
 // Cap returns the window capacity.
@@ -56,13 +58,17 @@ func (w *SlidingWindow) Insert(t Tuple) (expired Tuple, ok bool) {
 	if w.count < len(w.buf) {
 		i := (w.head + w.count) % len(w.buf)
 		w.buf[i] = t
-		w.words[i] = t.Word()
+		if w.words != nil {
+			w.words[i] = t.Word()
+		}
 		w.count++
 		return Tuple{}, false
 	}
 	expired = w.buf[w.head]
 	w.buf[w.head] = t
-	w.words[w.head] = t.Word()
+	if w.words != nil {
+		w.words[w.head] = t.Word()
+	}
 	w.head = (w.head + 1) % len(w.buf)
 	return expired, true
 }
@@ -119,8 +125,16 @@ func (w *SlidingWindow) Segments() (older, newer []Tuple) {
 // WordSegments mirrors Segments over the packed word column: the same
 // older/newer split, element-aligned with the tuple views, so a kernel
 // can sweep the dense words and materialize tuples only for hits. The
-// views alias the window's storage under the same validity rules.
+// views alias the window's storage under the same validity rules. The
+// first call builds the column from the ring (one allocation); every
+// later Insert keeps it current.
 func (w *SlidingWindow) WordSegments() (older, newer []uint64) {
+	if w.words == nil {
+		w.words = make([]uint64, len(w.buf))
+		for i, t := range w.buf {
+			w.words[i] = t.Word()
+		}
+	}
 	if w.head+w.count <= len(w.words) {
 		return w.words[w.head : w.head+w.count], nil
 	}
