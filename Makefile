@@ -34,7 +34,7 @@ test:
 # packages below.
 test-race:
 	$(GO) test -race . ./cmd/streamload/ ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
-		./internal/checkpoint/ ./internal/rebalance/ ./internal/server/ ./internal/shard/ \
+		./internal/checkpoint/ ./internal/daemon/ ./internal/server/ ./internal/shard/ \
 		./internal/softjoin/ ./internal/stream/ ./internal/wire/
 
 # Short fuzzing pass over the wire-protocol decoders (10s per target),

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
 
 	"accelstream"
+	"accelstream/internal/daemon"
 )
 
 // TestRunRefusesBadFlags: each inconsistent flag combination is refused
@@ -27,7 +31,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{"bad probe kernel", []string{"-probe-kernel", "bogus"}, `unknown probe kernel "bogus"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(append([]string{"-addr", "no-port", "-quiet"}, tc.args...))
+			err := run(context.Background(), append([]string{"-addr", "no-port", "-quiet"}, tc.args...))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
@@ -43,7 +47,7 @@ func TestRunVersion(t *testing.T) {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	runErr := run([]string{"-version"})
+	runErr := run(context.Background(), []string{"-version"})
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -55,5 +59,19 @@ func TestRunVersion(t *testing.T) {
 	}
 	if want := accelstream.Version("streamd") + "\n"; string(out) != want {
 		t.Errorf("-version printed %q, want %q", out, want)
+	}
+}
+
+// TestFlagDefaults pins the name and default of every flag against
+// testdata/flags.golden.
+func TestFlagDefaults(t *testing.T) {
+	var got strings.Builder
+	daemon.New("streamd").Flags().VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s=%s\n", f.Name, f.DefValue) })
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flags drifted from testdata/flags.golden:\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }

@@ -17,7 +17,8 @@
 // Against a secured streamd, -tls (with -tls-ca pointing at the server's
 // certificate, or -tls-skip-verify for testing) encrypts the session and
 // -auth-token authenticates it; -tls-cert/-tls-key add a client
-// certificate for mutual TLS.
+// certificate for mutual TLS. Each of -tls-ca, -tls-servername,
+// -tls-skip-verify and -tls-cert implies -tls.
 package main
 
 import (
@@ -102,7 +103,7 @@ func run(args []string, out io.Writer) error {
 	verify := fs.Bool("verify", false, "check results against the oracle (buffers all inputs+results; small runs only)")
 	useTLS := fs.Bool("tls", false, "dial the server over TLS")
 	tlsCA := fs.String("tls-ca", "", "PEM CA bundle that signs the server certificate (implies -tls)")
-	tlsServerName := fs.String("tls-servername", "", "hostname to verify on the server certificate (when dialing by IP)")
+	tlsServerName := fs.String("tls-servername", "", "hostname to verify on the server certificate, when dialing by IP (implies -tls)")
 	tlsSkipVerify := fs.Bool("tls-skip-verify", false, "dial over TLS without verifying the server certificate (testing only)")
 	tlsCert := fs.String("tls-cert", "", "PEM client certificate for mutual TLS (requires -tls-key)")
 	tlsKey := fs.String("tls-key", "", "PEM private key matching -tls-cert")
@@ -141,7 +142,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	var opts []accelstream.DialOption
-	if *useTLS || *tlsCA != "" || *tlsSkipVerify || *tlsCert != "" {
+	if *useTLS || *tlsCA != "" || *tlsServerName != "" || *tlsSkipVerify || *tlsCert != "" {
 		tlsCfg, err := accelstream.LoadClientTLS(*tlsCA, *tlsServerName, *tlsSkipVerify)
 		if err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/testcert"
 )
 
 // TestRunRefusesBadFlags: each inconsistent flag combination is refused
@@ -68,5 +69,40 @@ func TestRunVerifiesAgainstOracle(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "results: 0 received") {
 		t.Errorf("no results joined, so the oracle check proved nothing:\n%s", out.String())
+	}
+}
+
+// TestRunTLSFlagsImplyTLS: each TLS client flag given alone dials over
+// TLS. The server's certificate is signed by a throwaway CA, so a TLS dial
+// fails certificate verification; a plaintext dial would fail the
+// handshake instead.
+func TestRunTLSFlagsImplyTLS(t *testing.T) {
+	serverTLS, _, err := testcert.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{TLS: serverTLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"server name", []string{"-tls-servername", "localhost"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			args := append([]string{"-addr", srv.Addr().String(), "-tuples", "64", "-batch", "64", "-dial-timeout", "5s"}, tc.args...)
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), "certificate") {
+				t.Fatalf("run(%q) = %v, want a certificate verification error", tc.args, err)
+			}
+		})
 	}
 }

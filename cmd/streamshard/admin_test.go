@@ -14,8 +14,8 @@ import (
 	"accelstream/internal/workload"
 )
 
-// startBackend launches one backing streamd-equivalent server.
-func startBackend(t *testing.T) string {
+// startBackendServer launches one backing streamd-equivalent server.
+func startBackendServer(t *testing.T) *accelstream.Server {
 	t.Helper()
 	srv, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{})
 	if err != nil {
@@ -26,7 +26,12 @@ func startBackend(t *testing.T) string {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return srv.Addr().String()
+	return srv
+}
+
+// startBackend launches one backing server and returns its address.
+func startBackend(t *testing.T) string {
+	return startBackendServer(t).Addr().String()
 }
 
 // adminPost hits one admin handler through the mux and returns the

@@ -14,26 +14,22 @@ import (
 	"accelstream/internal/workload"
 )
 
-// startFront serves the daemon's own session engine — routerEngine over a
-// shard router across two fresh backends — behind a front server, the way
-// run() wires it. It returns the front address and a channel that carries
-// each session's engine once the session has built it.
-func startFront(t *testing.T) (string, <-chan *routerEngine) {
+// startFront serves the daemon's own session engine factory over the
+// given backends behind a front server whose default probe kernel is
+// kernel. It returns the front address and a channel that carries each
+// session's engine once the session has built it.
+func startFront(t *testing.T, kernel accelstream.ProbeKernel, backends ...string) (string, <-chan *routerEngine) {
 	t.Helper()
-	backends := []string{startBackend(t), startBackend(t)}
-	reg := newRouterRegistry(backends, t.Logf)
+	factory := newEngine(newRouterRegistry(backends, t.Logf), accelstream.ShardConfig{})
 	engines := make(chan *routerEngine, 1)
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
+		ProbeKernel: kernel,
 		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
-			r, err := accelstream.DialSharded(accelstream.ShardConfig{
-				Addrs: reg.dep.Addrs(), Cores: oc.Cores, Window: oc.Window,
-			})
-			if err != nil {
-				return nil, err
+			eng, err := factory(oc)
+			if err == nil {
+				engines <- eng.(*routerEngine)
 			}
-			eng := &routerEngine{r: r, reg: reg, id: reg.add(r, routerMeta{cores: oc.Cores, window: oc.Window})}
-			engines <- eng
-			return eng, nil
+			return eng, err
 		},
 	})
 	if err != nil {
@@ -47,13 +43,36 @@ func startFront(t *testing.T) (string, <-chan *routerEngine) {
 	return front.Addr().String(), engines
 }
 
+// TestFrontKernelReachesShards: a session that leaves its probe kernel on
+// auto runs the front's -probe-kernel default on every backing shard. The
+// front server resolves the kernel before the factory sees the session,
+// so the factory forwards it as given.
+func TestFrontKernelReachesShards(t *testing.T) {
+	backends := []*accelstream.Server{startBackendServer(t), startBackendServer(t)}
+	addr, engines := startFront(t, accelstream.KernelScan, backends[0].Addr().String(), backends[1].Addr().String())
+	c, err := accelstream.Dial(addr, accelstream.SessionConfig{
+		Engine: accelstream.EngineSoftwareUniFlow, Cores: 1, Window: 64, ProbeKernel: accelstream.KernelAuto,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-engines
+	defer c.Close()
+	for i, b := range backends {
+		ms := b.Metrics()
+		if len(ms) != 1 || ms[0].Kernel != "scan" {
+			t.Errorf("backend %d sessions %+v, want one running the scan kernel", i, ms)
+		}
+	}
+}
+
 // TestFrontSessionServesRouterBatches: the front session must pull the
 // router's merged result batches through the batch capability (never the
 // per-result Results view) and the client must still see the oracle's
 // multiset.
 func TestFrontSessionServesRouterBatches(t *testing.T) {
 	const window, tuples, batchSz = 64, 8000, 64
-	addr, engines := startFront(t)
+	addr, engines := startFront(t, accelstream.KernelAuto, startBackend(t), startBackend(t))
 	c, err := accelstream.Dial(addr, accelstream.SessionConfig{
 		Engine: accelstream.EngineSoftwareUniFlow, Cores: 2, Window: window,
 	})
@@ -100,7 +119,7 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 // client must still see the oracle's multiset.
 func TestFrontSessionMergedPushesOracle(t *testing.T) {
 	const window, tuples, frame, perWrite = 64, 8192, 32, 16
-	addr, _ := startFront(t)
+	addr, _ := startFront(t, accelstream.KernelAuto, startBackend(t), startBackend(t))
 	gen, err := workload.NewGenerator(workload.Spec{Seed: 29, KeyDomain: 32})
 	if err != nil {
 		t.Fatal(err)

@@ -54,37 +54,26 @@
 // back-side shard dials with -shard-tls/-shard-tls-ca/-shard-auth-token —
 // redials after a shard drop reuse the same TLS and token, so a secured
 // shard set survives connection loss.
+//
+// The flags streamshard shares with streamd, and the serve and drain
+// sequence around the front listener, are internal/daemon's; this command
+// adds the router flags, the engine factory, the registry with its admin
+// routes, and the autoscaler.
 package main
 
 import (
 	"context"
-	"crypto/tls"
-	"flag"
 	"fmt"
-	"log"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"accelstream"
+	"accelstream/internal/daemon"
 	"accelstream/internal/stream"
 )
-
-// registerPprof mounts the net/http/pprof handlers on the metrics mux,
-// gated behind -pprof instead of the package's DefaultServeMux side
-// effect.
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
 
 // metricsHandler serves one exposition: the front server's streamd_*
 // families, then the registry's streamshard_* families.
@@ -97,7 +86,10 @@ func metricsHandler(srv *accelstream.Server, reg *routerRegistry) http.Handler {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "streamshard:", err)
 		os.Exit(1)
 	}
@@ -165,184 +157,147 @@ func parseAddrs(name, value string) ([]string, error) {
 	return addrs, nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("streamshard", flag.ExitOnError)
-	addr := fs.String("addr", ":7800", "listen address")
-	shards := fs.String("shards", "", "comma-separated backing streamd addresses (required; order fixes residue classes)")
-	standbyShards := fs.String("standby-shards", "", "comma-separated standby streamd addresses the autoscaler may grow into, in activation order")
-	autoscaleOn := fs.Bool("autoscale", false, "closed-loop shard autoscaling over -shards plus -standby-shards (conservative default policy; tune with -autoscale-config)")
-	autoscaleConfig := fs.String("autoscale-config", "", "autoscale policy from this JSON file (implies -autoscale; see README, \"Autoscaling\")")
-	credits := fs.Int("credits", 8, "per-session batch-credit window")
-	maxBatch := fs.Int("maxbatch", 8192, "maximum tuples per batch frame")
-	idle := fs.Duration("idle", 2*time.Minute, "idle session timeout (negative disables)")
-	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
-	queueDepth := fs.Int("queue", 4, "per-shard pending-batch queue depth")
-	redials := fs.Int("redials", 3, "redial attempts before a dropped shard is abandoned (negative disables redial)")
-	failFast := fs.Bool("failfast", false, "fail sessions when a shard is permanently lost instead of degrading")
-	maxSessions := fs.Int("max-sessions", 0, "concurrent front-side session cap (0: unlimited)")
-	quotaConfig := fs.String("quota-config", "", "multi-tenant admission quotas for front-side sessions from this JSON file (see README, \"Multi-tenant operation\")")
-	maxWindowMem := fs.Int64("max-window-mem", 0, "aggregate window-memory budget in bytes across front-side sessions (0: unlimited; overrides the -quota-config server entry)")
-	rateLimit := fs.Float64("rate-limit", 0, "sustained ingest cap in tuples/sec across front-side sessions, enforced by credit shaping (0: unlimited; overrides the -quota-config server entry)")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus-format metrics on this address at /metrics (empty disables)")
-	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics listener")
-	tlsCert := fs.String("tls-cert", "", "serve front-side sessions over TLS with this PEM certificate (requires -tls-key)")
-	tlsKey := fs.String("tls-key", "", "PEM private key matching -tls-cert")
-	authToken := fs.String("auth-token", "", "require this session auth token on front-side sessions")
-	shardTLS := fs.Bool("shard-tls", false, "dial backing shards over TLS")
-	shardTLSCA := fs.String("shard-tls-ca", "", "PEM CA bundle that signs the shards' certificates (implies -shard-tls)")
-	shardTLSServerName := fs.String("shard-tls-servername", "", "hostname to verify on shard certificates (when dialing by IP)")
-	shardTLSSkipVerify := fs.Bool("shard-tls-skip-verify", false, "dial shards over TLS without verifying their certificates (testing only)")
-	shardAuthToken := fs.String("shard-auth-token", "", "session auth token presented to the backing shards")
-	shardTenant := fs.String("shard-tenant", "", "tenant identity presented to the backing shards when the front session names none (front-session tenants are forwarded as-is)")
-	probeKernel := fs.String("probe-kernel", "auto", "default probe kernel forwarded to the backing shard engines: auto, hash, or scan (sessions naming a kernel keep their choice)")
-	ckptDir := fs.String("checkpoint-dir", "", "durable global-window snapshots in this directory (restored on restart; empty disables)")
-	ckptInterval := fs.Duration("checkpoint-interval", 0, "automatic snapshot cadence (0: default 5s; negative: only final snapshots)")
-	quiet := fs.Bool("quiet", false, "suppress per-session log lines")
-	version := fs.Bool("version", false, "print version and exit")
-	fs.Parse(args)
+// routerFlags are streamshard's own flags, registered beside the shared
+// daemon flags: the shard set, the autoscaler, and how the router dials
+// its shards.
+type routerFlags struct {
+	shards, standby, autoscaleConfig                  string
+	autoscale, failFast, shardTLS, shardTLSSkipVerify bool
+	queue, redials                                    int
+	shardTLSCA, shardTLSServerName                    string
+	shardAuthToken, shardTenant                       string
+}
 
-	if *version {
-		fmt.Println(accelstream.Version("streamshard"))
-		return nil
-	}
-	if *pprofOn && *metricsAddr == "" {
-		return fmt.Errorf("-pprof requires -metrics (pprof is served on the metrics listener)")
-	}
-	if (*tlsCert == "") != (*tlsKey == "") {
-		return fmt.Errorf("-tls-cert and -tls-key must be given together")
-	}
+// newFlags registers the shared daemon flags and the router's own on one
+// FlagSet.
+func newFlags() (*daemon.Daemon, *routerFlags) {
+	d := daemon.New("streamshard")
+	f := new(routerFlags)
+	fs := d.Flags()
+	fs.StringVar(&f.shards, "shards", "", "comma-separated backing streamd addresses (required; order fixes residue classes)")
+	fs.StringVar(&f.standby, "standby-shards", "", "comma-separated standby streamd addresses the autoscaler may grow into, in activation order")
+	fs.BoolVar(&f.autoscale, "autoscale", false, "closed-loop shard autoscaling over -shards plus -standby-shards (conservative default policy; tune with -autoscale-config)")
+	fs.StringVar(&f.autoscaleConfig, "autoscale-config", "", "autoscale policy from this JSON file (implies -autoscale; see README, \"Autoscaling\")")
+	fs.IntVar(&f.queue, "queue", 4, "per-shard pending-batch queue depth")
+	fs.IntVar(&f.redials, "redials", 3, "redial attempts before a dropped shard is abandoned (negative disables redial)")
+	fs.BoolVar(&f.failFast, "failfast", false, "fail sessions when a shard is permanently lost instead of degrading")
+	fs.BoolVar(&f.shardTLS, "shard-tls", false, "dial backing shards over TLS")
+	fs.StringVar(&f.shardTLSCA, "shard-tls-ca", "", "PEM CA bundle that signs the shards' certificates (implies -shard-tls)")
+	fs.StringVar(&f.shardTLSServerName, "shard-tls-servername", "", "hostname to verify on shard certificates, when dialing by IP (implies -shard-tls)")
+	fs.BoolVar(&f.shardTLSSkipVerify, "shard-tls-skip-verify", false, "dial shards over TLS without verifying their certificates (testing only)")
+	fs.StringVar(&f.shardAuthToken, "shard-auth-token", "", "session auth token presented to the backing shards")
+	fs.StringVar(&f.shardTenant, "shard-tenant", "", "tenant identity presented to the backing shards when the front session names none (front-session tenants are forwarded as-is)")
+	return d, f
+}
 
-	addrs, err := parseAddrs("shards", *shards)
+// shardTemplate is the ShardConfig every session's router dials with,
+// less the session's own shape, which newEngine fills in. A CA, a server
+// name and skipping verification each mean something only over TLS, so
+// each implies -shard-tls.
+func (f *routerFlags) shardTemplate(logf func(format string, args ...any)) (accelstream.ShardConfig, error) {
+	tmpl := accelstream.ShardConfig{
+		QueueDepth: f.queue,
+		Redial:     accelstream.ShardRedialPolicy{Attempts: f.redials},
+		FailFast:   f.failFast,
+		Tenant:     f.shardTenant,
+		AuthToken:  f.shardAuthToken,
+		Logf:       logf,
+	}
+	if f.shardTLS || f.shardTLSCA != "" || f.shardTLSServerName != "" || f.shardTLSSkipVerify {
+		var err error
+		if tmpl.TLS, err = accelstream.LoadClientTLS(f.shardTLSCA, f.shardTLSServerName, f.shardTLSSkipVerify); err != nil {
+			return tmpl, err
+		}
+	}
+	return tmpl, nil
+}
+
+// newEngine is the daemon's session engine factory: each front session
+// gets a shard router over the deployment's current shard set, dialed
+// with tmpl's settings, and registered so the admin endpoint can
+// rebalance it live.
+func newEngine(reg *routerRegistry, tmpl accelstream.ShardConfig) func(accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
+	return func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
+		if oc.Engine != accelstream.EngineSoftwareUniFlow {
+			return nil, fmt.Errorf("streamshard: only the software uni-flow engine can be sharded, got %v", oc.Engine)
+		}
+		if oc.ShardCount > 1 {
+			return nil, fmt.Errorf("streamshard: session is already sharded; chain routers by listing routers as shards instead")
+		}
+		scfg := tmpl
+		scfg.Addrs = reg.dep.Addrs()
+		scfg.Cores, scfg.Window = oc.Cores, oc.Window
+		// Non-zero BaseSeqR/S means the session resumes from a durable
+		// checkpoint: every shard session opens at the same base offsets,
+		// and the server installs the recovered window via ImportState
+		// before the first batch.
+		scfg.BaseSeqR, scfg.BaseSeqS = oc.BaseSeqR, oc.BaseSeqS
+		// The front server has already resolved an auto kernel to its
+		// -probe-kernel default.
+		scfg.ProbeKernel = oc.ProbeKernel
+		// Forward the front session's tenant identity to every backing
+		// shard session (redials and rebalances included), so the shards'
+		// admission accounting sees the real tenant rather than the
+		// router; -shard-tenant fills in for anonymous ones.
+		if oc.Tenant != "" {
+			scfg.Tenant = oc.Tenant
+		}
+		r, err := accelstream.DialSharded(scfg)
+		if err != nil {
+			return nil, err
+		}
+		meta := routerMeta{cores: oc.Cores, window: oc.Window, ordered: oc.Ordered}
+		return &routerEngine{r: r, reg: reg, id: reg.add(r, meta)}, nil
+	}
+}
+
+// run serves the router until ctx is done.
+func run(ctx context.Context, args []string) error {
+	d, f := newFlags()
+	if ok, err := d.Parse(args); !ok {
+		return err
+	}
+	addrs, err := parseAddrs("shards", f.shards)
 	if err != nil {
 		return err
 	}
 	if len(addrs) == 0 {
 		return fmt.Errorf("-shards is required (comma-separated streamd addresses)")
 	}
-	standby, err := parseAddrs("standby-shards", *standbyShards)
+	standby, err := parseAddrs("standby-shards", f.standby)
 	if err != nil {
 		return err
 	}
-	if *autoscaleConfig != "" {
-		*autoscaleOn = true
-	}
-
-	defaultKernel, err := accelstream.ParseProbeKernel(*probeKernel)
+	tmpl, err := f.shardTemplate(d.Config.Logf)
 	if err != nil {
 		return err
 	}
-
-	logger := log.New(os.Stderr, "streamshard: ", log.LstdFlags)
-
-	var shardTLSCfg *tls.Config
-	if *shardTLS || *shardTLSCA != "" || *shardTLSSkipVerify {
-		if shardTLSCfg, err = accelstream.LoadClientTLS(*shardTLSCA, *shardTLSServerName, *shardTLSSkipVerify); err != nil {
+	logf := d.Logger.Printf
+	reg := newRouterRegistry(addrs, logf)
+	d.Config.NewEngine = newEngine(reg, tmpl)
+	if dir := d.Config.CheckpointDir; dir != "" {
+		if err := reg.enableCheckpoints(dir); err != nil {
 			return err
 		}
 	}
-
-	reg := newRouterRegistry(addrs, logger.Printf)
-	cfg := accelstream.ServerConfig{
-		InitialCredits: *credits,
-		MaxBatch:       *maxBatch,
-		IdleTimeout:    *idle,
-		MaxSessions:    *maxSessions,
-		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
-			if oc.Engine != accelstream.EngineSoftwareUniFlow {
-				return nil, fmt.Errorf("streamshard: only the software uni-flow engine can be sharded, got %v", oc.Engine)
-			}
-			if oc.ShardCount > 1 {
-				return nil, fmt.Errorf("streamshard: session is already sharded; chain routers by listing routers as shards instead")
-			}
-			// Non-zero BaseSeqR/S means the session resumes from a durable
-			// checkpoint: every shard session opens at the same base offsets,
-			// and the server installs the recovered window via ImportState
-			// before the first batch.
-			kernel := oc.ProbeKernel
-			if kernel == accelstream.KernelAuto {
-				kernel = defaultKernel
-			}
-			// Forward the front session's tenant identity to every backing
-			// shard session (redials and rebalances included), so the
-			// shards' admission accounting sees the real tenant rather
-			// than the router; -shard-tenant fills in for anonymous ones.
-			tenant := oc.Tenant
-			if tenant == "" {
-				tenant = *shardTenant
-			}
-			scfg := accelstream.ShardConfig{
-				Addrs:       reg.dep.Addrs(),
-				Cores:       oc.Cores,
-				Window:      oc.Window,
-				QueueDepth:  *queueDepth,
-				Redial:      accelstream.ShardRedialPolicy{Attempts: *redials},
-				FailFast:    *failFast,
-				BaseSeqR:    oc.BaseSeqR,
-				BaseSeqS:    oc.BaseSeqS,
-				ProbeKernel: kernel,
-				Tenant:      tenant,
-				TLS:         shardTLSCfg,
-				AuthToken:   *shardAuthToken,
-			}
-			if !*quiet {
-				scfg.Logf = logger.Printf
-			}
-			r, err := accelstream.DialSharded(scfg)
-			if err != nil {
-				return nil, err
-			}
-			meta := routerMeta{cores: oc.Cores, window: oc.Window, ordered: oc.Ordered}
-			return &routerEngine{r: r, reg: reg, id: reg.add(r, meta)}, nil
+	hooks := daemon.Hooks{
+		Listening: fmt.Sprintf(", routing over %d shards: %s", len(addrs), strings.Join(addrs, ", ")),
+		Mux: func(mux *http.ServeMux, srv *accelstream.Server) {
+			mux.Handle("/metrics", metricsHandler(srv, reg))
+			reg.registerAdmin(mux)
+			logf("admin on the metrics listener at /admin/{shards,add-shard,remove-shard,snapshot,autoscale}")
 		},
 	}
-	if !*quiet {
-		cfg.Logf = logger.Printf
-	}
-	if *tlsCert != "" {
-		if cfg.TLS, err = accelstream.LoadServerTLS(*tlsCert, *tlsKey); err != nil {
-			return err
-		}
-	}
-	cfg.AuthToken = *authToken
-	if *authToken != "" && *tlsCert == "" {
-		logger.Printf("warning: -auth-token without TLS sends the token in the clear")
-	}
-	if *ckptDir != "" {
-		cfg.CheckpointDir, cfg.CheckpointInterval = *ckptDir, *ckptInterval
-		if err := reg.enableCheckpoints(*ckptDir); err != nil {
-			return err
-		}
-		logger.Printf("checkpoints in %s", *ckptDir)
-	} else if *ckptInterval != 0 {
-		return fmt.Errorf("-checkpoint-interval requires -checkpoint-dir")
-	}
-	var quotas accelstream.QuotaConfig
-	if *quotaConfig != "" {
-		quotas, err = accelstream.LoadQuotaConfig(*quotaConfig)
-		if err != nil {
-			return err
-		}
-	}
-	if *maxWindowMem > 0 {
-		quotas.Server.MaxWindowBytes = *maxWindowMem
-	}
-	if *rateLimit > 0 {
-		quotas.Server.RatePerSec = *rateLimit
-	}
-	if quotas.Enabled() {
-		cfg.Quotas = quotas
-		logger.Printf("admission quotas enabled (%d tenant overrides)", len(quotas.Tenants))
-	}
-	// The autoscale policy is checked before the listener opens; the
-	// throttle hook reads srv only once the loop runs.
-	var srv *accelstream.Server
-	if *autoscaleOn {
+	if f.autoscale || f.autoscaleConfig != "" {
 		pol := defaultDaemonPolicy()
-		if *autoscaleConfig != "" {
-			if pol, err = accelstream.LoadAutoscalePolicy(*autoscaleConfig); err != nil {
+		if f.autoscaleConfig != "" {
+			if pol, err = accelstream.LoadAutoscalePolicy(f.autoscaleConfig); err != nil {
 				return err
 			}
 		}
+		// The policy is checked before the listener opens; the throttle
+		// hook reads srv only once the loop runs.
+		var srv *accelstream.Server
 		err = reg.dep.EnableAutoscale(pol, standby, func() uint64 {
 			_, throttled := srv.TenantMetrics()
 			return throttled
@@ -350,60 +305,18 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		logger.Printf("autoscale enabled: %d active + %d standby shards, tick %v, cooldown %v",
+		logf("autoscale enabled: %d active + %d standby shards, tick %v, cooldown %v",
 			len(addrs), len(standby), pol.WithDefaults().Tick(), pol.WithDefaults().Cooldown())
+		auto := reg.dep.Controller()
+		hooks.Started = func(s *accelstream.Server) {
+			srv = s
+			auto.Start() // a fresh controller always starts
+		}
+		// Stop the autoscaler before draining: an in-flight tick finishes
+		// its rebalance, and no new resize starts under the shutdown.
+		hooks.Stopping = auto.Stop
 	} else if len(standby) > 0 {
-		logger.Printf("warning: -standby-shards without -autoscale; the standby pool is unused")
+		logf("warning: -standby-shards without -autoscale; the standby pool is unused")
 	}
-	if srv, err = accelstream.Serve(*addr, cfg); err != nil {
-		return err
-	}
-	if auto := reg.dep.Controller(); auto != nil {
-		auto.Start() // a fresh controller always starts
-	}
-	mode := "plaintext"
-	if *tlsCert != "" {
-		mode = "TLS"
-	}
-	logger.Printf("listening on %s (%s, auth %v), routing over %d shards: %s",
-		srv.Addr(), mode, *authToken != "", len(addrs), strings.Join(addrs, ", "))
-
-	if *metricsAddr != "" {
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metricsHandler(srv, reg))
-		reg.registerAdmin(mux)
-		if *pprofOn {
-			registerPprof(mux)
-			logger.Printf("pprof on http://%s/debug/pprof/", mln.Addr())
-		}
-		msrv := &http.Server{Handler: mux}
-		defer msrv.Close()
-		go msrv.Serve(mln)
-		logger.Printf("metrics on http://%s/metrics, admin on http://%s/admin/{shards,add-shard,remove-shard,snapshot}", mln.Addr(), mln.Addr())
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	logger.Printf("received %v, draining sessions (budget %v)", got, *drain)
-	// Stop the autoscaler before draining: an in-flight tick finishes its
-	// rebalance, and no new resize starts under the shutdown.
-	if auto := reg.dep.Controller(); auto != nil {
-		auto.Stop()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.Printf("drain budget exhausted; sessions aborted: %v", err)
-	}
-	for _, m := range srv.Metrics() {
-		logger.Printf("session %d (%v): %d tuples in / %d batches, %d results out",
-			m.ID, m.Engine, m.TuplesIn, m.BatchesIn, m.ResultsOut)
-	}
-	logger.Printf("bye")
-	return nil
+	return d.Run(ctx, hooks)
 }

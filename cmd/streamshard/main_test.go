@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"accelstream"
+	"accelstream/internal/testcert"
 )
 
 // TestRunRefusesBadFlags: each inconsistent flag combination is refused
@@ -30,7 +35,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		{"empty standby entry", append([]string{"-standby-shards", "127.0.0.1:3, ,127.0.0.1:4"}, shards...), `-standby-shards "127.0.0.1:3, ,127.0.0.1:4" has an empty entry`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(append([]string{"-addr", "no-port", "-quiet"}, tc.args...))
+			err := run(context.Background(), append([]string{"-addr", "no-port", "-quiet"}, tc.args...))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
@@ -46,7 +51,7 @@ func TestRunVersion(t *testing.T) {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	runErr := run([]string{"-version"})
+	runErr := run(context.Background(), []string{"-version"})
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -58,5 +63,62 @@ func TestRunVersion(t *testing.T) {
 	}
 	if want := accelstream.Version("streamshard") + "\n"; string(out) != want {
 		t.Errorf("-version printed %q, want %q", out, want)
+	}
+}
+
+// TestFlagDefaults pins the name and default of every flag, the shared
+// daemon flags and the router's own, against testdata/flags.golden.
+func TestFlagDefaults(t *testing.T) {
+	d, _ := newFlags()
+	var got strings.Builder
+	d.Flags().VisitAll(func(f *flag.Flag) { fmt.Fprintf(&got, "%s=%s\n", f.Name, f.DefValue) })
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flags drifted from testdata/flags.golden:\n--- got\n%s--- want\n%s", got.String(), want)
+	}
+}
+
+// TestShardTLSFlagsImplyTLS: each shard TLS flag given alone makes the
+// router dial its shards over TLS. The shard's certificate is signed by a
+// throwaway CA, so a TLS dial fails certificate verification; a plaintext
+// dial would fail the handshake instead.
+func TestShardTLSFlagsImplyTLS(t *testing.T) {
+	serverTLS, _, err := testcert.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{TLS: serverTLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"server name", []string{"-shard-tls-servername", "localhost"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, f := newFlags()
+			if err := d.Flags().Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			tmpl, err := f.shardTemplate(t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			factory := newEngine(newRouterRegistry([]string{srv.Addr().String()}, t.Logf), tmpl)
+			_, err = factory(accelstream.SessionConfig{Engine: accelstream.EngineSoftwareUniFlow, Cores: 1, Window: 64})
+			if err == nil || !strings.Contains(err.Error(), "certificate") {
+				t.Fatalf("%q: opening a session = %v, want a certificate verification error", tc.args, err)
+			}
+		})
 	}
 }

@@ -22,15 +22,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	reg := newRouterRegistry(backends, t.Logf)
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
 		CheckpointDir: t.TempDir(), // the checkpoint families too
-		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
-			r, err := accelstream.DialSharded(accelstream.ShardConfig{
-				Addrs: reg.dep.Addrs(), Cores: oc.Cores, Window: oc.Window,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &routerEngine{r: r, reg: reg, id: reg.add(r, routerMeta{cores: oc.Cores, window: oc.Window})}, nil
-		},
+		NewEngine:     newEngine(reg, accelstream.ShardConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)

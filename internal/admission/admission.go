@@ -24,6 +24,7 @@
 package admission
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -166,8 +167,11 @@ func LoadConfig(path string) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("admission: reading quota config: %w", err)
 	}
+	// A misspelt field would otherwise load as no limit at all.
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("admission: parsing quota config %s: %w", path, err)
 	}
 	for tenant := range cfg.Tenants {

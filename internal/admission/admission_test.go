@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -265,6 +266,12 @@ func TestLoadConfig(t *testing.T) {
 	}
 	if _, err := LoadConfig(path); err == nil {
 		t.Fatal("invalid tenant identity accepted")
+	}
+	if err := os.WriteFile(path, []byte(`{"server": {"max_sesions": 4}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), "max_sesions") {
+		t.Fatalf("misspelt quota field: %v, want an error naming it", err)
 	}
 	if err := os.WriteFile(path, []byte(`{nope`), 0o644); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ type elasticParams struct {
 
 // Elastic is an extension experiment for the Section VI elasticity story:
 // a live 2-shard deployment is grown to 4 and then 8 shards mid-stream
-// via the rebalance control plane (internal/rebalance), and the cost of
+// via the rebalance control plane (internal/shard), and the cost of
 // each transition is measured — the pause while window state is
 // re-sliced and installed, the tuples migrated, the ingest dip right
 // after resume, and how long the stream takes to recover to steady

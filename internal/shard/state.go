@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"accelstream/internal/core"
-	"accelstream/internal/rebalance"
 	"accelstream/internal/server"
 	"accelstream/internal/wire"
 )
@@ -15,7 +14,7 @@ import (
 // A resize, a coordinated snapshot and a restore are the same two steps
 // over a paused generation: cut every shard at one punctuation, then
 // re-slice and install. Which shard stores a tuple is a pure function of
-// its arrival index (rebalance.Reslice), so the pooled cut of N shards is
+// its arrival index (Reslice), so the pooled cut of N shards is
 // exactly the global window and installs onto any M that keeps the
 // effective window. This file holds the one pause, the one cut fan-out and
 // the one install fan-out the three operations share.
@@ -174,7 +173,7 @@ func (c *Config) checkResize(from, to int) error {
 	if c.Window%to != 0 {
 		return fmt.Errorf("Window %d does not divide evenly across %d shards", c.Window, to)
 	}
-	if o, n := rebalance.EffectiveWindow(c.Window, from, c.Cores), rebalance.EffectiveWindow(c.Window, to, c.Cores); o != n {
+	if o, n := EffectiveWindow(c.Window, from, c.Cores), EffectiveWindow(c.Window, to, c.Cores); o != n {
 		return fmt.Errorf("resizing %d -> %d shards would change the effective window %d -> %d (per-shard slice must divide by %d cores)",
 			from, to, o, n, c.Cores)
 	}
@@ -204,7 +203,7 @@ func (c *Config) checkResize(from, to int) error {
 // router's deployment: a successful resize becomes its active set and
 // takes the addresses it activates out of the standby pool, so the
 // autoscaler keeps sizing from the layout the router actually runs.
-func (r *Router) Rebalance(newAddrs []string) (rebalance.Report, error) {
+func (r *Router) Rebalance(newAddrs []string) (Report, error) {
 	if r.dep != nil {
 		r.dep.mu.Lock()
 		defer r.dep.mu.Unlock()
@@ -217,18 +216,18 @@ func (r *Router) Rebalance(newAddrs []string) (rebalance.Report, error) {
 	return r.rebalance(newAddrs)
 }
 
-func (r *Router) rebalance(newAddrs []string) (rebalance.Report, error) {
+func (r *Router) rebalance(newAddrs []string) (Report, error) {
 	old, err := r.pause()
 	if err != nil {
-		return rebalance.Report{}, err
+		return Report{}, err
 	}
 	gen := old
 	defer func() { r.resume(gen) }()
 	if err := r.cfg.checkResize(len(old), len(newAddrs)); err != nil {
-		return rebalance.Report{}, fmt.Errorf("shard: rebalance: %w", err)
+		return Report{}, fmt.Errorf("shard: rebalance: %w", err)
 	}
 	start := time.Now()
-	rep := rebalance.Report{OldShards: len(old), NewShards: len(newAddrs), SeqR: r.seqR, SeqS: r.seqS}
+	rep := Report{OldShards: len(old), NewShards: len(newAddrs), SeqR: r.seqR, SeqS: r.seqS}
 
 	slices, errs := r.cut(old, (*server.Client).ExportState)
 	oldAddrs := make([]string, len(old))
@@ -250,7 +249,7 @@ func (r *Router) rebalance(newAddrs []string) (rebalance.Report, error) {
 			pooled = append(pooled, s...)
 		}
 		rep.TuplesMigrated = uint64(len(pooled))
-		clients, errs = r.open(newAddrs, rebalance.Reslice(pooled, len(newAddrs)))
+		clients, errs = r.open(newAddrs, Reslice(pooled, len(newAddrs)))
 		for _, err := range errs {
 			if err != nil && cause == nil {
 				cause = fmt.Errorf("shard: rebalance install: %w", err)
@@ -353,7 +352,7 @@ func (r *Router) SnapshotState() ([]core.Input, uint64, uint64, error) {
 		}
 		pooled = append(pooled, slices[i]...)
 	}
-	return rebalance.Reslice(pooled, 1)[0], r.seqR, r.seqS, nil
+	return Reslice(pooled, 1)[0], r.seqR, r.seqS, nil
 }
 
 // ResultsEmitted returns how many results have been forwarded into the
@@ -385,7 +384,7 @@ func (r *Router) ImportState(tuples []core.Input) error {
 	for i, sc := range shards {
 		clients[i] = sc.client
 	}
-	for i, err := range install(clients, rebalance.Reslice(tuples, len(shards))) {
+	for i, err := range install(clients, Reslice(tuples, len(shards))) {
 		if err != nil {
 			return fmt.Errorf("shard: restoring shard %d (%s): %w", i, shards[i].addr, err)
 		}

@@ -2,7 +2,6 @@ package accelstream
 
 import (
 	"accelstream/internal/autoscale"
-	"accelstream/internal/rebalance"
 	"accelstream/internal/shard"
 )
 
@@ -34,7 +33,7 @@ type ShardStats = shard.Stats
 // set (ShardRouter.Rebalance): layout sizes, window tuples migrated,
 // the punctuation counters the transfer snapshotted, and whether the
 // run aborted back to the old layout.
-type ShardRebalanceReport = rebalance.Report
+type ShardRebalanceReport = shard.Report
 
 // DialSharded connects to every configured streamd endpoint and returns
 // the router fronting them as one logical join session. The config's TLS,
