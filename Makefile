@@ -41,7 +41,8 @@ test-race:
 # seeded from the corruption-test corpus, then the scan kernel's lanes
 # against scalar Comparator.Eval, the hash index against a linear scan
 # (starting generations near 2^32 included), then the hash and scan
-# engines against the oracle. CI-sized; run `go test -fuzz` directly for
+# engines against the oracle, then the session's ingest against its
+# credit and merge rules. CI-sized; run `go test -fuzz` directly for
 # longer campaigns. An engine trace can take ~0.1 s under coverage
 # instrumentation, so its minimization is capped by count: the default
 # 60 s would stall the pass.
@@ -62,6 +63,8 @@ fuzz-short:
 	$(GO) test -run '^FuzzKeyIndex$$' -fuzz '^FuzzKeyIndex$$' -fuzztime 10s ./internal/stream/
 	@echo "fuzzing FuzzKernelsAgainstOracle"; \
 	$(GO) test -run '^FuzzKernelsAgainstOracle$$' -fuzz '^FuzzKernelsAgainstOracle$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/softjoin/
+	@echo "fuzzing FuzzIngest"; \
+	$(GO) test -run '^FuzzIngest$$' -fuzz '^FuzzIngest$$' -fuzztime 10s ./internal/server/
 
 # Hot-path microbenchmarks (allocations reported), then the end-to-end
 # software figure; the JSON rows land in BENCH_software.json alongside

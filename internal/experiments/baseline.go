@@ -103,8 +103,8 @@ func swSelectivityRun(cores, window int, selectivity float64, measureTuples int,
 }
 
 // decodePushMicro measures the server's per-frame hot path — decode a
-// Batch frame payload, hand the batch to the engine — exactly as
-// session.readLoop performs it, returning ns per tuple and heap
+// Batch frame payload, hand the batch to the engine — exactly as the
+// server session's ingest performs it, returning ns per tuple and heap
 // allocations per batch frame.
 func decodePushMicro(batchSize int, iters int, opt Options) (nsPerTuple, allocsPerBatch float64, err error) {
 	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: 4, WindowSize: 1 << 12})
@@ -148,8 +148,8 @@ func decodePushMicro(batchSize int, iters int, opt Options) (nsPerTuple, allocsP
 	}
 	payload := append([]byte(nil), frame.Payload...)
 
-	// One pooled decode per frame, exactly as session.readLoop performs
-	// it: the decode buffer is handed back every iteration, and PushBatch
+	// One pooled decode per frame, exactly as the session's ingest
+	// performs it: the decode buffer is handed back every iteration, and PushBatch
 	// does not retain it, so steady-state frames decode allocation-free.
 	var decodeBuf []core.Input
 	step := func() error {

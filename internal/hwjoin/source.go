@@ -123,3 +123,12 @@ func (k *Sink) LastResultCycle() uint64 { return k.lastCycle }
 
 // Results returns the recorded results (empty unless keep was set).
 func (k *Sink) Results() []stream.Result { return k.results }
+
+// Take hands over the results recorded since the last Take and forgets
+// them. The returned slice is valid until the sink next evaluates, so a
+// caller draining the sink between simulation runs retains nothing.
+func (k *Sink) Take() []stream.Result {
+	r := k.results
+	k.results = k.results[:0]
+	return r
+}

@@ -158,15 +158,19 @@ func (s *session) persistSnapshot(tuples []core.Input, info wire.RebalanceInfo, 
 	}()
 }
 
-// checkpointNow cuts and persists a snapshot (the automatic-interval and
-// final-teardown paths).
-func (s *session) checkpointNow(sync bool) (wire.RebalanceInfo, error) {
+// checkpointNow cuts and persists a snapshot for the automatic-interval
+// ("auto") and final-teardown ("final") paths, logging a failed cut under
+// that name. An engine without snapshots has nothing to cut.
+func (s *session) checkpointNow(sync bool, what string) {
+	if _, ok := s.eng.(Snapshotter); !ok {
+		return
+	}
 	tuples, info, err := s.cutSnapshot()
 	if err != nil {
-		return wire.RebalanceInfo{}, err
+		s.srv.logf("session %d: %s checkpoint: %v", s.id, what, err)
+		return
 	}
 	s.persistSnapshot(tuples, info, sync)
-	return info, nil
 }
 
 // serveCut serves a Checkpoint or RebalancePrepare frame: cut the
@@ -215,17 +219,12 @@ func (s *session) maybeAutoCheckpoint() {
 	if s.srv.ckpt == nil || s.srv.cfg.CheckpointInterval <= 0 {
 		return
 	}
-	if _, ok := s.eng.(Snapshotter); !ok {
-		return
-	}
 	now := time.Now()
 	if !s.lastCkpt.IsZero() && now.Sub(s.lastCkpt) < s.srv.cfg.CheckpointInterval {
 		return
 	}
 	s.lastCkpt = now
-	if _, err := s.checkpointNow(false); err != nil {
-		s.srv.logf("session %d: auto checkpoint: %v", s.id, err)
-	}
+	s.checkpointNow(false, "auto")
 }
 
 // finalCheckpoint writes one last synchronous snapshot at session
@@ -233,14 +232,9 @@ func (s *session) maybeAutoCheckpoint() {
 // immediately with the terminal state. This is what a SIGTERM drain
 // persists. Skipped when the session handed its state to a rebalance
 // coordinator (the window now lives elsewhere) or ingested nothing.
-func (s *session) finalCheckpoint(mode closeMode) {
-	if s.srv.ckpt == nil || mode == closeExport || s.tuplesIn.Load() == 0 {
+func (s *session) finalCheckpoint(handOff bool) {
+	if s.srv.ckpt == nil || handOff || s.in.tuplesIn.Load() == 0 {
 		return
 	}
-	if _, ok := s.eng.(Snapshotter); !ok {
-		return
-	}
-	if _, err := s.checkpointNow(true); err != nil {
-		s.srv.logf("session %d: final checkpoint: %v", s.id, err)
-	}
+	s.checkpointNow(true, "final")
 }

@@ -81,11 +81,9 @@ type ResultBatcher interface {
 	NextResultBatch(wait bool) (b *stream.ResultBatch, ok bool)
 }
 
-// buildEngine instantiates the engine a session requested.
+// buildEngine instantiates the engine a session requested, from the
+// config its handshake validated.
 func buildEngine(cfg wire.OpenConfig) (Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	switch cfg.Engine {
 	case wire.EngineSoftUni:
 		e, err := softjoin.NewUniFlow(softjoin.Config{
@@ -172,19 +170,18 @@ func (e *biEngine) Backlog() int { return len(e.BiFlow.Results()) }
 
 // simEngine adapts the cycle-level simulated uni-flow FPGA design to the
 // streaming interface: each pushed batch is queued onto the simulated
-// ingress bus, the design is stepped to quiescence, and the sink's newly
-// drained results are forwarded. Processing is synchronous in the caller
-// (one bus word per simulated cycle), which is why the wire protocol caps
-// the simulated engine's window size.
+// ingress bus, the design is stepped to quiescence, and the results the
+// sink drained are taken from it and forwarded. Processing is synchronous
+// in the caller (one bus word per simulated cycle), which is why the wire
+// protocol caps the simulated engine's window size.
 type simEngine struct {
-	design    *hwjoin.UniFlowDesign
-	queue     []hwjoin.Flit
-	results   chan stream.Result
-	forwarded int
-	seqR      uint64
-	seqS      uint64
-	closed    bool
-	cycleCap  uint64 // per-tuple quiescence budget
+	design   *hwjoin.UniFlowDesign
+	queue    []hwjoin.Flit
+	results  chan stream.Result
+	seqR     uint64
+	seqS     uint64
+	closed   bool
+	cycleCap uint64 // per-tuple quiescence budget
 }
 
 func newSimEngine(cores, window int) (*simEngine, error) {
@@ -243,9 +240,8 @@ func (e *simEngine) drain(budget uint64) error {
 	if _, err := e.design.RunToQuiescence(budget); err != nil {
 		return fmt.Errorf("server: simulated engine did not quiesce: %w", err)
 	}
-	all := e.design.Sink().Results()
-	for ; e.forwarded < len(all); e.forwarded++ {
-		e.results <- all[e.forwarded] // blocks: engine backpressure
+	for _, r := range e.design.Sink().Take() {
+		e.results <- r // blocks: engine backpressure
 	}
 	return nil
 }

@@ -319,12 +319,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if s.closed || (s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions) {
 			full := !s.closed
 			s.mu.Unlock()
-			if full {
-				s.countReject(rejectCapacity)
-			} else {
-				s.countReject(rejectDraining)
-			}
-			rejectConn(conn, full)
+			s.rejectConn(conn, full)
 			continue
 		}
 		s.nextID++
@@ -340,15 +335,16 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// rejectConn turns away a connection that arrived while the server was
-// full or draining, with a best-effort Error frame.
-func rejectConn(conn net.Conn, full bool) {
-	msg := "server draining"
+// rejectConn counts and turns away a connection that arrived while the
+// server was full or draining, with a best-effort Error frame.
+func (s *Server) rejectConn(conn net.Conn, full bool) {
+	reason, msg := rejectDraining, "server draining"
 	if full {
-		msg = "server at session capacity"
+		reason, msg = rejectCapacity, "server at session capacity"
 	}
+	s.countReject(reason)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	writeErrorFrame(conn, msg)
+	wire.NewWriter(conn).WriteError(msg)
 	conn.Close()
 }
 

@@ -6,7 +6,6 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,7 +61,7 @@ type session struct {
 
 	wmu sync.Mutex // serializes frame writes (reader acks vs writer results)
 	w   *wire.Writer
-	r   *wire.Reader
+	in  *ingest // the read side: frames in, batches to the engine, credits out
 
 	eng    Engine
 	engCfg wire.OpenConfig
@@ -74,12 +73,7 @@ type session struct {
 	// released at teardown. Written before opened publishes it.
 	lease *admission.Lease
 
-	tuplesIn     atomic.Uint64
-	batchesIn    atomic.Uint64
-	resultsOut   atomic.Uint64
-	resultFrames atomic.Uint64
-	latNanos     atomic.Uint64
-	latMax       atomic.Uint64
+	resultsOut, resultFrames atomic.Uint64
 
 	// lastCkpt is when this session last cut an automatic checkpoint;
 	// touched only by the read-loop goroutine.
@@ -98,20 +92,25 @@ func newSession(srv *Server, id uint64, conn net.Conn) *session {
 		id:      id,
 		conn:    conn,
 		w:       wire.NewWriter(conn),
-		r:       wire.NewReader(conn),
 		closing: make(chan struct{}),
+	}
+	// The engine and the lease are set during the handshake, before the
+	// read loop first pushes or charges.
+	s.in = &ingest{
+		r:        wire.NewReader(conn),
+		maxBatch: srv.cfg.MaxBatch,
+		held:     &srv.creditsHeld,
+		arm:      s.armIdleDeadline,
+		push:     func(b []core.Input) error { return s.eng.PushBatch(b) },
+		credit:   func(n int) error { return s.send(func(w *wire.Writer) error { return w.WriteCredit(n) }) },
+		charge:   func(n int) time.Duration { return s.lease.Throttle(n) },
+		wait:     s.throttleWait,
 	}
 	s.live.Store(true)
 	return s
 }
 
-// writeErrorFrame best-effort emits an Error frame on a raw connection
-// (used for rejects before a session exists).
-func writeErrorFrame(w io.Writer, msg string) {
-	wire.NewWriter(w).WriteError(msg)
-}
-
-// sendLocked serializes one frame write under the session write lock.
+// send serializes one frame write under the session write lock.
 func (s *session) send(f func(*wire.Writer) error) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -123,15 +122,15 @@ func (s *session) metrics() SessionMetrics {
 	m := SessionMetrics{
 		ID:              s.id,
 		Remote:          s.conn.RemoteAddr().String(),
-		TuplesIn:        s.tuplesIn.Load(),
-		BatchesIn:       s.batchesIn.Load(),
+		TuplesIn:        s.in.tuplesIn.Load(),
+		BatchesIn:       s.in.batchesIn.Load(),
 		ResultsOut:      s.resultsOut.Load(),
 		ResultFrames:    s.resultFrames.Load(),
-		MaxBatchLatency: time.Duration(s.latMax.Load()),
+		MaxBatchLatency: time.Duration(s.in.latMax.Load()),
 		Open:            s.live.Load(),
 	}
 	if m.BatchesIn > 0 {
-		m.AvgBatchLatency = time.Duration(s.latNanos.Load() / m.BatchesIn)
+		m.AvgBatchLatency = time.Duration(s.in.latNanos.Load() / m.BatchesIn)
 	}
 	// engCfg and eng are written once during the handshake; the opened
 	// flag publishes them, so read them only after observing it.
@@ -153,13 +152,8 @@ func (s *session) metrics() SessionMetrics {
 // a throttle withhold in progress, so a deeply in-debt session cannot
 // stall a drain for the remainder of its rate debt.
 func (s *session) abort() {
-	s.signalClose()
-	s.conn.Close()
-}
-
-// signalClose latches the session's close signal.
-func (s *session) signalClose() {
 	s.closeOnce.Do(func() { close(s.closing) })
+	s.conn.Close()
 }
 
 // maxCreditWithhold caps any single throttle withhold. Rate debt beyond
@@ -174,10 +168,7 @@ const maxCreditWithhold = 5 * time.Second
 // here was uninterruptible: a tenant deep in debt could stall graceful
 // drain / SIGTERM teardown for the full debt duration.
 func (s *session) throttleWait(d time.Duration) {
-	if d > maxCreditWithhold {
-		d = maxCreditWithhold
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(min(d, maxCreditWithhold))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -185,32 +176,58 @@ func (s *session) throttleWait(d time.Duration) {
 	}
 }
 
-// grantCredits writes one Credit frame returning the *pending withheld
-// batch credits, if any, and releases them from the gauge. The read loop
-// calls it whenever it would otherwise wait: before a read that may block
-// (the buffer holds no whole next frame), before a throttle withhold and
-// before any non-Batch frame. A run of small frames that arrived together
-// is thus acknowledged with one write(2), while a frame larger than the
-// read buffer can never be whole in it and is acknowledged on its own.
-func (s *session) grantCredits(pending *int) bool {
-	n := *pending
-	if n == 0 {
-		return true
+// armIdleDeadline bounds the next frame read by the idle timeout, if any.
+func (s *session) armIdleDeadline() {
+	var d time.Time
+	if s.srv.cfg.IdleTimeout > 0 {
+		d = time.Now().Add(s.srv.cfg.IdleTimeout)
 	}
-	err := s.send(func(w *wire.Writer) error { return w.WriteCredit(n) })
-	s.srv.creditsHeld.Add(-int64(n))
-	*pending = 0
-	if err != nil {
-		s.srv.logf("session %d: writing credit: %v", s.id, err)
-		return false
-	}
-	return true
+	s.conn.SetReadDeadline(d)
 }
 
-// fail sends a best-effort Error frame and records the cause.
-func (s *session) fail(msg string) {
-	s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	s.send(func(w *wire.Writer) error { return w.WriteError(msg) })
+// sessionError is why a session ends early. Every one, from the
+// handshake, the read loop or the ingest, reaches end.
+type sessionError struct {
+	reason string        // sessions_rejected_total label; handshake failures only
+	msg    string        // the Error frame's text; empty writes none
+	reject *wire.OpenAck // a typed OpenAck rejection to write instead
+	err    error         // what the log line says
+}
+
+func (e *sessionError) Error() string { return e.err.Error() }
+
+// failf ends a session with msg as its Error frame; the log line reads
+// format.
+func failf(msg, format string, args ...any) error {
+	return &sessionError{msg: msg, err: fmt.Errorf(format, args...)}
+}
+
+// closef ends a session without a word to the client.
+func closef(format string, args ...any) error {
+	return &sessionError{err: fmt.Errorf(format, args...)}
+}
+
+// end is the one abort path: it counts a handshake reject, writes the
+// client's last frame — an Error frame or a typed OpenAck rejection, best
+// effort — and logs the line. Any other error is only logged.
+func (s *session) end(err error) {
+	var se *sessionError
+	if errors.As(err, &se) && se.reason != "" {
+		s.srv.countReject(se.reason)
+	}
+	if se != nil && (se.msg != "" || se.reject != nil) {
+		s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+		s.send(se.reply)
+	}
+	s.srv.logf("session %d: %v", s.id, err)
+}
+
+// reply writes the client's last frame.
+func (e *sessionError) reply(w *wire.Writer) error {
+	if e.reject != nil {
+		return w.WriteOpenAck(*e.reject)
+	}
+	return w.WriteError(e.msg)
 }
 
 // run owns the session from handshake to teardown.
@@ -226,7 +243,7 @@ func (s *session) run() {
 	}()
 
 	if err := s.handshake(); err != nil {
-		s.srv.logf("session %d: handshake failed: %v", s.id, err)
+		s.end(fmt.Errorf("handshake failed: %w", err))
 		return
 	}
 	s.srv.logf("session %d: open from %s (%v, %d cores, window %d, tenant %s)",
@@ -239,7 +256,10 @@ func (s *session) run() {
 		s.pumpResults()
 	}()
 
-	mode := s.readLoop()
+	handOff, err := s.readLoop()
+	if err != nil {
+		s.end(err)
+	}
 
 	// Stop the engine. Close flushes in-flight work, after which its
 	// output closes and the writer finishes streaming.
@@ -251,22 +271,18 @@ func (s *session) run() {
 	// Persist the terminal window state (the SIGTERM-drain / crash-restart
 	// snapshot) before any closing frames: the engine is drained and every
 	// result has been handed to the connection.
-	s.finalCheckpoint(mode)
+	s.finalCheckpoint(handOff)
 
-	if mode != closeAbort {
-		st := wire.Stats{
-			TuplesIn:   s.tuplesIn.Load(),
-			BatchesIn:  s.batchesIn.Load(),
-			ResultsOut: s.resultsOut.Load(),
-		}
+	m := s.metrics()
+	if err == nil {
+		st := wire.Stats{TuplesIn: m.TuplesIn, BatchesIn: m.BatchesIn, ResultsOut: m.ResultsOut}
 		s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 		if err := s.send(func(w *wire.Writer) error { return w.WriteClosed(st) }); err != nil {
 			s.srv.logf("session %d: writing closed frame: %v", s.id, err)
 		}
 	}
-	m := s.metrics()
 	s.srv.logf("session %d: closed (graceful=%v): %d tuples in / %d batches, %d results out, avg batch latency %v",
-		s.id, mode != closeAbort, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
+		s.id, err == nil, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
 }
 
 // sessionWindowBytes is the window-memory cost one session is accounted
@@ -274,15 +290,6 @@ func (s *session) run() {
 // 16 bytes each (core.Input's key+value pair).
 func sessionWindowBytes(cfg wire.OpenConfig) int64 {
 	return 2 * int64(cfg.Window) * 16
-}
-
-// reject answers a failed handshake with a typed OpenAck rejection: the
-// reject code plus an optional retry-after hint.
-func (s *session) reject(code wire.RejectCode, retryAfter time.Duration) {
-	s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	s.send(func(w *wire.Writer) error {
-		return w.WriteOpenAck(wire.OpenAck{Reject: code, RetryAfter: retryAfter})
-	})
 }
 
 // tokensMatch compares a presented auth token against the configured one
@@ -296,46 +303,37 @@ func tokensMatch(got, want string) bool {
 
 // handshake reads and validates the Open frame, authenticates the session
 // when the server requires a token, and starts the engine. Every failure
-// path classifies itself into the sessions_rejected_total reason set.
+// names its sessions_rejected_total reason.
 func (s *session) handshake() error {
 	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.HandshakeTimeout))
-	f, err := s.r.ReadFrame()
+	f, err := s.in.r.ReadFrame()
 	if err != nil {
 		// On a TLS listener the handshake runs lazily under this same
 		// read, so a plaintext or mis-configured client surfaces here
 		// with the TLS handshake incomplete.
+		reason := rejectIO
 		switch {
 		case isTimeout(err):
-			s.srv.countReject(rejectTimeout)
+			reason = rejectTimeout
 		case isIncompleteTLS(s.conn):
-			s.srv.countReject(rejectTLS)
-		default:
-			s.srv.countReject(rejectIO)
+			reason = rejectTLS
 		}
-		return err
+		return &sessionError{reason: reason, err: err}
 	}
 	if f.Type != wire.FrameOpen {
-		s.srv.countReject(rejectProtocol)
-		s.fail("expected open frame")
-		return fmt.Errorf("first frame is %v, want open", f.Type)
+		return &sessionError{reason: rejectProtocol, msg: "expected open frame",
+			err: fmt.Errorf("first frame is %v, want open", f.Type)}
 	}
 	cfg, err := wire.DecodeOpen(f.Payload)
 	if err != nil {
-		s.srv.countReject(rejectBadOpen)
-		s.fail(err.Error())
-		return err
+		return &sessionError{reason: rejectBadOpen, msg: err.Error(), err: err}
 	}
-	if want := s.srv.cfg.AuthToken; want != "" {
+	if want := s.srv.cfg.AuthToken; want != "" && !tokensMatch(cfg.AuthToken, want) {
+		reason, err := rejectBadToken, errors.New("session sent a bad auth token")
 		if cfg.AuthToken == "" {
-			s.srv.countReject(rejectNoToken)
-			s.reject(wire.RejectUnauthorized, 0)
-			return fmt.Errorf("session sent no auth token")
+			reason, err = rejectNoToken, errors.New("session sent no auth token")
 		}
-		if !tokensMatch(cfg.AuthToken, want) {
-			s.srv.countReject(rejectBadToken)
-			s.reject(wire.RejectUnauthorized, 0)
-			return fmt.Errorf("session sent a bad auth token")
-		}
+		return &sessionError{reason: reason, reject: &wire.OpenAck{Reject: wire.RejectUnauthorized}, err: err}
 	}
 	// Admission gate: resolve the tenant identity and charge the session
 	// against its quotas before any engine memory is committed. Over-limit
@@ -343,9 +341,9 @@ func (s *session) handshake() error {
 	tenant := admission.DeriveTenant(cfg.Tenant, cfg.AuthToken)
 	lease, rej := s.srv.adm.Admit(tenant, sessionWindowBytes(cfg))
 	if rej != nil {
-		s.srv.countReject(rej.Code.String())
-		s.reject(rej.Code, rej.RetryAfter)
-		return fmt.Errorf("tenant %q: %v", tenant, rej)
+		return &sessionError{reason: rej.Code.String(),
+			reject: &wire.OpenAck{Reject: rej.Code, RetryAfter: rej.RetryAfter},
+			err:    fmt.Errorf("tenant %q: %v", tenant, rej)}
 	}
 	s.lease = lease
 	// Server-wide probe-kernel default: sessions that left the kernel on
@@ -356,32 +354,26 @@ func (s *session) handshake() error {
 	}
 	build := buildEngine
 	if s.srv.cfg.NewEngine != nil {
-		build = func(cfg wire.OpenConfig) (Engine, error) {
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return s.srv.cfg.NewEngine(cfg)
-		}
+		build = s.srv.cfg.NewEngine
 	}
 	// Restore path: when a loaded checkpoint matches this session's shape,
 	// build the engine with the snapshot's arrival counters so the client
 	// replays only the post-snapshot suffix of the streams.
 	restored := s.srv.takeRestored(cfg)
 	if restored != nil {
-		cfg.BaseSeqR = restored.Meta.SeqR
-		cfg.BaseSeqS = restored.Meta.SeqS
+		cfg.BaseSeqR, cfg.BaseSeqS = restored.Meta.SeqR, restored.Meta.SeqS
 	}
-	eng, err := build(cfg)
+	var eng Engine
+	if err = cfg.Validate(); err == nil {
+		eng, err = build(cfg)
+	}
+	if err == nil {
+		err = eng.Start()
+	}
 	if err != nil {
-		s.srv.countReject(rejectEngine)
-		s.fail(err.Error())
-		return err
+		return &sessionError{reason: rejectEngine, msg: err.Error(), err: err}
 	}
-	if err := eng.Start(); err != nil {
-		s.srv.countReject(rejectEngine)
-		s.fail(err.Error())
-		return err
-	}
+	ack := wire.OpenAck{Credits: s.srv.cfg.InitialCredits, Session: s.id}
 	if restored != nil {
 		imp, ok := eng.(StateImporter)
 		if !ok {
@@ -391,89 +383,39 @@ func (s *session) handshake() error {
 		}
 		if err != nil {
 			eng.Close()
-			s.srv.countReject(rejectEngine)
-			s.fail(err.Error())
-			return fmt.Errorf("restoring checkpoint: %w", err)
+			return &sessionError{reason: rejectEngine, msg: err.Error(), err: fmt.Errorf("restoring checkpoint: %w", err)}
 		}
 		s.srv.ckptRestores.Add(1)
 		s.srv.ckptRestoreTuples.Add(uint64(len(restored.Tuples)))
 		s.srv.logf("session %d: restored checkpoint at seqs (%d, %d), %d window tuples",
 			s.id, restored.Meta.SeqR, restored.Meta.SeqS, len(restored.Tuples))
+		ack.Resumed, ack.ResumeSeqR, ack.ResumeSeqS = true, restored.Meta.SeqR, restored.Meta.SeqS
 	}
 	s.eng = eng
 	s.engCfg = cfg
 	s.opened.Store(true)
-	ack := wire.OpenAck{Credits: s.srv.cfg.InitialCredits, Session: s.id}
-	if restored != nil {
-		ack.Resumed = true
-		ack.ResumeSeqR = restored.Meta.SeqR
-		ack.ResumeSeqS = restored.Meta.SeqS
-	}
 	return s.send(func(w *wire.Writer) error { return w.WriteOpenAck(ack) })
 }
 
-// closeMode is how a session's read loop ended, which selects the
-// teardown path.
-type closeMode int
-
-const (
-	// closeAbort: connection or protocol failure — tear down silently.
-	closeAbort closeMode = iota
-	// closeGraceful: FrameClose — drain and send the Closed frame.
-	closeGraceful
-	// closeExport: FrameRebalancePrepare — the window state was cut and
-	// handed off; drain and send the Closed frame, persisting nothing.
-	closeExport
-)
-
-// readLoop ingests frames until Close (graceful), RebalancePrepare
-// (hand-off), or a connection/protocol error (abort).
-func (s *session) readLoop() closeMode {
-	// One decode buffer for the session's whole life: ingestBatches decodes
-	// into its storage, and the Engine contract says PushBatch does not
-	// retain the slice, so steady-state frame decoding never allocates.
-	var decodeBuf []core.Input
+// readLoop serves frames until Close, RebalancePrepare or an error. After
+// either frame the session drains and sends the Closed frame; it reports
+// true for a RebalancePrepare, whose window state was cut and handed off,
+// so nothing is persisted. An error aborts the session. Batch frames go
+// to the ingest; the control frames are served here.
+func (s *session) readLoop() (bool, error) {
 	// imported accumulates the client-pushed state-chunk counts until the
 	// client's RebalanceCommit closes the import.
 	var imported wire.RebalanceInfo
 	importDone := false
-	// pending counts accepted Batch frames whose credits are not yet
-	// written: one cumulative Credit frame acknowledges every batch the
-	// read buffer held (see grantCredits). An aborting loop writes nothing
-	// more but still hands the withheld credits back to the gauge.
-	pending := 0
-	defer func() { s.srv.creditsHeld.Add(-int64(pending)) }()
 	for {
-		if _, whole := s.r.FrameBuffered(); !whole && !s.grantCredits(&pending) {
-			return closeAbort
-		}
-		if s.srv.cfg.IdleTimeout > 0 {
-			s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
-		} else {
-			s.conn.SetReadDeadline(time.Time{})
-		}
-		f, err := s.r.ReadFrame()
+		f, err := s.in.next()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				s.srv.logf("session %d: client disconnected", s.id)
-			} else if isTimeout(err) {
-				s.fail("idle timeout")
-				s.srv.logf("session %d: idle timeout", s.id)
-			} else {
-				s.srv.logf("session %d: read: %v", s.id, err)
-			}
-			return closeAbort
-		}
-		// Every frame but a Batch is a control-plane step the client may
-		// wait on (CheckpointDone, RebalanceCommit, Closed): credits for the
-		// batches before it go out first.
-		if f.Type != wire.FrameBatch && !s.grantCredits(&pending) {
-			return closeAbort
+			return false, err
 		}
 		switch f.Type {
 		case wire.FrameBatch:
-			if !s.ingestBatches(f.Payload, &decodeBuf, &pending) {
-				return closeAbort
+			if err := s.in.batch(f.Payload); err != nil {
+				return false, err
 			}
 			// Each push boundary is a punctuation boundary — the cheapest
 			// place to cut an interval-driven durable snapshot.
@@ -489,21 +431,18 @@ func (s *session) readLoop() closeMode {
 			handOff := f.Type == wire.FrameRebalancePrepare
 			info, err := s.serveCut(!handOff)
 			if err != nil {
-				s.fail(err.Error())
-				s.srv.logf("session %d: %v: %v", s.id, f.Type, err)
-				return closeAbort
+				return false, failf(err.Error(), "%v: %v", f.Type, err)
 			}
 			if err := s.send(func(w *wire.Writer) error { return w.WriteCheckpointDone(info) }); err != nil {
-				s.srv.logf("session %d: writing checkpoint-done: %v", s.id, err)
-				return closeAbort
+				return false, closef("writing checkpoint-done: %v", err)
 			}
 			if handOff {
 				s.srv.logf("session %d: handed off %d R + %d S window tuples at seqs (%d, %d)",
 					s.id, info.TuplesR, info.TuplesS, info.SeqR, info.SeqS)
-				return closeExport
+				return true, nil
 			}
 		case wire.FrameClose:
-			return closeGraceful
+			return false, nil
 		case wire.FrameStateChunk:
 			// Import path: a rebalance coordinator seeds a fresh session's
 			// window before streaming resumes. Only before the first batch —
@@ -511,24 +450,18 @@ func (s *session) readLoop() closeMode {
 			// punctuation boundary the state was sliced at.
 			imp, ok := s.eng.(StateImporter)
 			if !ok {
-				s.fail(fmt.Sprintf("engine %v does not support state import", s.engCfg.Engine))
-				return closeAbort
+				msg := fmt.Sprintf("engine %v does not support state import", s.engCfg.Engine)
+				return false, failf(msg, "%s", msg)
 			}
-			if s.batchesIn.Load() != 0 || importDone {
-				s.fail("state chunk after streaming began")
-				s.srv.logf("session %d: late state chunk", s.id)
-				return closeAbort
+			if s.in.batchesIn.Load() != 0 || importDone {
+				return false, failf("state chunk after streaming began", "late state chunk")
 			}
 			tuples, err := wire.DecodeStateChunk(f.Payload)
 			if err != nil {
-				s.fail(err.Error())
-				s.srv.logf("session %d: bad state chunk: %v", s.id, err)
-				return closeAbort
+				return false, failf(err.Error(), "bad state chunk: %v", err)
 			}
 			if err := imp.ImportState(tuples); err != nil {
-				s.fail(err.Error())
-				s.srv.logf("session %d: state import: %v", s.id, err)
-				return closeAbort
+				return false, failf(err.Error(), "state import: %v", err)
 			}
 			imported.Tally(tuples)
 		case wire.FrameRebalanceCommit:
@@ -537,170 +470,26 @@ func (s *session) readLoop() closeMode {
 			// so the coordinator can verify the hand-off before resuming.
 			want, err := wire.DecodeRebalanceCommit(f.Payload)
 			if err != nil {
-				s.fail(err.Error())
-				return closeAbort
+				return false, failf(err.Error(), "bad rebalance commit: %v", err)
 			}
 			imported.SeqR, imported.SeqS = s.engCfg.BaseSeqR, s.engCfg.BaseSeqS
 			if importDone || want != imported {
-				s.fail(fmt.Sprintf("rebalance commit mismatch: sent %+v, installed %+v", want, imported))
-				s.srv.logf("session %d: rebalance commit mismatch: sent %+v, installed %+v", s.id, want, imported)
-				return closeAbort
+				msg := fmt.Sprintf("rebalance commit mismatch: sent %+v, installed %+v", want, imported)
+				return false, failf(msg, "%s", msg)
 			}
 			importDone = true
 			if err := s.send(func(w *wire.Writer) error { return w.WriteRebalanceCommit(imported) }); err != nil {
-				s.srv.logf("session %d: writing rebalance commit: %v", s.id, err)
-				return closeAbort
+				return false, closef("writing rebalance commit: %v", err)
 			}
 			s.srv.logf("session %d: imported %d R + %d S window tuples at base seqs (%d, %d)",
 				s.id, imported.TuplesR, imported.TuplesS, imported.SeqR, imported.SeqS)
 		case wire.FrameError:
-			s.srv.logf("session %d: client error: %s", s.id, wire.DecodeError(f.Payload))
-			return closeAbort
+			return false, closef("client error: %s", wire.DecodeError(f.Payload))
 		default:
-			s.fail(fmt.Sprintf("unexpected %v frame", f.Type))
-			s.srv.logf("session %d: unexpected %v frame", s.id, f.Type)
-			return closeAbort
+			msg := fmt.Sprintf("unexpected %v frame", f.Type)
+			return false, failf(msg, "%s", msg)
 		}
 	}
-}
-
-// mergeBelow is the engine batch size under which the read loop keeps
-// appending the Batch frames its read buffer already holds to one push.
-// Each push pays a fixed hand-off (the reader to the engine's distributor
-// to every core) that costs about as much as a 64-tuple batch's join work
-// and is mostly amortized by 256 tuples (BenchmarkUniFlowPush's
-// small-batch curve). A frame of mergeBelow tuples or more is always
-// pushed alone, straight from its own decode.
-const mergeBelow = 256
-
-// ingestBatches hands a Batch frame's payload to the engine, together with
-// the Batch frames behind it that the read buffer already holds: they are
-// decoded back to back into one slice and pushed with one PushBatch — the
-// input-side twin of pumpResults' coalescing and of the one Credit frame
-// per drained read buffer. A merge ends, and the push happens, at the
-// first of: the push reaching mergeBelow tuples, a next frame that is not
-// a whole buffered Batch (no push spans a control frame), a frame that
-// would take the push past MaxBatch (the frames before it go alone), and a
-// frame whose rate-shaping charge comes back non-zero. Accounting stays
-// per frame: each is one batch in, one credit and one decode-to-accept
-// latency sample. It reports false when the session must abort.
-func (s *session) ingestBatches(payload []byte, decodeBuf *[]core.Input, pending *int) bool {
-	batch := (*decodeBuf)[:0]
-	var (
-		frames int           // Batch frames in batch
-		first  time.Time     // when the first of them began decoding
-		later  time.Duration // Σ over them of decode start − first
-	)
-	// push hands batch to the engine. PushBatch blocks while the engine (or
-	// the result path back to this client) is saturated; the frames'
-	// credits are withheld for at least that long, which is the
-	// backpressure signal the client observes. The withheld interval is
-	// visible process-wide as credits_outstanding.
-	push := func() bool {
-		s.srv.creditsHeld.Add(int64(frames))
-		if err := s.eng.PushBatch(batch); err != nil {
-			s.srv.creditsHeld.Add(-int64(frames))
-			s.fail(err.Error())
-			s.srv.logf("session %d: engine push: %v", s.id, err)
-			return false
-		}
-		// Every frame waited from its own decode start; the first waited
-		// longest.
-		elapsed := time.Since(first)
-		s.tuplesIn.Add(uint64(len(batch)))
-		s.batchesIn.Add(uint64(frames))
-		s.latNanos.Add(uint64((time.Duration(frames)*elapsed - later).Nanoseconds()))
-		for {
-			prev := s.latMax.Load()
-			if uint64(elapsed.Nanoseconds()) <= prev || s.latMax.CompareAndSwap(prev, uint64(elapsed.Nanoseconds())) {
-				break
-			}
-		}
-		*pending += frames
-		frames, later = 0, 0
-		return true
-	}
-	var debt time.Duration
-	for {
-		start := time.Now()
-		// Decode behind the frames already merged. DecodeBatchInto writes
-		// into tail's storage when it has room, so the frame lands in place;
-		// otherwise it returns fresh storage of exactly the frame's size,
-		// which a lone frame keeps and a merge is copied onto once. The
-		// session keeps the larger storage, so steady state decodes in place.
-		tail := batch[len(batch):]
-		_, more, err := wire.DecodeBatchInto(payload, s.srv.cfg.MaxBatch, tail)
-		if err != nil {
-			// The frames before the bad one are good: they reach the engine
-			// and are credited before the Error frame.
-			if frames > 0 && (!push() || !s.grantCredits(pending)) {
-				return false
-			}
-			s.fail(err.Error())
-			s.srv.logf("session %d: bad batch: %v", s.id, err)
-			return false
-		}
-		if frames > 0 && len(batch)+len(more) > s.srv.cfg.MaxBatch {
-			// The frames before this one go alone; it starts the next merge.
-			if !push() {
-				return false
-			}
-			batch = tail
-		}
-		switch {
-		case cap(more) == cap(tail):
-			batch = batch[:len(batch)+len(more)]
-		case len(batch) == 0:
-			batch = more
-		default:
-			batch = append(batch, more...)
-		}
-		if cap(batch) > cap(*decodeBuf) {
-			*decodeBuf = batch[:0]
-		}
-		if frames == 0 {
-			first = start
-		}
-		frames++
-		later += start.Sub(first)
-		// Rate shaping: charge the frame against the tenant's (and the
-		// server's) token bucket as it is decoded. A debt closes the merge
-		// and withholds this frame's credit; the frame itself is still
-		// accepted — shaping delays credits, it never drops data.
-		if debt = s.lease.Throttle(len(more)); debt > 0 || len(batch) >= mergeBelow {
-			break
-		}
-		if typ, whole := s.r.FrameBuffered(); !whole || typ != wire.FrameBatch {
-			break
-		}
-		f, err := s.r.ReadFrame() // served from the buffer
-		if err != nil {
-			// A buffered frame that fails its CRC: the good frames still
-			// reach the engine, then the session aborts, as it would have
-			// reading the bad frame on its own.
-			s.srv.logf("session %d: read: %v", s.id, err)
-			push()
-			return false
-		}
-		payload = f.Payload
-	}
-	if !push() {
-		return false
-	}
-	if debt > 0 {
-		// The sleep happens while creditsHeld still counts the throttled
-		// frame, so the backpressure gauge reflects throttling too. The
-		// earlier frames' credits go out first: only the throttled frame's
-		// credit is delayed.
-		*pending--
-		ok := s.grantCredits(pending)
-		*pending++
-		if !ok {
-			return false
-		}
-		s.throttleWait(debt)
-	}
-	return true
 }
 
 // isIncompleteTLS reports whether conn is a TLS connection whose handshake
@@ -716,123 +505,4 @@ func isIncompleteTLS(conn net.Conn) bool {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-const maxResultsPerFrame = 1024
-
-// frameBatches pools the frame-sized result batches this package fills
-// itself: a client's decoded Results frames and the coalesced batches of
-// the fallback result source.
-var frameBatches stream.ResultBatchPool
-
-// resultSource returns the pull function pumpResults drains (the
-// ResultBatcher contract: block only when asked to wait): the engine's own
-// batch output when it offers the capability, otherwise a coalescing
-// reader over its Results channel that packs whatever is immediately
-// ready (up to one frame's worth) into a pooled batch. Either way the
-// session is the output's only consumer.
-func (s *session) resultSource() func(wait bool) (*stream.ResultBatch, bool) {
-	if rb, ok := s.eng.(ResultBatcher); ok {
-		return rb.NextResultBatch
-	}
-	results := s.eng.Results()
-	return func(wait bool) (*stream.ResultBatch, bool) {
-		var b *stream.ResultBatch
-		for b == nil || len(b.Results) < maxResultsPerFrame {
-			var r stream.Result
-			var ok bool
-			if wait && b == nil {
-				r, ok = <-results
-			} else {
-				select {
-				case r, ok = <-results:
-				default:
-					return b, true
-				}
-			}
-			if !ok {
-				return b, b != nil // a filled batch first; the next pull reports the close
-			}
-			if b == nil {
-				b = frameBatches.Get()
-			}
-			b.Results = append(b.Results, r)
-		}
-		return b, true
-	}
-}
-
-// coalesceBelow is the batch size under which a result batch shares a
-// frame with its neighbours instead of being framed alone: copying a few
-// hundred results into an open frame costs less than the write(2) and the
-// peer wake-up a frame of its own would, while a batch that fills half a
-// frame or more is encoded straight from its own storage. Many cores,
-// small input batches or low selectivity produce batches on the small
-// side; result-heavy input on the large side.
-const coalesceBelow = maxResultsPerFrame / 2
-
-// pumpResults is the session's result writer: it pulls result batches
-// from the engine and writes them as Results frames of at most
-// maxResultsPerFrame results — large batches straight from their own
-// storage, small ones packed together for as long as more are ready. On
-// a write failure it keeps draining (discarding) so engine Close can
-// complete.
-func (s *session) pumpResults() {
-	next := s.resultSource()
-	writeOK := true
-	write := func(frame []stream.Result) {
-		if writeOK {
-			s.wmu.Lock()
-			err := s.w.WriteResults(frame)
-			s.wmu.Unlock()
-			if err != nil {
-				s.srv.logf("session %d: writing results: %v", s.id, err)
-				writeOK = false
-			}
-		}
-		// Counted after the write: the checkpoint durability barrier
-		// (flushResults) reads resultsOut as "handed to the connection".
-		// Still counted when the write failed or was skipped, so the
-		// barrier terminates on a dead connection.
-		s.resultsOut.Add(uint64(len(frame)))
-		s.resultFrames.Add(1)
-	}
-	// open is the frame being packed from small batches; it goes out when
-	// full, or as soon as the engine has nothing more ready.
-	var open *stream.ResultBatch
-	flush := func() {
-		write(open.Results)
-		open.Release()
-		open = nil
-	}
-	for {
-		b, ok := next(open == nil)
-		if b == nil {
-			if open != nil {
-				flush()
-			}
-			if !ok {
-				return
-			}
-			continue
-		}
-		for rest := b.Results; len(rest) > 0; {
-			if open == nil && len(rest) >= coalesceBelow {
-				n := min(len(rest), maxResultsPerFrame)
-				write(rest[:n])
-				rest = rest[n:]
-				continue
-			}
-			if open == nil {
-				open = frameBatches.Get()
-			}
-			n := min(len(rest), maxResultsPerFrame-len(open.Results))
-			open.Results = append(open.Results, rest[:n]...)
-			rest = rest[n:]
-			if len(open.Results) == maxResultsPerFrame {
-				flush()
-			}
-		}
-		b.Release()
-	}
 }

@@ -792,8 +792,8 @@ func (e *UniFlow) Push(side stream.Side, t stream.Tuple) {
 // PushBatch submits a prepared batch. The engine copies the batch into a
 // pooled distribution buffer and assigns sequence numbers on its copy, so
 // the caller may reuse (or refill) the slice as soon as PushBatch returns
-// — the property session.readLoop relies on to decode every frame into
-// one persistent buffer.
+// — the property the server session's ingest relies on to decode every
+// frame into one persistent buffer.
 func (e *UniFlow) PushBatch(batch []core.Input) {
 	if len(batch) == 0 {
 		return

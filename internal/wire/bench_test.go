@@ -65,7 +65,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeBatchInto is the pooled decode session.readLoop uses: the
+// BenchmarkDecodeBatchInto is the pooled decode the session's ingest uses: the
 // buffer is handed back every frame, so steady state is allocation-free.
 func BenchmarkDecodeBatchInto(b *testing.B) {
 	payload := encodeBatchPayload(b, benchInputs(256))

@@ -669,9 +669,9 @@ func DecodeBatch(payload []byte, maxTuples int) (seq uint64, inputs []core.Input
 
 // DecodeBatchInto parses a Batch payload into dst's backing storage,
 // growing it only when the batch exceeds dst's capacity. A caller that
-// hands the returned slice back on the next call (as session.readLoop
-// does, once the engine has copied the batch) decodes every steady-state
-// frame with zero allocations. dst may be nil; its contents are
+// hands the returned slice back on the next call (as the server
+// session's ingest does, once the engine has copied the batch) decodes
+// every steady-state frame with zero allocations. dst may be nil; its contents are
 // overwritten. maxTuples bounds the accepted batch size (0 means
 // unbounded up to MaxPayload).
 func DecodeBatchInto(payload []byte, maxTuples int, dst []core.Input) (seq uint64, inputs []core.Input, err error) {
