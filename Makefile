@@ -83,7 +83,7 @@ bench-probe:
 # One-iteration pass over every benchmark: catches bit-rot in bench code
 # without paying measurement time. CI runs this.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/wire/ ./internal/softjoin/ ./internal/server/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/wire/ ./internal/softjoin/ ./internal/server/ ./internal/shard/
 
 # The benchmark harness (bench/) is its own module compiled against this
 # one's exported API, so `go build ./...` and `go test ./...` here never

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
@@ -201,5 +202,71 @@ func TestFrontSessionMergedPushesOracle(t *testing.T) {
 	}
 	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, results); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrontSessionFinalSnapshot: a streamshard session that drains
+// gracefully leaves its router's coordinated snapshot behind, cut while
+// the router still has its shard sessions — the final snapshot every
+// streamd session writes on a clean close.
+func TestFrontSessionFinalSnapshot(t *testing.T) {
+	const window, tuples, batchSz = 64, 320, 32
+	dir := t.TempDir()
+	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
+		CheckpointDir:      dir,
+		CheckpointInterval: -1,
+		Logf:               t.Logf,
+		NewEngine:          newEngine(newRouterRegistry([]string{startBackend(t), startBackend(t)}, t.Logf), accelstream.ShardConfig{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		front.Shutdown(ctx)
+	})
+	c, err := accelstream.Dial(front.Addr().String(), accelstream.SessionConfig{
+		Engine: accelstream.EngineSoftwareUniFlow, Cores: 2, Window: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range c.Results() {
+		}
+	}()
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 6, KeyDomain: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := gen.Take(tuples)
+	for i := 0; i < len(inputs); i += batchSz {
+		if err := c.SendBatch(inputs[i : i+batchSz]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	// The session writes its final snapshot before its Closed frame, so
+	// the snapshot is on disk once Close returns.
+	if st := front.ProcessStats().Checkpoints; st.Written != 1 || st.Errors != 0 {
+		t.Fatalf("checkpoint stats %+v, want one written and no error", st)
+	}
+	store, err := checkpoint.NewStore(dir, 0, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := store.LatestValid()
+	if err != nil || !ok {
+		t.Fatalf("no valid snapshot on disk: ok=%v err=%v", ok, err)
+	}
+	if snap.Meta.SeqR+snap.Meta.SeqS != tuples || snap.Meta.Window != window {
+		t.Fatalf("snapshot at seqs (%d, %d), window %d; streamed %d tuples, window %d",
+			snap.Meta.SeqR, snap.Meta.SeqS, snap.Meta.Window, tuples, window)
 	}
 }

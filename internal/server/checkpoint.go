@@ -228,8 +228,8 @@ func (s *session) maybeAutoCheckpoint() {
 }
 
 // finalCheckpoint writes one last synchronous snapshot at session
-// teardown — the engine is closed and drained, so SnapshotState returns
-// immediately with the terminal state. This is what a SIGTERM drain
+// teardown, after the read loop and before the engine closes: no batch
+// follows, so the cut is the terminal state. This is what a SIGTERM drain
 // persists. Skipped when the session handed its state to a rebalance
 // coordinator (the window now lives elsewhere) or ingested nothing.
 func (s *session) finalCheckpoint(handOff bool) {

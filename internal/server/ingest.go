@@ -156,14 +156,15 @@ func (in *ingest) batch(payload []byte) (err error) {
 		_, more, err := wire.DecodeBatchInto(payload, in.maxBatch, tail)
 		if err != nil {
 			// The frames before the bad one are good: they reach the engine
-			// and are credited before the Error frame.
+			// and are credited before the Error frame, together with any
+			// credits still pending from an earlier merge.
 			if frames > 0 {
 				if err := push(); err != nil {
 					return err
 				}
-				if err := in.flush(); err != nil {
-					return err
-				}
+			}
+			if err := in.flush(); err != nil {
+				return err
 			}
 			return failf(err.Error(), "bad batch: %v", err)
 		}

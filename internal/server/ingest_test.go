@@ -193,6 +193,11 @@ func TestIngestRules(t *testing.T) {
 			want:   `push 16, credit 2 | bad batch: wire: invalid tuple side 7 in batch (Error "wire: invalid tuple side 7 in batch")`,
 		},
 		{
+			rule:   "credits pending from an earlier merge are written before a bad frame's Error",
+			stream: append(wireFrames(t, 300), badSideBatch()...),
+			want:   `push 300, credit 1 | bad batch: wire: invalid tuple side 7 in batch (Error "wire: invalid tuple side 7 in batch")`,
+		},
+		{
 			rule:   "an abort hands the withheld credits back to the gauge unwritten",
 			stream: badCRC,
 			want:   "push 16 | read: wire: checksum mismatch on batch frame: computed 69765a59, carried 69765aa6",

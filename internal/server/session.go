@@ -261,17 +261,19 @@ func (s *session) run() {
 		s.end(err)
 	}
 
+	// Persist the terminal window state (the SIGTERM-drain / crash-restart
+	// snapshot) before the engine closes: no input follows, and the writer
+	// still runs, so the cut's result-flush barrier holds. An engine that
+	// fans out to other processes (a shard router) can only cut while its
+	// sessions are open.
+	s.finalCheckpoint(handOff)
+
 	// Stop the engine. Close flushes in-flight work, after which its
 	// output closes and the writer finishes streaming.
 	if err := s.eng.Close(); err != nil {
 		s.srv.logf("session %d: engine close: %v", s.id, err)
 	}
 	<-writerDone
-
-	// Persist the terminal window state (the SIGTERM-drain / crash-restart
-	// snapshot) before any closing frames: the engine is drained and every
-	// result has been handed to the connection.
-	s.finalCheckpoint(handOff)
 
 	m := s.metrics()
 	if err == nil {

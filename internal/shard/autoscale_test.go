@@ -73,6 +73,7 @@ type fakeShard struct {
 
 func startFakeShard(t *testing.T, retryAfter time.Duration) *fakeShard {
 	t.Helper()
+	checkGoroutines(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -95,8 +95,10 @@ func TestRunRoundTripWritesNoSnapshot(t *testing.T) {
 // startCheckpointServer launches a server with a checkpoint store in dir
 // on a loopback listener, shut down at cleanup. Interval snapshots are off,
 // so every snapshot the store holds was cut by a session's cut or close.
+// Every goroutine started since must end with the server.
 func startCheckpointServer(t *testing.T, dir string) (*server.Server, string) {
 	t.Helper()
+	shard.CheckGoroutines(t)
 	srv, err := server.New(server.Config{CheckpointDir: dir, CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)

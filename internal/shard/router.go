@@ -1,14 +1,11 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"accelstream/internal/autoscale"
-	"accelstream/internal/core"
 	"accelstream/internal/server"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
@@ -72,13 +69,12 @@ type Router struct {
 	retired struct {
 		redials uint64
 		dropped uint64
-		results uint64
 		down    int
 	}
 }
 
 // shardConn is one shard endpoint: a FIFO batch queue consumed by a
-// dedicated sender goroutine that owns the client (and its redials).
+// dedicated sender goroutine that owns the session (and its redials).
 // modulus is fixed per generation — a rebalance replaces the whole
 // shardConn set rather than mutating a live one.
 type shardConn struct {
@@ -87,62 +83,26 @@ type shardConn struct {
 	addr    string
 	modulus int // shard count of this generation
 
-	queue  chan *shardBatch
-	client *server.Client // owned by the sender goroutine after Dial
-	// pub mirrors client for concurrent readers (per-shard metrics read
-	// credit occupancy without entering the sender goroutine).
-	pub atomic.Pointer[server.Client]
+	queue chan *shardBatch
+	// sess is the shard's current session, nil while it has none (the
+	// shard is up exactly while it is set). Only attach and teardown
+	// write it, from the sender goroutine or a paused state operation;
+	// metrics and the cut's flush barrier read it concurrently.
+	sess atomic.Pointer[session]
 
-	up      atomic.Bool
 	down    atomic.Bool
 	redials atomic.Uint64
 	dropped atomic.Uint64
 	results atomic.Uint64
 
-	// drain mirrors the current client's drain goroutine state; a state
-	// cut's flush barrier reads it to learn when every result the client
-	// has received was forwarded into the merged stream.
-	drain atomic.Pointer[drainState]
-
 	closeErr error // written by the sender, read after sendWG.Wait
 }
 
-// drainState is one drain goroutine's progress: results forwarded into
-// the merged channel from one client session.
-type drainState struct {
+// session is one shard session: its client and how many of the results
+// the client received its drain has forwarded into the merged stream.
+type session struct {
 	client    *server.Client
 	forwarded atomic.Uint64
-}
-
-// shardBatch is one broadcast unit: the shared tuple slice plus the
-// global arrival counters at its front (the resume point). refs counts
-// the shard senders still holding it; the last to release recycles the
-// batch into the router's pool, so the steady-state broadcast path reuses
-// one copy buffer per in-flight batch instead of allocating per send.
-type shardBatch struct {
-	inputs []core.Input
-	baseR  uint64
-	baseS  uint64
-	refs   atomic.Int32
-	// stop, when non-nil, marks a pause sentinel instead of a batch: the
-	// sender closes it and exits WITHOUT tearing down its client, handing
-	// session ownership to the paused state operation.
-	stop chan struct{}
-}
-
-func (r *Router) getBatch() *shardBatch {
-	if b, ok := r.batchPool.Get().(*shardBatch); ok {
-		b.inputs = b.inputs[:0]
-		return b
-	}
-	return new(shardBatch)
-}
-
-// release drops one sender's reference; the last one recycles the batch.
-func (b *shardBatch) release(r *Router) {
-	if b.refs.Add(-1) == 0 {
-		r.batchPool.Put(b)
-	}
 }
 
 // mergedBatchDepth is how many result batches may wait between the
@@ -171,22 +131,19 @@ func Dial(cfg Config) (*Router, error) {
 	// A restored deployment resumes the global arrival counters at the
 	// checkpoint's: every shard session opens with the same offsets.
 	r.seqR, r.seqS = cfg.BaseSeqR, cfg.BaseSeqS
+	clients := make([]*server.Client, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
-		sc := r.newShardConn(i, addr, len(cfg.Addrs))
-		c, err := server.DialWith(addr, r.openConfig(len(cfg.Addrs), i, cfg.BaseSeqR, cfg.BaseSeqS), r.dialOptions())
+		c, err := r.dial(addr, len(cfg.Addrs), i, cfg.BaseSeqR, cfg.BaseSeqS)
 		if err != nil {
-			for _, prev := range r.shards {
-				prev.client.Close()
+			for _, prev := range clients[:i] {
+				prev.Close()
 			}
 			return nil, fmt.Errorf("shard: dialing shard %d (%s): %w", i, addr, err)
 		}
-		sc.client = c
-		sc.pub.Store(c)
-		sc.up.Store(true)
-		r.shards = append(r.shards, sc)
+		clients[i] = c
 	}
+	r.shards = r.generation(cfg.Addrs, clients)
 	for _, sc := range r.shards {
-		r.spawnDrain(sc, sc.client)
 		r.spawnSender(sc)
 	}
 	if dep != nil {
@@ -232,13 +189,13 @@ func (r *Router) Signals() autoscale.Sample {
 	for i, sc := range shards {
 		sig := autoscale.ShardSignal{
 			Index:    sc.index,
-			Up:       sc.up.Load(),
 			QueueLen: len(sc.queue),
 			QueueCap: cap(sc.queue),
 		}
-		if c := sc.pub.Load(); c != nil {
-			sig.CreditsOutstanding = c.CreditsOutstanding()
-			sig.CreditCapacity = c.Credits()
+		if ss := sc.sess.Load(); ss != nil {
+			sig.Up = true
+			sig.CreditsOutstanding = ss.client.CreditsOutstanding()
+			sig.CreditCapacity = ss.client.Credits()
 		}
 		s.ShardSignals[i] = sig
 	}
@@ -265,24 +222,19 @@ func (r *Router) AutoscaleReport() (autoscale.Report, bool) {
 	return r.dep.Controller().Report(), true
 }
 
-// newShardConn builds one endpoint of a modulus-shard generation.
-func (r *Router) newShardConn(index int, addr string, modulus int) *shardConn {
-	return &shardConn{
-		r:       r,
-		index:   index,
-		addr:    addr,
-		modulus: modulus,
-		queue:   make(chan *shardBatch, r.cfg.QueueDepth),
+// generation builds the shard set of a len(addrs)-shard layout, shard j
+// at addrs[j], and attaches clients[j] to shard j where it is non-nil.
+// Dial builds the first generation with it, a rebalance every later one
+// (an aborted resize's restored layout included).
+func (r *Router) generation(addrs []string, clients []*server.Client) []*shardConn {
+	gen := make([]*shardConn, len(addrs))
+	for j, addr := range addrs {
+		gen[j] = &shardConn{r: r, index: j, addr: addr, modulus: len(addrs), queue: make(chan *shardBatch, r.cfg.QueueDepth)}
+		if clients[j] != nil {
+			r.attach(gen[j], clients[j])
+		}
 	}
-}
-
-// spawnSender starts the shard's dedicated sender goroutine.
-func (r *Router) spawnSender(sc *shardConn) {
-	r.sendWG.Add(1)
-	go func() {
-		defer r.sendWG.Done()
-		sc.run()
-	}()
+	return gen
 }
 
 // openConfig is the session config of shard index in a modulus-shard
@@ -307,10 +259,14 @@ func (r *Router) openConfig(modulus, index int, baseR, baseS uint64) wire.OpenCo
 	}
 }
 
-// dialOptions is how every shard session reaches its endpoint: the same
-// TLS configuration and connect timeout.
-func (r *Router) dialOptions() server.DialOptions {
-	return server.DialOptions{TLS: r.cfg.TLS, Timeout: r.cfg.DialTimeout}
+// dial opens the session of shard index in a modulus-shard layout at
+// addr, resuming at the given arrival offsets. It is the one way every
+// shard session — first dial, redial, rebalance install and restore —
+// reaches its endpoint: the same Open config, TLS configuration and
+// connect timeout.
+func (r *Router) dial(addr string, modulus, index int, baseR, baseS uint64) (*server.Client, error) {
+	return server.DialWith(addr, r.openConfig(modulus, index, baseR, baseS),
+		server.DialOptions{TLS: r.cfg.TLS, Timeout: r.cfg.DialTimeout})
 }
 
 func (r *Router) logf(format string, args ...any) {
@@ -319,12 +275,13 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// spawnDrain merges one client session's result batches into the router
-// stream, whole. Each (re)dialed client gets its own drain goroutine; it
-// exits when the client's batch channel closes.
-func (r *Router) spawnDrain(sc *shardConn, c *server.Client) {
-	ds := &drainState{client: c}
-	sc.drain.Store(ds)
+// attach makes c the shard's session and starts its drain, which merges
+// the session's result batches into the router stream, whole, and exits
+// when the client's batch channel closes. It is the one place a shard
+// gets a session: Dial, a redial and a rebalance's swap all attach.
+func (r *Router) attach(sc *shardConn, c *server.Client) *session {
+	ss := &session{client: c}
+	sc.sess.Store(ss)
 	r.drainWG.Add(1)
 	go func() {
 		defer r.drainWG.Done()
@@ -336,195 +293,10 @@ func (r *Router) spawnDrain(sc *shardConn, c *server.Client) {
 			// every result is in the merged channel and already counted.
 			sc.results.Add(n)
 			r.resultsOut.Add(n)
-			ds.forwarded.Add(n)
+			ss.forwarded.Add(n)
 		}
 	}()
-}
-
-// SendBatch broadcasts one batch of side-tagged tuples to every live
-// shard. It blocks while the slowest live shard's queue is full (engine
-// backpressure propagated through the per-shard credit windows). The
-// caller may reuse the slice once SendBatch returns.
-func (r *Router) SendBatch(batch []core.Input) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	// sendMu orders this batch against a concurrent Rebalance: the batch
-	// lands entirely in one shard generation or entirely in the next.
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	r.mu.Lock()
-	closed, failErr := r.closed, r.failErr
-	r.mu.Unlock()
-	if closed {
-		return fmt.Errorf("shard: router closed")
-	}
-	if failErr != nil {
-		return failErr
-	}
-	// One shared pooled copy serves every shard: senders only read it, and
-	// the servers stamp sequence numbers on their own decoded copies.
-	b := r.getBatch()
-	b.inputs = append(b.inputs, batch...)
-	b.baseR, b.baseS = r.seqR, r.seqS
-	for i := range b.inputs {
-		if b.inputs[i].Side == stream.SideR {
-			r.seqR++
-		} else {
-			r.seqS++
-		}
-	}
-	// Pick the recipients first so the reference count is final before the
-	// first sender can possibly release the batch.
-	live := r.live[:0]
-	for _, sc := range r.shards {
-		if sc.down.Load() {
-			sc.dropped.Add(1)
-			continue
-		}
-		live = append(live, sc)
-	}
-	r.live = live
-	r.tuplesIn.Add(uint64(len(b.inputs)))
-	if len(live) == 0 {
-		r.batchPool.Put(b)
-		return nil
-	}
-	b.refs.Store(int32(len(live)))
-	for _, sc := range live {
-		sc.queue <- b
-	}
-	return nil
-}
-
-// run is the shard's sender loop: FIFO over the queue, redialing a
-// dropped session at the next batch boundary.
-func (sc *shardConn) run() {
-	for b := range sc.queue {
-		if b.stop != nil {
-			// Pause sentinel: exit without teardown — the paused state
-			// operation now owns this shard's client (if any).
-			close(b.stop)
-			return
-		}
-		if sc.down.Load() {
-			sc.dropped.Add(1)
-			b.release(sc.r)
-			continue
-		}
-		if sc.client == nil && !sc.redial(b.baseR, b.baseS) {
-			sc.dropped.Add(1)
-			b.release(sc.r)
-			continue
-		}
-		err := sc.client.SendBatch(b.inputs)
-		b.release(sc.r) // SendBatch serializes in-call; the slice is free
-		if err != nil {
-			// The batch is lost for this shard only: the dead session's
-			// window slice is gone, and this batch was neither stored nor
-			// probed here. Every match that loses has its stored tuple in
-			// this shard's residue class — the other shards' slices are
-			// intact and still probed by every later arrival. The next
-			// batch redials with its own arrival offsets, re-aligning the
-			// residue class from that point on.
-			sc.r.logf("shard %d (%s): send failed, dropping session: %v", sc.index, sc.addr, err)
-			sc.teardown(false)
-			sc.dropped.Add(1)
-		}
-	}
-	sc.teardown(true)
-}
-
-// teardown closes the current client session, if any. Graceful teardown
-// errors are kept for Close; a drop-path teardown expects the connection
-// to be dead and ignores the close error.
-func (sc *shardConn) teardown(graceful bool) {
-	if sc.client == nil {
-		return
-	}
-	_, err := sc.client.Close()
-	if graceful && err != nil && sc.closeErr == nil {
-		sc.closeErr = err
-	}
-	sc.client = nil
-	sc.pub.Store(nil)
-	sc.up.Store(false)
-}
-
-// redial re-opens the shard session with the given arrival offsets,
-// backing off between attempts; exhausting the policy marks the shard
-// permanently down.
-func (sc *shardConn) redial(baseR, baseS uint64) bool {
-	pol := sc.r.cfg.Redial
-	if pol.Attempts < 0 {
-		sc.markDown()
-		return false
-	}
-	delay := pol.BaseDelay
-	for attempt := 1; attempt <= pol.Attempts; attempt++ {
-		c, err := server.DialWith(sc.addr, sc.r.openConfig(sc.modulus, sc.index, baseR, baseS), sc.r.dialOptions())
-		if err == nil {
-			sc.client = c
-			sc.pub.Store(c)
-			sc.up.Store(true)
-			sc.redials.Add(1)
-			sc.r.spawnDrain(sc, c)
-			sc.r.logf("shard %d (%s): reconnected on attempt %d, resuming at R=%d S=%d",
-				sc.index, sc.addr, attempt, baseR, baseS)
-			return true
-		}
-		sc.r.logf("shard %d (%s): redial attempt %d/%d failed: %v",
-			sc.index, sc.addr, attempt, pol.Attempts, err)
-		if errors.Is(err, server.ErrUnauthorized) {
-			// The shard rejected our credentials; backing off and retrying
-			// with the same token cannot succeed.
-			break
-		}
-		var hint time.Duration
-		var adm *server.AdmissionError
-		if errors.As(err, &adm) {
-			hint = adm.RetryAfter
-		}
-		if attempt < pol.Attempts {
-			sleep, next := nextRedialDelay(delay, hint, pol.MaxDelay)
-			time.Sleep(sleep)
-			delay = next
-		}
-	}
-	sc.markDown()
-	return false
-}
-
-// nextRedialDelay computes one backoff step: how long to sleep before the
-// next attempt, and the policy delay the schedule resumes from afterwards.
-// An admission retry-after hint stretches only this sleep (redialing
-// sooner is guaranteed to be rejected again) — it must not become the base
-// the exponential doubling compounds from, or one hint inflates every
-// later attempt far past both the policy and the hint.
-func nextRedialDelay(delay, hint, maxDelay time.Duration) (sleep, next time.Duration) {
-	sleep = delay
-	if hint > sleep {
-		sleep = hint
-	}
-	next = delay * 2
-	if next > maxDelay {
-		next = maxDelay
-	}
-	return sleep, next
-}
-
-// markDown records permanent shard loss. Under FailFast the router
-// refuses further batches; otherwise it degrades to the survivors.
-func (sc *shardConn) markDown() {
-	sc.down.Store(true)
-	sc.r.logf("shard %d (%s): permanently down; its window slice is lost", sc.index, sc.addr)
-	if sc.r.cfg.FailFast {
-		sc.r.mu.Lock()
-		if sc.r.failErr == nil {
-			sc.r.failErr = fmt.Errorf("shard: shard %d (%s) permanently down", sc.index, sc.addr)
-		}
-		sc.r.mu.Unlock()
-	}
+	return ss
 }
 
 // Batches returns the merged result stream: the shards' result batches,
@@ -565,14 +337,14 @@ func (r *Router) Shards() []State {
 		out[i] = State{
 			Index:          sc.index,
 			Addr:           sc.addr,
-			Up:             sc.up.Load(),
 			Down:           sc.down.Load(),
 			Redials:        sc.redials.Load(),
 			BatchesDropped: sc.dropped.Load(),
 			Results:        sc.results.Load(),
 		}
-		if c := sc.pub.Load(); c != nil {
-			out[i].CreditsOutstanding = c.CreditsOutstanding()
+		if ss := sc.sess.Load(); ss != nil {
+			out[i].Up = true
+			out[i].CreditsOutstanding = ss.client.CreditsOutstanding()
 		}
 	}
 	return out

@@ -68,23 +68,22 @@ func (r *Router) cut(shards []*shardConn, take func(*server.Client) ([]core.Inpu
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, sc := range shards {
-		if sc.client == nil {
+		ss := sc.sess.Load()
+		if ss == nil {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tuples, info, err := take(sc.client)
+			tuples, info, err := take(ss.client)
 			if err == nil && (info.SeqR != r.seqR || info.SeqS != r.seqS) {
 				err = fmt.Errorf("cut at seqs (%d, %d), router at (%d, %d)", info.SeqR, info.SeqS, r.seqR, r.seqS)
-			}
-			if err == nil {
-				err = sc.flush()
 			}
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d (%s): %w", sc.index, sc.addr, err)
 				return
 			}
+			ss.flush()
 			slices[i] = tuples
 		}()
 	}
@@ -92,17 +91,12 @@ func (r *Router) cut(shards []*shardConn, take func(*server.Client) ([]core.Inpu
 	return slices, errs
 }
 
-// flush waits until the shard's drain has forwarded every result its
+// flush waits until the session's drain has forwarded every result the
 // session has received into the merged stream.
-func (sc *shardConn) flush() error {
-	ds := sc.drain.Load()
-	if ds == nil || ds.client != sc.client {
-		return fmt.Errorf("no active drain")
-	}
-	for target := sc.client.ResultsReceived(); ds.forwarded.Load() < target; {
+func (ss *session) flush() {
+	for target := ss.client.ResultsReceived(); ss.forwarded.Load() < target; {
 		runtime.Gosched()
 	}
-	return nil
 }
 
 // install imports slices[j] into clients[j] on every shard at once. A nil
@@ -131,7 +125,7 @@ func (r *Router) open(addrs []string, slices [][]core.Input) ([]*server.Client, 
 	clients := make([]*server.Client, len(addrs))
 	errs := make([]error, len(addrs))
 	for j, addr := range addrs {
-		c, err := server.DialWith(addr, r.openConfig(len(addrs), j, r.seqR, r.seqS), r.dialOptions())
+		c, err := r.dial(addr, len(addrs), j, r.seqR, r.seqS)
 		if err != nil {
 			errs[j] = fmt.Errorf("dialing shard %d (%s): %w", j, addr, err)
 			continue
@@ -153,7 +147,7 @@ func (r *Router) open(addrs []string, slices [][]core.Input) ([]*server.Client, 
 // holes, and a restore has no session to install that class into.
 func requireUp(shards []*shardConn, op string) error {
 	for _, sc := range shards {
-		if sc.client == nil || sc.down.Load() {
+		if sc.sess.Load() == nil || sc.down.Load() {
 			return fmt.Errorf("shard: %s needs every shard up; shard %d (%s) is down", op, sc.index, sc.addr)
 		}
 	}
@@ -234,7 +228,7 @@ func (r *Router) rebalance(newAddrs []string) (Report, error) {
 	var cause error
 	for i, sc := range old {
 		oldAddrs[i] = sc.addr
-		if sc.client == nil || errs[i] != nil {
+		if sc.sess.Load() == nil || errs[i] != nil {
 			rep.SlicesLost++
 		}
 		if errs[i] != nil && cause == nil {
@@ -283,24 +277,14 @@ func (r *Router) rebalance(newAddrs []string) (Report, error) {
 	r.rebalanceNanos.Add(uint64(rep.Duration.Nanoseconds()))
 	r.rebalanceMoved.Add(rep.TuplesMigrated)
 
-	// Swap generations: fresh shardConns under the new modulus, counters
-	// of the retired generation folded into the cumulative totals.
-	gen = make([]*shardConn, len(addrs))
-	for j, addr := range addrs {
-		sc := r.newShardConn(j, addr, len(addrs))
-		if c := clients[j]; c != nil {
-			sc.client = c
-			sc.pub.Store(c)
-			sc.up.Store(true)
-			r.spawnDrain(sc, c)
-		}
-		gen[j] = sc
-	}
+	// Swap generations: fresh shardConns under the new modulus (or the
+	// restored old one), counters of the retired generation folded into
+	// the cumulative totals.
+	gen = r.generation(addrs, clients)
 	r.mu.Lock()
 	for _, sc := range old {
 		r.retired.redials += sc.redials.Load()
 		r.retired.dropped += sc.dropped.Load()
-		r.retired.results += sc.results.Load()
 		if sc.down.Load() {
 			r.retired.down++
 		}
@@ -382,7 +366,7 @@ func (r *Router) ImportState(tuples []core.Input) error {
 	}
 	clients := make([]*server.Client, len(shards))
 	for i, sc := range shards {
-		clients[i] = sc.client
+		clients[i] = sc.sess.Load().client
 	}
 	for i, err := range install(clients, Reslice(tuples, len(shards))) {
 		if err != nil {

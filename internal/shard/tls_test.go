@@ -18,21 +18,11 @@ import (
 // loopback listener using the supplied TLS config and auth token.
 func startTLSShardServer(t *testing.T, serverTLS *tls.Config, token string) (*server.Server, string) {
 	t.Helper()
-	srv, err := server.New(server.Config{TLS: serverTLS, AuthToken: token})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(tls.NewListener(ln, serverTLS))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	return srv, ln.Addr().String()
+	return serveOn(t, server.Config{TLS: serverTLS, AuthToken: token}, tls.NewListener(ln, serverTLS))
 }
 
 // TestRouterTLSRedialResumes is the secured variant of the redial test:

@@ -1064,3 +1064,50 @@ func TestRejectCodeStrings(t *testing.T) {
 		t.Error("undefined reject code Valid")
 	}
 }
+
+// TestFrameGoldenBytes pins, byte for byte with the CRC, every frame type
+// TestHandshakeGoldenBytes does not: the data frames (Batch, Results,
+// Credit), the session's end (Close, Closed, Error) and the two payloadless
+// cut requests (RebalancePrepare, Checkpoint). The expected frames were
+// captured from the encoders before they were split out of frame.go, so
+// they prove the move left every byte where it was.
+func TestFrameGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(*Writer) error
+		want  string
+	}{
+		{"batch", func(w *Writer) error {
+			return w.WriteBatch(1<<40, []core.Input{
+				{Side: stream.SideR, Tuple: stream.Tuple{Key: 7, Val: 0xdeadbeef, Seq: 99}},
+				{Side: stream.SideS, Tuple: stream.Tuple{Key: 1 << 31, Val: 1}},
+			})
+		}, "0319808080808020020100000007deadbeef0280000000000000015bb40657"},
+		{"batch, empty", func(w *Writer) error {
+			return w.WriteBatch(0, nil)
+		}, "03020000fd07674b"},
+		{"results", func(w *Writer) error {
+			return w.WriteResults([]stream.Result{
+				{R: stream.Tuple{Key: 7, Val: 0xdeadbeef, Seq: 0}, S: stream.Tuple{Key: 7, Val: 1, Seq: 1 << 40}},
+				{R: stream.Tuple{Key: 1 << 31, Val: 2, Seq: 300}, S: stream.Tuple{Key: 1 << 31, Val: 3, Seq: 127}},
+			})
+		}, "042b0200000007deadbeef0000000007000000018080808080208000000000000002ac0280000000000000037f1557c63f"},
+		{"credit", func(w *Writer) error { return w.WriteCredit(300) }, "0502ac0215368930"},
+		{"close", func(w *Writer) error { return w.WriteClose() }, "06003b614ab8"},
+		{"closed", func(w *Writer) error {
+			return w.WriteClosed(Stats{TuplesIn: 1 << 40, BatchesIn: 300, ResultsOut: 7})
+		}, "0709808080808020ac0207cf7a4439"},
+		{"error", func(w *Writer) error { return w.WriteError("bad batch: wire: truncated u32") }, "081e6261642062617463683a20776972653a207472756e636174656420753332dfe6f3e1"},
+		{"rebalance prepare", func(w *Writer) error { return w.WriteRebalancePrepare() }, "0900abde5729"},
+		{"checkpoint", func(w *Writer) error { return w.WriteCheckpoint() }, "0c00dbb4a3a6"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := c.write(NewWriter(&buf)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
