@@ -29,13 +29,14 @@ test:
 	GOARCH=arm64 $(GO) vet ./...
 
 # The race detector over every package that starts goroutines or is
-# driven concurrently. internal/experiments is left out: its tests assert wall-clock shapes,
-# which the detector's slowdown distorts, and its concurrency is the
-# packages below.
+# driven concurrently. internal/experiments owns its engines' drain
+# goroutines and its loopback servers; it runs with -short, which skips
+# the wall-clock sweeps whose shapes the detector's slowdown distorts.
 test-race:
 	$(GO) test -race . ./cmd/streamload/ ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
 		./internal/checkpoint/ ./internal/daemon/ ./internal/server/ ./internal/shard/ \
 		./internal/softjoin/ ./internal/stream/ ./internal/wire/
+	$(GO) test -race -short ./internal/experiments/
 
 # Short fuzzing pass over the wire-protocol decoders (10s per target),
 # seeded from the corruption-test corpus, then the scan kernel's lanes

@@ -52,20 +52,11 @@ func Autoscale(opt Options) (Figure, error) {
 		CooldownMS:   150,
 	}
 
-	addrs := make([]string, 4)
-	for i := range addrs {
-		srv, err := server.New(server.Config{})
-		if err != nil {
-			return Figure{}, err
-		}
-		ln, err := netListen()
-		if err != nil {
-			return Figure{}, err
-		}
-		go srv.Serve(ln)
-		defer shutdownServer(srv)
-		addrs[i] = ln.Addr().String()
+	srvs, addrs, err := startServers(4, server.Config{})
+	if err != nil {
+		return Figure{}, err
 	}
+	defer stopServers(srvs)
 	r, err := shard.Dial(shard.Config{
 		Addrs:     addrs[:1],
 		Standby:   addrs[1:],

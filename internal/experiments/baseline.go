@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"accelstream/internal/core"
@@ -32,33 +31,21 @@ func swSelectivitySpec(seed int64, selectivity float64) workload.Spec {
 	return workload.Spec{Seed: seed, Dist: workload.Uniform, KeyDomain: int(1 / selectivity)}
 }
 
-// swSelectivityRun measures the software uni-flow engine under a saturated
+// swThroughput measures the software uni-flow engine under a saturated
 // stream with the given per-comparison match probability, returning the
 // ingest rate (million tuples/s) and the result emission rate (million
 // results/s) over the timed region.
-func swSelectivityRun(cores, window int, selectivity float64, measureTuples int, kernel stream.ProbeKernel, opt Options) (inMtps, outMrps float64, err error) {
-	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: kernel})
-	if err != nil {
-		return 0, 0, err
-	}
+func swThroughput(cores, window int, selectivity float64, measureTuples int, kernel stream.ProbeKernel, opt Options) (inMtps, outMrps float64, err error) {
 	spec := swSelectivitySpec(opt.Seed, selectivity)
 	r, s, err := workload.WindowFill(spec, window)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := e.Preload(r, s); err != nil {
+	e, stop, err := startUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: kernel}, r, s, nil)
+	if err != nil {
 		return 0, 0, err
 	}
-	if err := e.Start(); err != nil {
-		return 0, 0, err
-	}
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for range e.Results() {
-		}
-	}()
+	defer stop()
 
 	spec.Seed = opt.Seed + 7
 	next, err := workload.Alternating(spec)
@@ -96,7 +83,6 @@ func swSelectivityRun(cores, window int, selectivity float64, measureTuples int,
 		return 0, 0, err
 	}
 	elapsed := time.Since(start)
-	drainWG.Wait()
 	results := e.Collected() - collected0
 	return float64(pushed) / elapsed.Seconds() / 1e6,
 		float64(results) / elapsed.Seconds() / 1e6, nil
@@ -107,27 +93,15 @@ func swSelectivityRun(cores, window int, selectivity float64, measureTuples int,
 // server session's ingest performs it, returning ns per tuple and heap
 // allocations per batch frame.
 func decodePushMicro(batchSize int, iters int, opt Options) (nsPerTuple, allocsPerBatch float64, err error) {
-	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: 4, WindowSize: 1 << 12})
-	if err != nil {
-		return 0, 0, err
-	}
 	r, s, err := workload.WindowFill(workload.Spec{Seed: opt.Seed, Dist: workload.Disjoint}, 1<<12)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := e.Preload(r, s); err != nil {
+	e, stop, err := startUniFlow(softjoin.Config{NumCores: 4, WindowSize: 1 << 12}, r, s, nil)
+	if err != nil {
 		return 0, 0, err
 	}
-	if err := e.Start(); err != nil {
-		return 0, 0, err
-	}
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for range e.Results() {
-		}
-	}()
+	defer stop()
 
 	// Encode one representative Batch frame and keep its payload.
 	next, err := workload.Alternating(workload.Spec{Seed: opt.Seed + 11, Dist: workload.Disjoint})
@@ -177,10 +151,9 @@ func decodePushMicro(batchSize int, iters int, opt Options) (nsPerTuple, allocsP
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	if err := e.Close(); err != nil {
+	if err := stop(); err != nil {
 		return 0, 0, err
 	}
-	drainWG.Wait()
 	return float64(elapsed.Nanoseconds()) / float64(iters*batchSize),
 		float64(m1.Mallocs-m0.Mallocs) / float64(iters), nil
 }
@@ -228,7 +201,7 @@ func SoftwareBaseline(opt Options) (sel, micro Figure, err error) {
 					measure = 8192
 				}
 			}
-			inM, outM, err := swSelectivityRun(cores, window, s, measure, kernel, opt)
+			inM, outM, err := swThroughput(cores, window, s, measure, kernel, opt)
 			if err != nil {
 				return Figure{}, Figure{}, err
 			}

@@ -44,20 +44,11 @@ func Elastic(opt Options) (Figure, error) {
 	}
 	layouts := []int{2, 4, 8}
 
-	addrs := make([]string, layouts[len(layouts)-1])
-	for i := range addrs {
-		srv, err := server.New(server.Config{})
-		if err != nil {
-			return Figure{}, err
-		}
-		ln, err := netListen()
-		if err != nil {
-			return Figure{}, err
-		}
-		go srv.Serve(ln)
-		defer shutdownServer(srv)
-		addrs[i] = ln.Addr().String()
+	srvs, addrs, err := startServers(layouts[len(layouts)-1], server.Config{})
+	if err != nil {
+		return Figure{}, err
 	}
+	defer stopServers(srvs)
 	r, err := shard.Dial(shard.Config{Addrs: addrs[:layouts[0]], Cores: 1, Window: p.window})
 	if err != nil {
 		return Figure{}, err

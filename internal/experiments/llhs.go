@@ -47,54 +47,43 @@ func LatencyByArchitecture(opt Options) (Figure, error) {
 		}
 	}
 
-	type variant struct {
-		name string
-		run  func() (cycles, found uint64, err error)
+	// Both hardware designs have these three methods, so one run serves
+	// all three architectures.
+	type design interface {
+		Preload(r, s []stream.Tuple) error
+		RunToQuiescence(maxCycles uint64) (uint64, error)
+		Sink() *hwjoin.Sink
 	}
-	variants := []variant{
-		{"bi-flow (handshake join)", func() (uint64, uint64, error) {
-			d, err := hwjoin.BuildBiFlow(hwjoin.BiFlowConfig{NumCores: cores, WindowSize: window}, false, probeGen())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := d.Preload(nil, s); err != nil {
-				return 0, 0, err
-			}
-			cycles, err := d.RunToQuiescence(10_000_000)
-			return cycles, d.Sink().Drained(), err
+	variants := []struct {
+		name  string
+		build func() (design, error)
+	}{
+		{"bi-flow (handshake join)", func() (design, error) {
+			return hwjoin.BuildBiFlow(hwjoin.BiFlowConfig{NumCores: cores, WindowSize: window}, false, probeGen())
 		}},
-		{"low-latency bi-flow", func() (uint64, uint64, error) {
-			d, err := hwjoin.BuildBiFlow(hwjoin.BiFlowConfig{NumCores: cores, WindowSize: window, FastForward: true}, false, probeGen())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := d.Preload(nil, s); err != nil {
-				return 0, 0, err
-			}
-			cycles, err := d.RunToQuiescence(10_000_000)
-			return cycles, d.Sink().Drained(), err
+		{"low-latency bi-flow", func() (design, error) {
+			return hwjoin.BuildBiFlow(hwjoin.BiFlowConfig{NumCores: cores, WindowSize: window, FastForward: true}, false, probeGen())
 		}},
-		{"uni-flow (SplitJoin)", func() (uint64, uint64, error) {
-			d, err := hwjoin.BuildUniFlow(hwjoin.UniFlowConfig{NumCores: cores, WindowSize: window, Network: hwjoin.Scalable}, false, probeGen())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := d.Preload(nil, s); err != nil {
-				return 0, 0, err
-			}
-			cycles, err := d.RunToQuiescence(10_000_000)
-			return cycles, d.Sink().Drained(), err
+		{"uni-flow (SplitJoin)", func() (design, error) {
+			return hwjoin.BuildUniFlow(hwjoin.UniFlowConfig{NumCores: cores, WindowSize: window, Network: hwjoin.Scalable}, false, probeGen())
 		}},
 	}
 	cyclesSeries := Series{Label: "cycles to quiescence"}
 	foundSeries := Series{Label: fmt.Sprintf("matches found (of %d planted)", matches)}
 	for i, v := range variants {
-		cycles, found, err := v.run()
+		d, err := v.build()
+		if err == nil {
+			err = d.Preload(nil, s)
+		}
+		var cycles uint64
+		if err == nil {
+			cycles, err = d.RunToQuiescence(10_000_000)
+		}
 		if err != nil {
 			return Figure{}, fmt.Errorf("experiments: %s: %w", v.name, err)
 		}
 		cyclesSeries.Points = append(cyclesSeries.Points, Point{X: float64(i + 1), Y: float64(cycles)})
-		foundSeries.Points = append(foundSeries.Points, Point{X: float64(i + 1), Y: float64(found)})
+		foundSeries.Points = append(foundSeries.Points, Point{X: float64(i + 1), Y: float64(d.Sink().Drained())})
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%d = %s", i+1, v.name))
 	}
 	fig.Series = append(fig.Series, cyclesSeries, foundSeries)

@@ -2,112 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"accelstream/internal/core"
-	"accelstream/internal/softjoin"
 	"accelstream/internal/stream"
-	"accelstream/internal/workload"
 )
-
-// swPacedLatency measures the software engine's probe latency at a fixed
-// offered load (tuples/s) instead of at saturation.
-func swPacedLatency(cores, window int, rate float64, probes int, opt Options) (time.Duration, error) {
-	// Scan kernel pinned to match swThroughput's saturation measurement:
-	// the load-latency curve needs a saturable engine, and the hash kernel
-	// pushes saturation past what a single paced producer can offer.
-	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: stream.KernelScan})
-	if err != nil {
-		return 0, err
-	}
-	r, s, err := workload.WindowFill(workload.Spec{Seed: opt.Seed, Dist: workload.Disjoint}, window)
-	if err != nil {
-		return 0, err
-	}
-	const probeKeyBase = 0x40000000
-	for i := 0; i < probes; i++ {
-		s[(i*977+window/3)%window].Key = probeKeyBase + uint32(i)
-	}
-	if err := e.Preload(r, s); err != nil {
-		return 0, err
-	}
-	if err := e.Start(); err != nil {
-		return 0, err
-	}
-
-	pushTimes := make([]time.Time, probes)
-	arrivals := make([]time.Duration, probes)
-	var mu sync.Mutex
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for res := range e.Results() {
-			if res.R.Key >= probeKeyBase && res.R.Key < probeKeyBase+uint32(probes) {
-				i := int(res.R.Key - probeKeyBase)
-				mu.Lock()
-				if arrivals[i] == 0 {
-					arrivals[i] = time.Since(pushTimes[i])
-				}
-				mu.Unlock()
-			}
-		}
-	}()
-
-	pacer, err := workload.NewPacer(rate)
-	if err != nil {
-		return 0, err
-	}
-	next, err := workload.Alternating(workload.Spec{Seed: opt.Seed + 5, Dist: workload.Disjoint})
-	if err != nil {
-		return 0, err
-	}
-	const burst = 64
-	batch := make([]core.Input, burst) // reused: PushBatch copies
-	for i := 0; i < probes; i++ {
-		for j := range batch {
-			batch[j] = next()
-		}
-		pacer.WaitBatch(burst)
-		e.PushBatch(batch)
-		pacer.WaitBatch(1)
-		mu.Lock()
-		pushTimes[i] = time.Now()
-		mu.Unlock()
-		e.PushBatch([]core.Input{{Side: stream.SideR, Tuple: stream.Tuple{Key: probeKeyBase + uint32(i)}}})
-	}
-	if err := e.Close(); err != nil {
-		return 0, err
-	}
-	drainWG.Wait()
-
-	var sum time.Duration
-	n := 0
-	for _, a := range arrivals {
-		if a > 0 {
-			sum += a
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("experiments: no probe results observed at rate %.0f", rate)
-	}
-	return sum / time.Duration(n), nil
-}
 
 // LoadLatency is an extension experiment: the latency-versus-offered-load
 // curve of the software SplitJoin. At low utilization, latency is the bare
 // processing time; as the load approaches the engine's saturation
 // throughput, queueing dominates and latency climbs steeply — context for
 // why Figure 16's saturated-load numbers sit orders of magnitude above the
-// engine's quiesced probe latency.
+// engine's quiesced probe latency. The backlog each probe queues behind is
+// reported beside the latency: it is a count, so it shows the queueing
+// that the wall-clock latency shows only through the host's noise.
 func LoadLatency(opt Options) (Figure, error) {
 	fig := Figure{
 		ID:     "loadlat",
 		Title:  "Extension: software latency vs offered load (SplitJoin)",
 		XLabel: "offered load (% of max throughput)",
-		YLabel: "latency (µs)",
+		YLabel: "latency (µs) · backlog (tuples)",
 	}
 	cores := 8
 	window := 1 << 15
@@ -121,25 +33,28 @@ func LoadLatency(opt Options) (Figure, error) {
 	if opt.Quick {
 		measure = 2048
 	}
-	maxMtps, err := swThroughput(cores, window, measure, opt)
+	maxMtps, _, err := swThroughput(cores, window, 0, measure, stream.KernelScan, opt)
 	if err != nil {
 		return Figure{}, err
 	}
 	maxRate := maxMtps * 1e6
 
-	s := Series{Label: fmt.Sprintf("%d cores, W=2^%d", cores, log2(window))}
+	lat := Series{Label: fmt.Sprintf("%d cores, W=2^%d", cores, log2(window))}
+	backlog := Series{Label: "backlog at probe push (tuples)"}
 	// The last point offers twice the measured capacity: sustained
 	// overload, where the engine's bounded queues stay full and every
 	// probe rides a maximal backlog.
 	for _, pct := range []int{25, 50, 75, 90, 200} {
-		lat, err := swPacedLatency(cores, window, maxRate*float64(pct)/100, probes, opt)
+		l, b, err := swProbeLatency(cores, window, probes, 64, maxRate*float64(pct)/100, opt)
 		if err != nil {
 			return Figure{}, err
 		}
-		s.Points = append(s.Points, Point{X: float64(pct), Y: float64(lat.Microseconds())})
+		lat.Points = append(lat.Points, Point{X: float64(pct), Y: float64(l.Microseconds())})
+		backlog.Points = append(backlog.Points, Point{X: float64(pct), Y: b})
 	}
-	fig.Series = append(fig.Series, s)
+	fig.Series = append(fig.Series, lat, backlog)
 	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("saturation throughput on this host: %.4f M tuples/s; the climb toward 90%% load is queueing delay", maxMtps))
+		fmt.Sprintf("saturation throughput on this host: %.4f M tuples/s; the climb toward 90%% load is queueing delay", maxMtps),
+		"backlog = Injected − Processed/cores sampled just before each probe push, averaged over the probes")
 	return fig, nil
 }

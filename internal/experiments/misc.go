@@ -65,11 +65,11 @@ func HwVsSw(opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	swMeasure := 4096
+	swMeasure, swBurst := 4096, 512
 	if opt.Quick {
-		swMeasure = 1024
+		swMeasure, swBurst = 1024, 64
 	}
-	swMtps, err := swThroughput(28, window, swMeasure, opt)
+	swMtps, _, err := swThroughput(28, window, 0, swMeasure, stream.KernelScan, opt)
 	if err != nil {
 		return "", err
 	}
@@ -79,7 +79,7 @@ func HwVsSw(opt Options) (string, error) {
 		return "", err
 	}
 	hwLatUs := float64(hwCycles) / rep.OperatingMHz
-	swLat, err := swLoadedLatency(28, window, 8, opt)
+	swLat, _, err := swProbeLatency(28, window, 8, swBurst, 0, opt)
 	if err != nil {
 		return "", err
 	}

@@ -13,21 +13,59 @@ import (
 	"accelstream/internal/wire"
 )
 
-// netListen grabs an ephemeral loopback port for the experiment's server.
-func netListen() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
+// startServers starts n stream-join servers with cfg, each serving an
+// ephemeral loopback port, and returns them with their addresses. On error
+// the servers already started are stopped.
+func startServers(n int, cfg server.Config) ([]*server.Server, []string, error) {
+	srvs := make([]*server.Server, 0, n)
+	addrs := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		srv, err := server.New(cfg)
+		if err != nil {
+			stopServers(srvs)
+			return nil, nil, err
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			stopServers(srvs)
+			return nil, nil, err
+		}
+		go srv.Serve(ln)
+		srvs = append(srvs, srv)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return srvs, addrs, nil
 }
 
-// shutdownServer drains the experiment's server with a bounded budget.
-func shutdownServer(srv *server.Server) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	srv.Shutdown(ctx)
+// stopServers drains each server with a bounded budget. Stopping a server
+// twice is harmless.
+func stopServers(srvs []*server.Server) {
+	for _, srv := range srvs {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		srv.Shutdown(ctx)
+		cancel()
+	}
 }
 
-// netProbeKeyBase marks probe tuples; filler traffic stays outside this
-// range so the drain goroutines can spot probe results cheaply.
-const netProbeKeyBase = 0x40000000
+// batchSender is a server session or a shard router.
+type batchSender interface {
+	SendBatch([]core.Input) error
+}
+
+// sendAll streams inputs in batch-sized frames.
+func sendAll(c batchSender, inputs []core.Input, batch int) error {
+	for len(inputs) > 0 {
+		n := batch
+		if n > len(inputs) {
+			n = len(inputs)
+		}
+		if err := c.SendBatch(inputs[:n]); err != nil {
+			return err
+		}
+		inputs = inputs[n:]
+	}
+	return nil
+}
 
 // probeDriver abstracts "an engine I can push batches into and observe
 // probe matches from", letting the same measurement loop time the
@@ -42,27 +80,21 @@ type probeDriver interface {
 // inprocDriver drives a softjoin.UniFlow directly.
 type inprocDriver struct {
 	eng  *softjoin.UniFlow
+	stop func() error
 	hits chan uint32
-	done chan struct{}
 }
 
 func newInprocDriver(cores, window int) (*inprocDriver, error) {
-	eng, err := softjoin.NewUniFlow(softjoin.Config{NumCores: cores, WindowSize: window})
+	d := &inprocDriver{hits: make(chan uint32, 256)}
+	var err error
+	d.eng, d.stop, err = startUniFlow(softjoin.Config{NumCores: cores, WindowSize: window}, nil, nil, func(r stream.Result) {
+		if r.R.Key >= probeKeyBase {
+			d.hits <- r.R.Key
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	d := &inprocDriver{eng: eng, hits: make(chan uint32, 256), done: make(chan struct{})}
-	go func() {
-		defer close(d.done)
-		for r := range eng.Results() {
-			if r.R.Key >= netProbeKeyBase {
-				d.hits <- r.R.Key
-			}
-		}
-	}()
 	return d, nil
 }
 
@@ -73,11 +105,7 @@ func (d *inprocDriver) push(batch []core.Input) error {
 
 func (d *inprocDriver) matches() <-chan uint32 { return d.hits }
 
-func (d *inprocDriver) close() error {
-	err := d.eng.Close()
-	<-d.done
-	return err
-}
+func (d *inprocDriver) close() error { return d.stop() }
 
 // netDriver drives the same engine configuration behind a loopback TCP
 // session of the stream-join service.
@@ -96,7 +124,7 @@ func newNetDriver(addr string, cores, window int) (*netDriver, error) {
 	go func() {
 		defer close(d.done)
 		for r := range c.Results() {
-			if r.R.Key >= netProbeKeyBase {
+			if r.R.Key >= probeKeyBase {
 				d.hits <- r.R.Key
 			}
 		}
@@ -130,7 +158,7 @@ func probeLatency(d probeDriver, batchSize, probes int) (time.Duration, error) {
 	}
 	var sum time.Duration
 	for i := 0; i < probes; i++ {
-		probeKey := uint32(netProbeKeyBase + i)
+		probeKey := uint32(probeKeyBase + i)
 		if err := d.push([]core.Input{{Side: stream.SideS, Tuple: stream.Tuple{Key: probeKey}}}); err != nil {
 			return 0, err
 		}
@@ -185,17 +213,11 @@ func NetLatency(opt Options) (Figure, error) {
 		probes = 6
 	}
 
-	srv, err := server.New(server.Config{})
+	srvs, addrs, err := startServers(1, server.Config{})
 	if err != nil {
 		return Figure{}, err
 	}
-	ln, err := netListen()
-	if err != nil {
-		return Figure{}, err
-	}
-	go srv.Serve(ln)
-	defer shutdownServer(srv)
-	addr := ln.Addr().String()
+	defer stopServers(srvs)
 
 	inproc := Series{Label: "in-process"}
 	network := Series{Label: "network (loopback TCP)"}
@@ -211,7 +233,7 @@ func NetLatency(opt Options) (Figure, error) {
 		}
 		inproc.Points = append(inproc.Points, Point{X: float64(b), Y: float64(lat.Microseconds())})
 
-		nd, err := newNetDriver(addr, cores, window)
+		nd, err := newNetDriver(addrs[0], cores, window)
 		if err != nil {
 			return Figure{}, err
 		}

@@ -125,16 +125,12 @@ func recoveryOne(opt Options, window, suffix, batch int) (recoveryResult, error)
 
 	// Pre-crash run: fill the window, cut a durable snapshot, stream the
 	// suffix, and keep every result as the oracle.
-	srv, err := server.New(server.Config{CheckpointDir: liveDir, CheckpointInterval: -1})
+	live, addrs, err := startServers(1, server.Config{CheckpointDir: liveDir, CheckpointInterval: -1})
 	if err != nil {
 		return recoveryResult{}, err
 	}
-	ln, err := netListen()
-	if err != nil {
-		return recoveryResult{}, err
-	}
-	go srv.Serve(ln)
-	c, err := server.Dial(ln.Addr().String(), cfg)
+	defer stopServers(live)
+	c, err := server.Dial(addrs[0], cfg)
 	if err != nil {
 		return recoveryResult{}, err
 	}
@@ -165,7 +161,7 @@ func recoveryOne(opt Options, window, suffix, batch int) (recoveryResult, error)
 		return recoveryResult{}, err
 	}
 	<-drained
-	shutdownServer(srv)
+	stopServers(live)
 	if len(oracle) == 0 || preCount == 0 || len(oracle) == preCount {
 		return recoveryResult{}, fmt.Errorf("vacuous run: %d results, %d pre-snapshot", len(oracle), preCount)
 	}
@@ -224,19 +220,14 @@ func runRestart(ckptDir string, cfg wire.OpenConfig, inputs []core.Input, batch,
 	if ckptDir != "" {
 		scfg.CheckpointDir = ckptDir
 	}
-	srv, err := server.New(scfg)
+	srvs, addrs, err := startServers(1, scfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	ln, err := netListen()
-	if err != nil {
-		return 0, 0, err
-	}
-	go srv.Serve(ln)
-	defer shutdownServer(srv)
+	defer stopServers(srvs)
 
 	start := time.Now()
-	c, err := server.Dial(ln.Addr().String(), cfg)
+	c, err := server.Dial(addrs[0], cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -299,21 +290,6 @@ func replaySuffix(inputs []core.Input, seqR, seqS uint64) []core.Input {
 		} else {
 			s++
 		}
-	}
-	return nil
-}
-
-// sendAll streams inputs in batch-sized frames.
-func sendAll(c *server.Client, inputs []core.Input, batch int) error {
-	for len(inputs) > 0 {
-		n := batch
-		if n > len(inputs) {
-			n = len(inputs)
-		}
-		if err := c.SendBatch(inputs[:n]); err != nil {
-			return err
-		}
-		inputs = inputs[n:]
 	}
 	return nil
 }

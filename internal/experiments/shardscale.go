@@ -103,22 +103,11 @@ func shardScale(opt Options) (Figure, []shardScaleRun, error) {
 // stopped when Close has drained the last merged result.
 func measureShardScale(shards int, p shardScaleParams, seed int64) (shardScaleRun, error) {
 	run := shardScaleRun{shards: shards, tuples: p.tuples}
-	addrs := make([]string, shards)
-	srvs := make([]*server.Server, shards)
-	for i := range addrs {
-		srv, err := server.New(server.Config{})
-		if err != nil {
-			return run, err
-		}
-		ln, err := netListen()
-		if err != nil {
-			return run, err
-		}
-		go srv.Serve(ln)
-		defer shutdownServer(srv)
-		srvs[i] = srv
-		addrs[i] = ln.Addr().String()
+	srvs, addrs, err := startServers(shards, server.Config{})
+	if err != nil {
+		return run, err
 	}
+	defer stopServers(srvs)
 	r, err := shard.Dial(shard.Config{Addrs: addrs, Cores: 1, Window: p.window})
 	if err != nil {
 		return run, err
@@ -141,14 +130,8 @@ func measureShardScale(shards int, p shardScaleParams, seed int64) (shardScaleRu
 	}()
 
 	t0 := time.Now()
-	for off := 0; off < len(inputs); off += p.batch {
-		end := off + p.batch
-		if end > len(inputs) {
-			end = len(inputs)
-		}
-		if err := r.SendBatch(inputs[off:end]); err != nil {
-			return run, err
-		}
+	if err := sendAll(r, inputs, p.batch); err != nil {
+		return run, err
 	}
 	st, err := r.Close()
 	if err != nil {

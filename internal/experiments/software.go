@@ -11,78 +11,55 @@ import (
 	"accelstream/internal/workload"
 )
 
-// swThroughput measures the software SplitJoin's input throughput in
-// million tuples per second: windows preloaded, saturated disjoint-key
-// stream, wall-clock timed. The scan kernel is pinned: the paper's
-// figures characterize the full-window-compare data path (throughput ∝
-// cores/window), which the hash index deliberately short-circuits — the
-// kernel comparison lives in the "software" baseline figure instead.
-func swThroughput(cores, window int, measureTuples int, opt Options) (float64, error) {
-	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: stream.KernelScan})
+// probeKeyBase marks probe tuples; filler traffic stays outside this
+// range so the drain goroutines can spot probe results cheaply.
+const probeKeyBase = 0x40000000
+
+// startUniFlow builds a software uni-flow engine, preloads it when r or s
+// is non-empty, starts it, and drains Results() on one goroutine that
+// hands each result to seen (nil discards it). stop closes the engine and
+// waits for the drain; closing the engine first is harmless, so a runner
+// can end its timed region at e.Close() and still defer stop.
+func startUniFlow(cfg softjoin.Config, r, s []stream.Tuple, seen func(stream.Result)) (e *softjoin.UniFlow, stop func() error, err error) {
+	e, err = softjoin.NewUniFlow(cfg)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	r, s, err := workload.WindowFill(workload.Spec{Seed: opt.Seed, Dist: workload.Disjoint}, window)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.Preload(r, s); err != nil {
-		return 0, err
+	if len(r) > 0 || len(s) > 0 {
+		if err := e.Preload(r, s); err != nil {
+			return nil, nil, err
+		}
 	}
 	if err := e.Start(); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
+	drained := make(chan struct{})
 	go func() {
-		defer drainWG.Done()
-		for range e.Results() {
+		defer close(drained)
+		for res := range e.Results() {
+			if seen != nil {
+				seen(res)
+			}
 		}
 	}()
-
-	next, err := workload.Alternating(workload.Spec{Seed: opt.Seed + 7, Dist: workload.Disjoint})
-	if err != nil {
-		return 0, err
-	}
-	const batchSize = 256
-	// One reusable batch buffer: PushBatch copies, so the buffer can be
-	// refilled as soon as it returns.
-	batch := make([]core.Input, batchSize)
-	fill := func() {
-		for i := range batch {
-			batch[i] = next()
-		}
-	}
-	// Warm the pipeline before timing.
-	warmBatches := measureTuples / batchSize / 10
-	if warmBatches < 2 {
-		warmBatches = 2
-	}
-	for i := 0; i < warmBatches; i++ {
-		fill()
-		e.PushBatch(batch)
-	}
-	start := time.Now()
-	pushed := 0
-	for pushed < measureTuples {
-		fill()
-		e.PushBatch(batch)
-		pushed += batchSize
-	}
-	// Wait until the pipeline has fully processed the pushed load so the
-	// measurement covers processing, not queue absorption.
-	if err := e.Close(); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start)
-	drainWG.Wait()
-	return float64(pushed) / elapsed.Seconds() / 1e6, nil
+	return e, func() error {
+		err := e.Close()
+		<-drained
+		return err
+	}, nil
 }
 
 // Fig14d regenerates Figure 14d: software uni-flow (SplitJoin) throughput
 // versus window size for 16 and 28 join cores. Absolute numbers reflect
 // this host, not the paper's 32-core Xeon testbed; the shape (inverse in W,
 // increasing in cores) is the reproduction target.
+//
+// The scan kernel is pinned here, in Fig16 and in loadlat: the paper's
+// figures characterize the full-window-compare data path (throughput ∝
+// cores/window), which the hash index deliberately short-circuits — the
+// kernel comparison lives in the "software" baseline figure instead. The
+// load-latency curve also needs an engine one paced producer can
+// saturate, and the hash kernel's saturation lies beyond that.
 func Fig14d(opt Options) (Figure, error) {
 	fig := Figure{
 		ID:     "fig14d",
@@ -109,7 +86,7 @@ func Fig14d(opt Options) (Figure, error) {
 					measure = 256
 				}
 			}
-			mtps, err := swThroughput(cores, window, measure, opt)
+			mtps, _, err := swThroughput(cores, window, 0, measure, stream.KernelScan, opt)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -122,77 +99,74 @@ func Fig14d(opt Options) (Figure, error) {
 	return fig, nil
 }
 
-// swLoadedLatency measures the software engine's per-tuple latency under
-// sustained load: probes with planted matches ride the saturated stream,
-// and latency is the wall time from push to the probe's result arriving at
-// the gatherer.
-func swLoadedLatency(cores, window, probes int, opt Options) (time.Duration, error) {
-	// Scan kernel pinned for the same reason as swThroughput: Figure 16's
-	// latency shape is a property of the full-window compare.
-	e, err := softjoin.NewUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: stream.KernelScan})
-	if err != nil {
-		return 0, err
-	}
+// swProbeLatency measures the software engine's per-tuple latency under
+// load: probes with planted matches ride a stream of burst-tuple
+// background batches, and latency is the wall time from a probe's push to
+// its result arriving at the gatherer. Rate 0 pushes flat out; a positive
+// rate paces the offered load in tuples/s. It also returns the mean
+// engine backlog just before each probe push, Injected() − Processed()/cores:
+// the tuples a probe queues behind.
+func swProbeLatency(cores, window, probes, burst int, rate float64, opt Options) (time.Duration, float64, error) {
 	r, s, err := workload.WindowFill(workload.Spec{Seed: opt.Seed, Dist: workload.Disjoint}, window)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// Plant one match per probe key at scattered positions. Probe keys use
 	// a range disjoint from the workload's.
-	const probeKeyBase = 0x40000000
 	for i := 0; i < probes; i++ {
 		s[(i*2048+window/3)%window].Key = probeKeyBase + uint32(i)
 	}
-	if err := e.Preload(r, s); err != nil {
-		return 0, err
-	}
-	if err := e.Start(); err != nil {
-		return 0, err
-	}
-
 	pushTimes := make([]time.Time, probes)
 	arrivals := make([]time.Duration, probes)
 	var mu sync.Mutex
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for res := range e.Results() {
-			if res.R.Key >= probeKeyBase && res.R.Key < probeKeyBase+uint32(probes) {
-				i := int(res.R.Key - probeKeyBase)
-				mu.Lock()
-				if arrivals[i] == 0 {
-					arrivals[i] = time.Since(pushTimes[i])
-				}
-				mu.Unlock()
+	e, stop, err := startUniFlow(softjoin.Config{NumCores: cores, WindowSize: window, ProbeKernel: stream.KernelScan}, r, s, func(res stream.Result) {
+		if res.R.Key >= probeKeyBase && res.R.Key < probeKeyBase+uint32(probes) {
+			i := int(res.R.Key - probeKeyBase)
+			mu.Lock()
+			if arrivals[i] == 0 {
+				arrivals[i] = time.Since(pushTimes[i])
 			}
+			mu.Unlock()
 		}
-	}()
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer stop()
 
+	var pacer *workload.Pacer
+	if rate > 0 {
+		if pacer, err = workload.NewPacer(rate); err != nil {
+			return 0, 0, err
+		}
+	}
 	next, err := workload.Alternating(workload.Spec{Seed: opt.Seed + 3, Dist: workload.Disjoint})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// Interleave: a burst of background traffic, then one probe.
-	burst := 512
-	if opt.Quick {
-		burst = 64
-	}
 	batch := make([]core.Input, burst) // reused: PushBatch copies
+	var backlog float64
 	for i := 0; i < probes; i++ {
 		for j := range batch {
 			batch[j] = next()
 		}
+		if pacer != nil {
+			pacer.WaitBatch(burst)
+		}
 		e.PushBatch(batch)
+		if pacer != nil {
+			pacer.WaitBatch(1)
+		}
+		backlog += float64(e.Injected()) - float64(e.Processed())/float64(cores)
 		mu.Lock()
 		pushTimes[i] = time.Now()
 		mu.Unlock()
 		e.PushBatch([]core.Input{{Side: stream.SideR, Tuple: stream.Tuple{Key: probeKeyBase + uint32(i)}}})
 	}
-	if err := e.Close(); err != nil {
-		return 0, err
+	if err := stop(); err != nil {
+		return 0, 0, err
 	}
-	drainWG.Wait()
 
 	var sum time.Duration
 	n := 0
@@ -203,9 +177,9 @@ func swLoadedLatency(cores, window, probes int, opt Options) (time.Duration, err
 		}
 	}
 	if n == 0 {
-		return 0, fmt.Errorf("experiments: no probe results observed")
+		return 0, 0, fmt.Errorf("experiments: no probe results observed at rate %.0f", rate)
 	}
-	return sum / time.Duration(n), nil
+	return sum / time.Duration(n), backlog / float64(probes), nil
 }
 
 // Fig16 regenerates Figure 16: software uni-flow latency versus the number
@@ -218,15 +192,15 @@ func Fig16(opt Options) (Figure, error) {
 		YLabel: "latency (ms)",
 	}
 	coresSweep := []int{12, 16, 20, 24, 28, 32}
-	probes := 12
+	probes, burst := 12, 512
 	if opt.Quick {
 		coresSweep = []int{12, 20, 28}
-		probes = 8
+		probes, burst = 8, 64
 	}
 	for _, window := range []int{1 << 17, 1 << 18, 1 << 19} {
 		s := Series{Label: fmt.Sprintf("W=2^%d", log2(window))}
 		for _, cores := range coresSweep {
-			lat, err := swLoadedLatency(cores, window, probes, opt)
+			lat, _, err := swProbeLatency(cores, window, probes, burst, 0, opt)
 			if err != nil {
 				return Figure{}, err
 			}

@@ -282,14 +282,5 @@ func (d *BiFlowDesign) RunToQuiescence(maxCycles uint64) (uint64, error) {
 // MeasureThroughput drives the design for warmup cycles, then measures
 // injected input tuples over measure cycles.
 func (d *BiFlowDesign) MeasureThroughput(warmup, measure uint64) ThroughputMeasurement {
-	d.sim.Run(warmup)
-	startIn := d.src.Injected()
-	startOut := d.sink.Drained()
-	d.sim.Run(measure)
-	return ThroughputMeasurement{
-		WarmupCycles:   warmup,
-		MeasureCycles:  measure,
-		TuplesInjected: d.src.Injected() - startIn,
-		ResultsDrained: d.sink.Drained() - startOut,
-	}
+	return measureThroughput(d.sim, d.src, d.sink, warmup, measure)
 }

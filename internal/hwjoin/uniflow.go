@@ -306,17 +306,23 @@ func (m ThroughputMeasurement) TuplesPerCycle() float64 {
 	return float64(m.TuplesInjected) / float64(m.MeasureCycles)
 }
 
-// MeasureThroughput drives the design with its generator for warmup cycles,
-// then measures injected input tuples over measure cycles.
-func (d *UniFlowDesign) MeasureThroughput(warmup, measure uint64) ThroughputMeasurement {
-	d.sim.Run(warmup)
-	startIn := d.src.Injected()
-	startOut := d.sink.Drained()
-	d.sim.Run(measure)
+// measureThroughput runs sim for warmup cycles, then counts the tuples src
+// injects and the results sink drains over measure cycles.
+func measureThroughput(sim *hwsim.Simulator, src *Source, sink *Sink, warmup, measure uint64) ThroughputMeasurement {
+	sim.Run(warmup)
+	startIn := src.Injected()
+	startOut := sink.Drained()
+	sim.Run(measure)
 	return ThroughputMeasurement{
 		WarmupCycles:   warmup,
 		MeasureCycles:  measure,
-		TuplesInjected: d.src.Injected() - startIn,
-		ResultsDrained: d.sink.Drained() - startOut,
+		TuplesInjected: src.Injected() - startIn,
+		ResultsDrained: sink.Drained() - startOut,
 	}
+}
+
+// MeasureThroughput drives the design with its generator for warmup cycles,
+// then measures injected input tuples over measure cycles.
+func (d *UniFlowDesign) MeasureThroughput(warmup, measure uint64) ThroughputMeasurement {
+	return measureThroughput(d.sim, d.src, d.sink, warmup, measure)
 }
