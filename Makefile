@@ -31,10 +31,12 @@ test:
 # The race detector over every package that starts goroutines or is
 # driven concurrently. internal/experiments owns its engines' drain
 # goroutines and its loopback servers; it runs with -short, which skips
-# the wall-clock sweeps whose shapes the detector's slowdown distorts.
+# the wall-clock sweeps whose shapes the detector's slowdown distorts,
+# and its slowest single-goroutine cycle-simulator tests skip themselves
+# under -race (they run in `make test`).
 test-race:
 	$(GO) test -race . ./cmd/streamload/ ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
-		./internal/checkpoint/ ./internal/daemon/ ./internal/server/ ./internal/shard/ \
+		./internal/checkpoint/ ./internal/daemon/ ./internal/metrics/ ./internal/server/ ./internal/shard/ \
 		./internal/softjoin/ ./internal/stream/ ./internal/wire/
 	$(GO) test -race -short ./internal/experiments/
 

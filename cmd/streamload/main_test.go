@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/testcert"
 )
 
@@ -40,6 +41,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 // finish without error, every emitted result must arrive, and the
 // received multiset must match the oracle.
 func TestRunVerifiesAgainstOracle(t *testing.T) {
+	leakcheck.Check(t)
 	srv, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +79,7 @@ func TestRunVerifiesAgainstOracle(t *testing.T) {
 // fails certificate verification; a plaintext dial would fail the
 // handshake instead.
 func TestRunTLSFlagsImplyTLS(t *testing.T) {
+	leakcheck.Check(t)
 	serverTLS, _, err := testcert.New()
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"accelstream"
 	"accelstream/internal/checkpoint"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/workload"
 )
 
@@ -49,6 +50,7 @@ func adminPost(t *testing.T, mux *http.ServeMux, path, addr string) (int, string
 // resize, and checks the merged results stay oracle-equal and the
 // registry metrics report the resizes.
 func TestAdminResizeLive(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		window  = 120 // divisible by every layout size used here
 		perLeg  = 1200
@@ -184,6 +186,7 @@ func TestAdminResizeLive(t *testing.T) {
 // streaming session it persists a decodable snapshot whose manifest
 // carries the session's engine shape and arrival counters.
 func TestAdminSnapshot(t *testing.T) {
+	leakcheck.Check(t)
 	const window, tuples, batchSz = 64, 800, 32
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
@@ -265,6 +268,7 @@ func TestAdminSnapshot(t *testing.T) {
 // session can satisfy is refused wholesale: the session keeps its layout
 // and the registry address list is unchanged.
 func TestAdminResizeRefusedOnIndivisibleWindow(t *testing.T) {
+	leakcheck.Check(t)
 	backends := make([]string, 3)
 	for i := range backends {
 		backends[i] = startBackend(t)

@@ -10,6 +10,7 @@ import (
 
 	"accelstream"
 	"accelstream/internal/autoscale"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/workload"
 )
 
@@ -27,6 +28,7 @@ func adminGet(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 // metrics expose its counters — and the merged results stay oracle-equal
 // through both autoscale-triggered rebalances.
 func TestDaemonAutoscaleLoop(t *testing.T) {
+	leakcheck.Check(t)
 	const window = 64
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends[:1], t.Logf)
@@ -170,6 +172,7 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 // TestAdminAutoscaleDisabled pins the endpoint's shape when the daemon
 // runs without -autoscale: enabled=false, no policy, no report.
 func TestAdminAutoscaleDisabled(t *testing.T) {
+	leakcheck.Check(t)
 	reg := newRouterRegistry([]string{"127.0.0.1:1"}, t.Logf)
 	mux := http.NewServeMux()
 	reg.registerAdmin(mux)

@@ -10,6 +10,7 @@ import (
 	"accelstream"
 	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 	"accelstream/internal/workload"
@@ -49,6 +50,7 @@ func startFront(t *testing.T, kernel accelstream.ProbeKernel, backends ...string
 // front server resolves the kernel before the factory sees the session,
 // so the factory forwards it as given.
 func TestFrontKernelReachesShards(t *testing.T) {
+	leakcheck.Check(t)
 	backends := []*accelstream.Server{startBackendServer(t), startBackendServer(t)}
 	addr, engines := startFront(t, accelstream.KernelScan, backends[0].Addr().String(), backends[1].Addr().String())
 	c, err := accelstream.Dial(addr, accelstream.SessionConfig{
@@ -72,6 +74,7 @@ func TestFrontKernelReachesShards(t *testing.T) {
 // per-result Results view) and the client must still see the oracle's
 // multiset.
 func TestFrontSessionServesRouterBatches(t *testing.T) {
+	leakcheck.Check(t)
 	const window, tuples, batchSz = 64, 8000, 64
 	addr, engines := startFront(t, accelstream.KernelAuto, startBackend(t), startBackend(t))
 	c, err := accelstream.Dial(addr, accelstream.SessionConfig{
@@ -119,6 +122,7 @@ func TestFrontSessionServesRouterBatches(t *testing.T) {
 // pushed, so the shards see larger batches than the client sent. The
 // client must still see the oracle's multiset.
 func TestFrontSessionMergedPushesOracle(t *testing.T) {
+	leakcheck.Check(t)
 	const window, tuples, frame, perWrite = 64, 8192, 32, 16
 	addr, _ := startFront(t, accelstream.KernelAuto, startBackend(t), startBackend(t))
 	gen, err := workload.NewGenerator(workload.Spec{Seed: 29, KeyDomain: 32})
@@ -210,6 +214,7 @@ func TestFrontSessionMergedPushesOracle(t *testing.T) {
 // the router still has its shard sessions — the final snapshot every
 // streamd session writes on a clean close.
 func TestFrontSessionFinalSnapshot(t *testing.T) {
+	leakcheck.Check(t)
 	const window, tuples, batchSz = 64, 320, 32
 	dir := t.TempDir()
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{

@@ -12,6 +12,7 @@ import (
 
 	"accelstream"
 	"accelstream/internal/autoscale"
+	"accelstream/internal/leakcheck"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -80,6 +81,7 @@ func dialIdle(t *testing.T, reg *routerRegistry, addrs []string) (*accelstream.S
 // The bytes were captured before the autoscale loop moved into
 // shard.Deployment and must not change.
 func TestMetricsGoldenAutoscaleOff(t *testing.T) {
+	leakcheck.Check(t)
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
 	_, closed := dialIdle(t, reg, reg.dep.Addrs())
@@ -97,6 +99,7 @@ func TestMetricsGoldenAutoscaleOff(t *testing.T) {
 // shrink back, then a hold inside the cooldown, and a live session
 // dialed on the resulting one-shard set.
 func TestMetricsGoldenAutoscaleOn(t *testing.T) {
+	leakcheck.Check(t)
 	backends := []string{startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
 	now := time.Unix(1_700_000_000, 0).UTC()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/testcert"
 )
 
@@ -86,6 +87,7 @@ func TestFlagDefaults(t *testing.T) {
 // throwaway CA, so a TLS dial fails certificate verification; a plaintext
 // dial would fail the handshake instead.
 func TestShardTLSFlagsImplyTLS(t *testing.T) {
+	leakcheck.Check(t)
 	serverTLS, _, err := testcert.New()
 	if err != nil {
 		t.Fatal(err)

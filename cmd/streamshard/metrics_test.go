@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"accelstream"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/workload"
 )
 
@@ -18,6 +19,7 @@ import (
 // followed by its one TYPE line, no family name is declared by both
 // daemons, and every sample belongs to the family declared just before it.
 func TestMetricsScrapeFormat(t *testing.T) {
+	leakcheck.Check(t)
 	backends := []string{startBackend(t), startBackend(t)}
 	reg := newRouterRegistry(backends, t.Logf)
 	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
@@ -65,7 +67,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
 	declared := make(map[string]bool)
-	family := ""
+	family, histogram := "", false
 	for i := 0; i < len(lines); i++ {
 		line := lines[i]
 		if help, ok := strings.CutPrefix(line, "# HELP "); ok {
@@ -74,8 +76,9 @@ func TestMetricsScrapeFormat(t *testing.T) {
 				t.Errorf("family %s declared twice", family)
 			}
 			declared[family] = true
-			if i+1 == len(lines) || !(lines[i+1] == "# TYPE "+family+" counter" || lines[i+1] == "# TYPE "+family+" gauge") {
-				t.Errorf("HELP of %s not followed by its counter or gauge TYPE line", family)
+			histogram = i+1 < len(lines) && lines[i+1] == "# TYPE "+family+" histogram"
+			if i+1 == len(lines) || !(lines[i+1] == "# TYPE "+family+" counter" || lines[i+1] == "# TYPE "+family+" gauge" || histogram) {
+				t.Errorf("HELP of %s not followed by its counter, gauge or histogram TYPE line", family)
 			}
 			i++ // the TYPE line
 			continue
@@ -85,7 +88,16 @@ func TestMetricsScrapeFormat(t *testing.T) {
 			t.Errorf("line %d is neither a family header nor a sample: %q", i+1, line)
 			continue
 		}
-		if name := line[:end]; name != family {
+		name := line[:end]
+		if histogram {
+			// A histogram's samples are its _bucket, _sum and _count series.
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && base == family {
+					name = family
+				}
+			}
+		}
+		if name != family {
 			t.Errorf("sample %q follows the %s family header", line, family)
 		}
 	}

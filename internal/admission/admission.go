@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"accelstream/internal/metrics"
 	"accelstream/internal/wire"
 )
 
@@ -275,6 +276,9 @@ type tenantState struct {
 	throttled   uint64 // cumulative throttle events (delayed credits)
 	admitted    uint64 // cumulative admitted sessions
 	lastActive  time.Time
+	// batchSeconds times the tenant's Batch frames; it is evicted with
+	// the entry, like the tenant's other counters.
+	batchSeconds metrics.Histogram
 }
 
 // idle reports whether the entry holds no live resources: no sessions, no
@@ -424,6 +428,9 @@ type Lease struct {
 // Tenant returns the tenant identity the lease is accounted under.
 func (l *Lease) Tenant() string { return l.tenant }
 
+// BatchSeconds returns the tenant's Batch-frame latency histogram.
+func (l *Lease) BatchSeconds() *metrics.Histogram { return &l.ts.batchSeconds }
+
 // Release returns the session's quota slots. Idempotent.
 func (l *Lease) Release() {
 	l.mu.Lock()
@@ -470,6 +477,8 @@ type TenantUsage struct {
 	WindowBytes int64
 	Throttled   uint64 // cumulative credit-withhold events
 	Admitted    uint64 // cumulative admitted sessions
+	// BatchSeconds is the tenant's live Batch-frame latency histogram.
+	BatchSeconds *metrics.Histogram
 }
 
 // Snapshot returns the per-tenant usage, sorted by tenant identity, plus
@@ -480,11 +489,12 @@ func (c *Controller) Snapshot() (tenants []TenantUsage, throttledTotal uint64) {
 	tenants = make([]TenantUsage, 0, len(c.tenants))
 	for name, ts := range c.tenants {
 		tenants = append(tenants, TenantUsage{
-			Tenant:      name,
-			Sessions:    ts.sessions,
-			WindowBytes: ts.windowBytes,
-			Throttled:   ts.throttled,
-			Admitted:    ts.admitted,
+			Tenant:       name,
+			Sessions:     ts.sessions,
+			WindowBytes:  ts.windowBytes,
+			Throttled:    ts.throttled,
+			Admitted:     ts.admitted,
+			BatchSeconds: &ts.batchSeconds,
 		})
 	}
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Tenant < tenants[j].Tenant })

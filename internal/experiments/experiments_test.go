@@ -115,6 +115,9 @@ func TestFig14bShape(t *testing.T) {
 // TestFig14cShape: absolute anchors from the paper's 300 MHz Virtex-7 run:
 // ≈75 M tuples/s at W=2^11 and ≈0.59 at W=2^18 with 512 cores.
 func TestFig14cShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine cycle simulation under -race")
+	}
 	fig, err := Fig14c(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -360,27 +363,33 @@ func TestDeterministicFiguresMatchResults(t *testing.T) {
 			return []Figure{fig}, err
 		}
 	}
+	// slow rows are skipped in -short mode; sim rows, whose single-
+	// goroutine cycle simulation takes seconds under the race detector and
+	// gives it nothing to find, are skipped under -race.
 	runs := []struct {
-		name string
-		slow bool
-		run  func() ([]Figure, error)
+		name      string
+		slow, sim bool
+		run       func() ([]Figure, error)
 	}{
-		{"fig14a", false, one(Fig14a)},
-		{"fig14b", false, one(Fig14b)},
-		{"fig14c", true, one(Fig14c)},
-		{"fig15", false, func() ([]Figure, error) {
+		{"fig14a", false, true, one(Fig14a)},
+		{"fig14b", false, true, one(Fig14b)},
+		{"fig14c", true, true, one(Fig14c)},
+		{"fig15", false, true, func() ([]Figure, error) {
 			cycles, micros, err := Fig15(opt)
 			return []Figure{cycles, micros}, err
 		}},
-		{"fig17", false, one(Fig17)},
-		{"power", false, one(PowerTable)},
-		{"fanout", false, one(FanoutAblation)},
-		{"llhs", false, one(LatencyByArchitecture)},
+		{"fig17", false, false, one(Fig17)},
+		{"power", false, false, one(PowerTable)},
+		{"fanout", false, false, one(FanoutAblation)},
+		{"llhs", false, false, one(LatencyByArchitecture)},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			if r.slow && testing.Short() {
 				t.Skip("full-size Virtex-7 sweep in -short mode")
+			}
+			if r.sim && raceEnabled {
+				t.Skip("single-goroutine cycle simulation under -race")
 			}
 			figs, err := r.run()
 			if err != nil {

@@ -30,7 +30,7 @@ type Writer struct{ out io.Writer }
 func NewWriter(out io.Writer) *Writer { return &Writer{out} }
 
 // Family writes the HELP and TYPE lines that open a metric family; kind
-// is "counter" or "gauge". The family's samples follow it.
+// is "counter", "gauge" or "histogram". The family's samples follow it.
 func (w *Writer) Family(name, kind, help string) {
 	fmt.Fprintf(w.out, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, kind)
 }

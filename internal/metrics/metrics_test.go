@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFamilyAndUnlabelledHelpers(t *testing.T) {
@@ -76,4 +77,75 @@ func TestSampleRejectsUnsupportedValue(t *testing.T) {
 		}
 	}()
 	NewWriter(&strings.Builder{}).Sample("m", "1")
+}
+
+// TestHistogramGolden pins a histogram's exposition byte for byte: the
+// bucket bounds, the cumulative counts, the edges of each bucket (a bound
+// belongs to its own bucket), the overflow bucket, and the labels before
+// le.
+func TestHistogramGolden(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{
+		-time.Second,               // counts as 0: le 1e-06
+		0,                          // le 1e-06
+		time.Microsecond,           // le 1e-06
+		time.Microsecond + 1,       // le 2e-06
+		4 * time.Microsecond,       // le 4e-06
+		4*time.Microsecond + 1,     // le 8e-06
+		time.Millisecond,           // le 0.001024
+		4194304 * time.Microsecond, // the last bound
+		5 * time.Second,            // +Inf
+	} {
+		h.Observe(d)
+	}
+	var b strings.Builder
+	w := NewWriter(&b)
+	w.Family("op_seconds", "histogram", "Time per op.")
+	w.Histogram("op_seconds", &h, "tenant", "a")
+	want := `# HELP op_seconds Time per op.
+# TYPE op_seconds histogram
+op_seconds_bucket{tenant="a",le="1e-06"} 3
+op_seconds_bucket{tenant="a",le="2e-06"} 4
+op_seconds_bucket{tenant="a",le="4e-06"} 5
+op_seconds_bucket{tenant="a",le="8e-06"} 6
+op_seconds_bucket{tenant="a",le="1.6e-05"} 6
+op_seconds_bucket{tenant="a",le="3.2e-05"} 6
+op_seconds_bucket{tenant="a",le="6.4e-05"} 6
+op_seconds_bucket{tenant="a",le="0.000128"} 6
+op_seconds_bucket{tenant="a",le="0.000256"} 6
+op_seconds_bucket{tenant="a",le="0.000512"} 6
+op_seconds_bucket{tenant="a",le="0.001024"} 7
+op_seconds_bucket{tenant="a",le="0.002048"} 7
+op_seconds_bucket{tenant="a",le="0.004096"} 7
+op_seconds_bucket{tenant="a",le="0.008192"} 7
+op_seconds_bucket{tenant="a",le="0.016384"} 7
+op_seconds_bucket{tenant="a",le="0.032768"} 7
+op_seconds_bucket{tenant="a",le="0.065536"} 7
+op_seconds_bucket{tenant="a",le="0.131072"} 7
+op_seconds_bucket{tenant="a",le="0.262144"} 7
+op_seconds_bucket{tenant="a",le="0.524288"} 7
+op_seconds_bucket{tenant="a",le="1.048576"} 7
+op_seconds_bucket{tenant="a",le="2.097152"} 7
+op_seconds_bucket{tenant="a",le="4.194304"} 8
+op_seconds_bucket{tenant="a",le="+Inf"} 9
+op_seconds_sum{tenant="a"} 9.195314002
+op_seconds_count{tenant="a"} 9
+`
+	if got := b.String(); got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
+	// Unlabelled, an empty histogram still writes every bucket.
+	b.Reset()
+	w.Histogram("empty_seconds", &Histogram{})
+	if got := b.String(); !strings.HasPrefix(got, `empty_seconds_bucket{le="1e-06"} 0`+"\n") ||
+		!strings.HasSuffix(got, `empty_seconds_bucket{le="+Inf"} 0`+"\nempty_seconds_sum 0\nempty_seconds_count 0\n") {
+		t.Errorf("empty histogram:\n%s", got)
+	}
+}
+
+func TestHistogramObserveAllocFree(t *testing.T) {
+	var h Histogram
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(37 * time.Microsecond) }); allocs != 0 {
+		t.Errorf("Observe: %v allocs, want 0", allocs)
+	}
 }

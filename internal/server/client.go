@@ -66,8 +66,13 @@ func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex
-	w   *wire.Writer
+	// wmu serializes frame encoding: it guards w, out and batchSeq.
+	wmu      sync.Mutex
+	w        *wire.Writer
+	out      outbox
+	batchSeq uint64
+	// writerDone closes when the writer goroutine (writeLoop) exits.
+	writerDone chan struct{}
 
 	credits chan struct{}
 	// batches carries each decoded Results frame as one pooled batch;
@@ -81,7 +86,6 @@ type Client struct {
 	err       error
 	stats     wire.Stats
 	closeSent bool
-	batchSeq  uint64
 
 	// State-import plumbing: the base arrival counters this session was
 	// opened with, and a one-slot channel delivering the server's
@@ -116,6 +120,10 @@ type Client struct {
 	rttSum   time.Duration
 	rttMax   time.Duration
 	rttCount uint64
+	// lastGrant is the credit count of the latest Credit frame, set under
+	// rttMu before its credits are handed out, so a SendBatch woken by
+	// one of them reads that frame's count or a later one's.
+	lastGrant int
 }
 
 // clientBatchDepth is how many decoded Results frames may wait between
@@ -170,9 +178,17 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	if err != nil {
 		return nil, err
 	}
+	return open(conn, cfg, timeout)
+}
+
+// open runs the session handshake over an established connection and
+// starts the client's reader and writer goroutines. On failure it closes
+// conn.
+func open(conn net.Conn, cfg wire.OpenConfig, timeout time.Duration) (*Client, error) {
 	c := &Client{
 		conn:       conn,
-		w:          wire.NewWriter(conn),
+		out:        outbox{conn: conn, wake: make(chan struct{}, 1)},
+		writerDone: make(chan struct{}),
 		batches:    make(chan *stream.ResultBatch, clientBatchDepth),
 		readerDone: make(chan struct{}),
 		baseSeqR:   cfg.BaseSeqR,
@@ -180,6 +196,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 		commitCh:   make(chan wire.RebalanceInfo, 1),
 		ckptCh:     make(chan wire.RebalanceInfo, 1),
 	}
+	c.w = wire.NewWriter(&c.out)
 	conn.SetDeadline(time.Now().Add(timeout))
 	if err := c.w.WriteOpen(cfg); err != nil {
 		conn.Close()
@@ -226,6 +243,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 		c.credits <- struct{}{}
 	}
 	go c.readLoop(r)
+	go c.writeLoop()
 	return c, nil
 }
 
@@ -257,21 +275,46 @@ func (c *Client) setErr(err error) {
 	c.mu.Unlock()
 }
 
+// ended is the error a call meets once the session is over: its fatal
+// error, or a plain "session closed" after a clean end.
+func (c *Client) ended() error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return errors.New("server: session closed")
+}
+
 // SendBatch ships one batch of side-tagged tuples. It blocks while the
 // session's batch credits are exhausted — i.e. while the server-side
 // engine (or the result path back to this client) is saturated — so
 // engine backpressure propagates to the producer.
+//
+// A frame is written before SendBatch returns when no write is pending
+// or in flight on the connection, unless SendBatch had to wait for its
+// credit and the Credit frame that ended the wait granted more than one:
+// then the frames those credits pay for follow this one back to back. Such a frame, and
+// every frame sent while a write is pending or in flight, is queued, and
+// the client's writer goroutine writes everything queued with one
+// write(2): a producer that keeps the credit window full gathers its
+// frames. A nil error therefore means the frame was written or queued
+// behind a write in flight — never that the server has read it. A frame
+// queued before the connection is lost is lost with the session, like
+// bytes already in the socket buffer; the write's failure is reported by
+// the next SendBatch, by Err and by Close.
 func (c *Client) SendBatch(batch []core.Input) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	waited := false
 	select {
 	case <-c.credits:
-	case <-c.readerDone:
-		if err := c.Err(); err != nil {
-			return err
+	default:
+		waited = true
+		select {
+		case <-c.credits:
+		case <-c.readerDone:
+			return c.ended()
 		}
-		return fmt.Errorf("server: session closed")
 	}
 	now := time.Now()
 	c.rttMu.Lock()
@@ -279,8 +322,13 @@ func (c *Client) SendBatch(batch []core.Input) error {
 		c.sendTime[(c.sendHead+c.sendLen)%len(c.sendTime)] = now
 		c.sendLen++
 	}
+	// A wait ended by a grant of several credits starts a gather: the
+	// frames those credits pay for follow this one back to back.
+	gather := waited && c.lastGrant > 1
 	c.rttMu.Unlock()
-	c.wmu.Lock()
+	if err := c.lockOut(gather); err != nil {
+		return err
+	}
 	c.batchSeq++
 	err := c.w.WriteBatch(c.batchSeq, batch)
 	c.wmu.Unlock()
@@ -315,8 +363,9 @@ func (c *Client) Close() (wire.Stats, error) {
 	alreadySent := c.closeSent
 	c.closeSent = true
 	c.mu.Unlock()
-	if !alreadySent {
-		c.wmu.Lock()
+	// A session whose writer already failed or ended has nothing to send:
+	// its error, or its clean end, stands.
+	if !alreadySent && c.lockOut(false) == nil {
 		err := c.w.WriteClose()
 		c.wmu.Unlock()
 		if err != nil {
@@ -326,6 +375,7 @@ func (c *Client) Close() (wire.Stats, error) {
 	}
 	<-c.readerDone
 	c.conn.Close()
+	<-c.writerDone
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats, c.err
@@ -341,7 +391,9 @@ func (c *Client) Close() (wire.Stats, error) {
 func (c *Client) ImportState(tuples []core.Input) error {
 	info := wire.RebalanceInfo{SeqR: c.baseSeqR, SeqS: c.baseSeqS}
 	info.Tally(tuples)
-	c.wmu.Lock()
+	if err := c.lockOut(false); err != nil {
+		return err
+	}
 	err := c.w.WriteState(tuples)
 	if err == nil {
 		err = c.w.WriteRebalanceCommit(info)
@@ -429,18 +481,18 @@ func (c *Client) cut(handOff bool) ([]core.Input, wire.RebalanceInfo, error) {
 	c.ckptTuples = nil
 	c.closeSent = handOff
 	c.mu.Unlock()
-	c.wmu.Lock()
-	var err error
-	if handOff {
-		err = c.w.WriteRebalancePrepare()
-	} else {
-		err = c.w.WriteCheckpoint()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
-		c.setErr(err)
-		c.conn.Close()
+	if c.lockOut(false) == nil {
+		var err error
+		if handOff {
+			err = c.w.WriteRebalancePrepare()
+		} else {
+			err = c.w.WriteCheckpoint()
+		}
+		c.wmu.Unlock()
+		if err != nil {
+			c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+			c.conn.Close()
+		}
 	}
 	var info wire.RebalanceInfo
 	done := false
@@ -458,6 +510,7 @@ func (c *Client) cut(handOff bool) ([]core.Input, wire.RebalanceInfo, error) {
 	if handOff {
 		<-c.readerDone
 		c.conn.Close()
+		<-c.writerDone
 	}
 	c.mu.Lock()
 	tuples, err := c.ckptTuples, c.err
@@ -528,6 +581,7 @@ func (c *Client) readLoop(r *wire.Reader) {
 				c.setErr(fmt.Errorf("%w: %d credits returned with %d batches unacknowledged", ErrCreditOverGrant, n, unacked))
 				return
 			}
+			c.lastGrant = n
 			for i := 0; i < n; i++ {
 				rtt := now.Sub(c.sendTime[c.sendHead])
 				c.sendHead = (c.sendHead + 1) % len(c.sendTime)
@@ -597,5 +651,96 @@ func (c *Client) readLoop(r *wire.Reader) {
 			c.setErr(fmt.Errorf("server: unexpected %v frame", f.Type))
 			return
 		}
+	}
+}
+
+// outbox is the client connection's write side, the io.Writer under the
+// session's frame encoder. A frame goes straight to the connection unless
+// queue is set; then it is appended to pending, and writeLoop writes
+// everything pending with one Write. The spare buffer is the one the last
+// write emptied: the two are swapped, never reallocated, so a steady
+// stream of queued frames does not allocate. The 8-credit window bounds
+// the Batch frames pending. Guarded by Client.wmu.
+type outbox struct {
+	conn           net.Conn
+	queue          bool // the frames being encoded join pending
+	pending, spare []byte
+	busy           bool          // writeLoop is writing a swapped-out buffer
+	wake           chan struct{} // one slot: pending became non-empty
+	err            error         // set when writeLoop ends; every later frame fails with it
+}
+
+func (o *outbox) Write(p []byte) (int, error) {
+	if !o.queue {
+		return o.conn.Write(p)
+	}
+	if len(o.pending) == 0 && !o.busy {
+		select {
+		case o.wake <- struct{}{}:
+		default:
+		}
+	}
+	o.pending = append(o.pending, p...)
+	return len(p), nil
+}
+
+// lockOut takes the write lock for the frames the caller is about to
+// encode and picks their path. They go straight to the connection, on the
+// caller's goroutine, when no write is pending or in flight and the caller
+// does not start a gather; otherwise they queue behind the frames already
+// waiting. Either way frames leave in the order they were encoded. Once
+// the writer has ended lockOut fails, without the lock, with the error it
+// ended on.
+func (c *Client) lockOut(gather bool) error {
+	c.wmu.Lock()
+	if err := c.out.err; err != nil {
+		c.wmu.Unlock()
+		return err
+	}
+	c.out.queue = gather || c.out.busy || len(c.out.pending) > 0
+	return nil
+}
+
+// writeLoop is the client's writer goroutine: each time frames are
+// queued it writes everything pending with one Write. It ends with the
+// session, when the reader exits, or on its own write failure, which it
+// records as ErrConnectionLost before closing the connection — the
+// reader then exits, and with it a SendBatch waiting for a credit. A
+// write that fails after the reader has already ended is no error: the
+// session's own end, clean or not, stands.
+func (c *Client) writeLoop() {
+	defer close(c.writerDone)
+	for {
+		select {
+		case <-c.out.wake:
+		case <-c.readerDone:
+			c.wmu.Lock()
+			c.out.err = c.ended()
+			c.wmu.Unlock()
+			return
+		}
+		c.wmu.Lock()
+		for len(c.out.pending) > 0 {
+			buf := c.out.pending
+			c.out.pending, c.out.spare = c.out.spare[:0], nil
+			c.out.busy = true
+			c.wmu.Unlock()
+			_, err := c.conn.Write(buf)
+			c.wmu.Lock()
+			c.out.busy = false
+			c.out.spare = buf[:0]
+			if err != nil {
+				select {
+				case <-c.readerDone:
+				default:
+					c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+				}
+				c.out.err = c.ended()
+				c.wmu.Unlock()
+				c.conn.Close()
+				return
+			}
+		}
+		c.wmu.Unlock()
 	}
 }

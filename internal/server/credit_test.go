@@ -398,15 +398,28 @@ func (c creditCountingConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// writeCountingConn counts the client's writes.
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Uint64
+}
+
+func (c writeCountingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
 // BenchmarkSessionSmallBatch drives a loopback session with a discarding
 // engine in a closed loop of SendBatch calls (the default 8-credit
 // window), so the cost per batch is the client's send, the session's read
 // loop and the credit round trip. It excludes the engine: a profile of it
 // ranks only the transport, never the join core a real session feeds
 // (BenchmarkUniFlowPush in internal/softjoin times that). It reports
-// ns/batch, the Credit frames the server wrote per batch and the engine
-// pushes per batch: both below 1 when small frames pipeline, exactly 1 for
-// frames larger than the session's 4 KiB read buffer.
+// ns/batch, the Credit frames the server wrote per batch, the engine
+// pushes per batch — both below 1 when small frames pipeline, exactly 1
+// for frames larger than the session's 4 KiB read buffer — and the
+// client's writes per batch, below 1 when a full credit window gathers
+// its queued frames.
 func BenchmarkSessionSmallBatch(b *testing.B) {
 	for _, tuples := range []int{64, 512} {
 		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
@@ -424,10 +437,17 @@ func BenchmarkSessionSmallBatch(b *testing.B) {
 			var credits atomic.Uint64
 			go srv.Serve(creditCountingListener{Listener: ln, credits: &credits})
 			defer srv.Shutdown(context.Background())
-			c, err := Dial(ln.Addr().String(), wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64})
+			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				b.Fatal(err)
 			}
+			var writes atomic.Uint64
+			c, err := open(writeCountingConn{Conn: conn, writes: &writes},
+				wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64}, DialTimeout)
+			if err != nil {
+				b.Fatal(err)
+			}
+			writes.Store(0) // the handshake's
 			batch := smallBatch(tuples)
 			b.ResetTimer()
 			start := time.Now()
@@ -444,6 +464,7 @@ func BenchmarkSessionSmallBatch(b *testing.B) {
 			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/batch")
 			b.ReportMetric(float64(credits.Load())/float64(b.N), "credit_frames/batch")
 			b.ReportMetric(float64(pushes.Load())/float64(b.N), "pushes/batch")
+			b.ReportMetric(float64(writes.Load())/float64(b.N), "client_writes/batch")
 		})
 	}
 }

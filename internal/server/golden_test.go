@@ -18,13 +18,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenMasks blank the exposition values that differ from run to run:
-// process gauges, build and CPU identity, and checkpoint timings.
+// process gauges, build and CPU identity, checkpoint timings, and the
+// buckets and sums of the latency histograms (their counts stay).
 var goldenMasks = []struct {
 	re   *regexp.Regexp
 	with string
 }{
 	{regexp.MustCompile(`(?m)^(streamd_goroutines|streamd_heap_alloc_bytes|streamd_checkpoint_age_seconds|streamd_checkpoint_last_duration_seconds) .*$`), "$1 <masked>"},
 	{regexp.MustCompile(`(version|lanes)="[^"]*"`), `$1="<masked>"`},
+	{regexp.MustCompile(`(?m)^(streamd_\w+_seconds_(bucket|sum)\S*) .*$`), "$1 <masked>"},
 }
 
 // TestMetricsGolden pins the streamd_* exposition byte for byte: one

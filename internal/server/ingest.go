@@ -35,11 +35,12 @@ type ingest struct {
 	maxBatch int
 	held     *atomic.Int64 // the server-wide withheld-credit gauge
 
-	arm    func()                         // sets the idle deadline, after the credits went out
-	push   func([]core.Input) error       // hands a batch to the engine
-	credit func(n int) error              // writes one Credit(n) frame
-	charge func(tuples int) time.Duration // a frame's rate-shaping debt
-	wait   func(time.Duration)            // withholds a throttled frame's credit
+	arm     func()                         // sets the idle deadline, after the credits went out
+	push    func([]core.Input) error       // hands a batch to the engine
+	credit  func(n int) error              // writes one Credit(n) frame
+	charge  func(tuples int) time.Duration // a frame's rate-shaping debt
+	wait    func(time.Duration)            // withholds a throttled frame's credit
+	observe func(time.Duration)            // records one frame's decode-to-accept time
 
 	// buf is the decode buffer for the session's whole life: batch
 	// decodes into its storage, and the Engine contract says PushBatch
@@ -48,6 +49,9 @@ type ingest struct {
 	// pending counts accepted Batch frames whose credits are not yet
 	// written.
 	pending int
+	// offsets holds, per Batch frame of the merge being built, its decode
+	// start less the first frame's; reused across merges.
+	offsets []time.Duration
 
 	tuplesIn, batchesIn, latNanos, latMax atomic.Uint64
 }
@@ -114,18 +118,18 @@ func (in *ingest) batch(payload []byte) (err error) {
 			in.release(err)
 		}
 	}()
+	// batch holds one Batch frame per entry of in.offsets; first is when
+	// the first of them began decoding.
 	batch := in.buf[:0]
-	var (
-		frames int           // Batch frames in batch
-		first  time.Time     // when the first of them began decoding
-		later  time.Duration // Σ over them of decode start − first
-	)
+	in.offsets = in.offsets[:0]
+	var first time.Time
 	// push hands batch to the engine. PushBatch blocks while the engine (or
 	// the result path back to this client) is saturated; the frames'
 	// credits are withheld for at least that long, which is the
 	// backpressure signal the client observes. The withheld interval is
 	// visible process-wide as credits_outstanding.
 	push := func() error {
+		frames := len(in.offsets)
 		in.held.Add(int64(frames))
 		if err := in.push(batch); err != nil {
 			in.held.Add(-int64(frames))
@@ -134,14 +138,19 @@ func (in *ingest) batch(payload []byte) (err error) {
 		// Every frame waited from its own decode start; the first waited
 		// longest. The read loop is the counters' only writer.
 		elapsed := time.Since(first)
+		var waited time.Duration
+		for _, off := range in.offsets {
+			in.observe(elapsed - off)
+			waited += elapsed - off
+		}
 		in.tuplesIn.Add(uint64(len(batch)))
 		in.batchesIn.Add(uint64(frames))
-		in.latNanos.Add(uint64((time.Duration(frames)*elapsed - later).Nanoseconds()))
+		in.latNanos.Add(uint64(waited.Nanoseconds()))
 		if uint64(elapsed) > in.latMax.Load() {
 			in.latMax.Store(uint64(elapsed))
 		}
 		in.pending += frames
-		frames, later = 0, 0
+		in.offsets = in.offsets[:0]
 		return nil
 	}
 	var debt time.Duration
@@ -158,7 +167,7 @@ func (in *ingest) batch(payload []byte) (err error) {
 			// The frames before the bad one are good: they reach the engine
 			// and are credited before the Error frame, together with any
 			// credits still pending from an earlier merge.
-			if frames > 0 {
+			if len(in.offsets) > 0 {
 				if err := push(); err != nil {
 					return err
 				}
@@ -168,7 +177,7 @@ func (in *ingest) batch(payload []byte) (err error) {
 			}
 			return failf(err.Error(), "bad batch: %v", err)
 		}
-		if frames > 0 && len(batch)+len(more) > in.maxBatch {
+		if len(in.offsets) > 0 && len(batch)+len(more) > in.maxBatch {
 			// The frames before this one go alone; it starts the next merge.
 			if err := push(); err != nil {
 				return err
@@ -186,11 +195,10 @@ func (in *ingest) batch(payload []byte) (err error) {
 		if cap(batch) > cap(in.buf) {
 			in.buf = batch[:0]
 		}
-		if frames == 0 {
+		if len(in.offsets) == 0 {
 			first = start
 		}
-		frames++
-		later += start.Sub(first)
+		in.offsets = append(in.offsets, start.Sub(first))
 		// Rate shaping: charge the frame against the tenant's (and the
 		// server's) token bucket as it is decoded. A debt closes the merge
 		// and withholds this frame's credit; the frame itself is still

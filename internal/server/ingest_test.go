@@ -48,6 +48,8 @@ type ingestRig struct {
 	events []string
 	pushes [][]core.Input
 	debts  []time.Duration // one per charged frame, in order; zero beyond
+	// observed counts the decode-to-accept samples, one per frame pushed.
+	observed uint64
 }
 
 func newIngestRig(stream []byte, chunks []int, maxBatch int) *ingestRig {
@@ -74,7 +76,8 @@ func newIngestRig(stream []byte, chunks []int, maxBatch int) *ingestRig {
 			rig.debts = rig.debts[1:]
 			return d
 		},
-		wait: func(time.Duration) { rig.events = append(rig.events, "wait") },
+		wait:    func(time.Duration) { rig.events = append(rig.events, "wait") },
+		observe: func(time.Duration) { rig.observed++ },
 	}
 	return rig
 }
@@ -225,6 +228,9 @@ func TestIngestRules(t *testing.T) {
 			}
 			if held := rig.held.Load(); held != 0 {
 				t.Errorf("the gauge holds %d credits after the run", held)
+			}
+			if in := rig.in.batchesIn.Load(); rig.observed != in {
+				t.Errorf("%d batch latency samples for %d frames pushed", rig.observed, in)
 			}
 			var pushed []core.Input
 			for _, p := range rig.pushes {

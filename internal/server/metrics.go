@@ -96,6 +96,10 @@ func (s *Server) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", metrics.ContentType)
 		mw := metrics.NewWriter(w)
 		writeProcessMetrics(mw, s.ProcessStats())
+		mw.Family("streamd_batch_seconds", "histogram", "Time from a Batch frame's decode to the engine accepting the push that carried it.")
+		mw.Histogram("streamd_batch_seconds", &s.batchSeconds)
+		mw.Family("streamd_result_write_seconds", "histogram", "Time to write one Results frame to its client connection.")
+		mw.Histogram("streamd_result_write_seconds", &s.resultWriteSeconds)
 		tenants, throttled := s.TenantMetrics()
 		writeTenantMetrics(mw, tenants, throttled, s.adm.Evicted())
 		writeSessionMetrics(mw, s.Metrics())
@@ -158,6 +162,10 @@ func writeTenantMetrics(w *metrics.Writer, tenants []admission.TenantUsage, thro
 	perTenant("streamd_tenant_window_bytes", "gauge", "Aggregate window memory accounted per tenant (2*window*16 bytes per session).", func(t admission.TenantUsage) any { return t.WindowBytes })
 	perTenant("streamd_tenant_sessions_admitted_total", "counter", "Sessions ever admitted per tenant.", func(t admission.TenantUsage) any { return t.Admitted })
 	perTenant("streamd_tenant_throttled_total", "counter", "Batch credits withheld by rate shaping, per tenant.", func(t admission.TenantUsage) any { return t.Throttled })
+	w.Family("streamd_tenant_batch_seconds", "histogram", "Time from a Batch frame's decode to the engine accepting it, per tenant.")
+	for _, t := range tenants {
+		w.Histogram("streamd_tenant_batch_seconds", t.BatchSeconds, "tenant", t.Tenant)
+	}
 	w.Counter("streamd_throttled_total", "Batch credits withheld by rate shaping, server-wide.", throttledTotal)
 }
 

@@ -25,7 +25,9 @@ import (
 // freshly dialed one and the failed batch retried there; if the
 // replacement dial fails the slot is marked down and the batch moves to
 // the next live session, degrading exactly like the shard router does.
-// Undelivered results of a lost session are gone with it.
+// Only the batch whose SendBatch failed is retried: batches an earlier
+// SendBatch accepted — written, or queued behind a write in flight — are
+// gone with the lost session, as are its undelivered results.
 //
 // SendBatch is single-producer; Results must be drained concurrently
 // until the channel closes (after Close), exactly like Client.

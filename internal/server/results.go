@@ -1,6 +1,10 @@
 package server
 
-import "accelstream/internal/stream"
+import (
+	"time"
+
+	"accelstream/internal/stream"
+)
 
 const maxResultsPerFrame = 1024
 
@@ -67,7 +71,9 @@ func (s *session) pumpResults() {
 	write := func(frame []stream.Result) {
 		if writeOK {
 			s.wmu.Lock()
+			start := time.Now()
 			err := s.w.WriteResults(frame)
+			s.srv.resultWriteSeconds.Observe(time.Since(start))
 			s.wmu.Unlock()
 			if err != nil {
 				s.srv.logf("session %d: writing results: %v", s.id, err)

@@ -25,6 +25,7 @@ import (
 
 	"accelstream/internal/admission"
 	"accelstream/internal/checkpoint"
+	"accelstream/internal/metrics"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 )
@@ -151,6 +152,12 @@ type Server struct {
 	// (batches accepted off the wire whose credit has not yet been
 	// returned); it is the server-wide backpressure gauge.
 	creditsHeld atomic.Int64
+
+	// batchSeconds times each Batch frame from its decode to the engine
+	// accepting the push that carried it; resultWriteSeconds each Results
+	// frame write. Per-tenant batch times live with the tenant's
+	// admission entry.
+	batchSeconds, resultWriteSeconds metrics.Histogram
 
 	// rejects counts sessions turned away before reaching an engine,
 	// keyed by reason (see the reject* constants); it backs the

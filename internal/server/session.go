@@ -105,6 +105,10 @@ func newSession(srv *Server, id uint64, conn net.Conn) *session {
 		credit:   func(n int) error { return s.send(func(w *wire.Writer) error { return w.WriteCredit(n) }) },
 		charge:   func(n int) time.Duration { return s.lease.Throttle(n) },
 		wait:     s.throttleWait,
+		observe: func(d time.Duration) {
+			srv.batchSeconds.Observe(d)
+			s.lease.BatchSeconds().Observe(d)
+		},
 	}
 	s.live.Store(true)
 	return s

@@ -16,9 +16,12 @@ type Frame struct {
 	Payload []byte
 }
 
-// Writer encodes frames onto an io.Writer. It is not safe for concurrent
-// use; callers that share one connection between goroutines must serialize
-// writes themselves.
+// Writer encodes frames onto an io.Writer, one Write per frame. It is not
+// safe for concurrent use; callers that share one connection between
+// goroutines must serialize writes themselves. Gathering frames into
+// fewer syscalls is the wrapped writer's business: the client's outbox
+// (internal/server) queues frames behind a write in flight and sends them
+// together.
 type Writer struct {
 	w io.Writer
 	// buf is the frame scratch, reused across frames: frameHead bytes of
@@ -40,9 +43,11 @@ const frameHead = 1 + binary.MaxVarintLen64
 
 // writeFrame emits one frame whose payload the caller appended to a
 // scratch() buffer. Header, payload and CRC go out contiguously in a
-// single Write — one syscall and one peer wake-up per frame whatever its
-// size — so every frame is immediately visible to the peer (batching
-// happens at the payload level, not by holding frames back).
+// single Write — on a bare connection one syscall and one peer wake-up
+// per frame whatever its size — so the frame writer never holds a frame
+// back. Batching happens at the payload level here, and above the frame
+// writer, where the client's outbox gathers frames queued behind a
+// write in flight into one syscall.
 func (w *Writer) writeFrame(t FrameType, b []byte) error {
 	payload := b[frameHead:]
 	if len(payload) > MaxPayload {
