@@ -10,32 +10,20 @@ import (
 	"time"
 
 	"accelstream"
-	"accelstream/internal/checkpoint"
 	"accelstream/internal/metrics"
 	"accelstream/internal/shard"
-	"accelstream/internal/wire"
 )
-
-// routerMeta is the engine shape of one live session's router, kept so an
-// admin-triggered snapshot can stamp a restorable checkpoint manifest.
-type routerMeta struct {
-	cores, window int
-	ordered       bool
-}
 
 // routerRegistry is the daemon's view of its sessions. The shard set, the
 // standby pool, resizes and the autoscaler belong to dep, which every
-// session's router joins; the registry adds what only the daemon has: the
-// sessions' engine shapes, the admin snapshot store, cumulative rebalance
-// totals of closed sessions, and the HTTP admin and metrics surface.
+// session's router joins; the registry adds what only the daemon has:
+// cumulative rebalance totals of closed sessions, and the HTTP admin and
+// metrics surface.
 type routerRegistry struct {
 	dep  *shard.Deployment
 	logf func(format string, args ...any)
 
-	mu   sync.Mutex
-	meta map[int64]routerMeta // by deployment member id
-	ckpt *checkpoint.Store    // nil without -checkpoint-dir
-
+	mu sync.Mutex
 	// Rebalance counters of routers that already closed, so the metrics
 	// endpoint reports cumulative daemon totals rather than only the
 	// currently-live sessions.
@@ -49,31 +37,7 @@ func newRouterRegistry(addrs []string, logf func(format string, args ...any)) *r
 	return &routerRegistry{
 		dep:  shard.NewDeployment(addrs, logf),
 		logf: logf,
-		meta: make(map[int64]routerMeta),
 	}
-}
-
-// add registers a live router and returns its registry id.
-func (g *routerRegistry) add(r *accelstream.ShardRouter, meta routerMeta) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	id := g.dep.Join(r)
-	g.meta[id] = meta
-	return id
-}
-
-// enableCheckpoints opens the admin snapshot store on the same directory
-// the daemon's serving layer checkpoints into, so POST /admin/snapshot
-// persists files the restore path picks up on the next cold start.
-func (g *routerRegistry) enableCheckpoints(dir string) error {
-	st, err := checkpoint.NewStore(dir, 0, g.logf)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.ckpt = st
-	g.mu.Unlock()
-	return nil
 }
 
 // remove unregisters a closing router, folding its rebalance counters
@@ -91,14 +55,15 @@ func (g *routerRegistry) remove(id int64) {
 	g.retired.aborted += aborted
 	g.retired.migrated += migrated
 	g.retired.nanos += uint64(total.Nanoseconds())
-	delete(g.meta, id)
 }
 
-// registerAdmin mounts the operator endpoints on the metrics mux:
+// registerAdmin mounts the registry's operator endpoints on the metrics
+// mux (main mounts POST /admin/snapshot beside them, on the front server):
 //
 //	GET  /admin/shards                     current shard set
 //	POST /admin/add-shard?addr=host:port   grow: rebalance live sessions onto the set + addr
 //	POST /admin/remove-shard?addr=host:port shrink: rebalance live sessions onto the set - addr
+//	GET  /admin/autoscale                  the autoscaler's policy and last report
 //
 // Growth and shrink go through ShardRouter.Rebalance, so every live
 // session's window state is re-sliced onto the new layout with results
@@ -118,76 +83,48 @@ func (g *routerRegistry) registerAdmin(mux *http.ServeMux) {
 	mux.HandleFunc("/admin/remove-shard", func(w http.ResponseWriter, r *http.Request) {
 		g.handleResize(w, r, false)
 	})
-	mux.HandleFunc("/admin/snapshot", g.handleSnapshot)
 	mux.HandleFunc("/admin/autoscale", g.handleAutoscale)
 }
 
-// handleSnapshot serves POST /admin/snapshot: every live session cuts a
-// coordinated all-shard snapshot of its global window at a punctuation
-// boundary and persists it durably. Requires -checkpoint-dir; the files
-// are what a cold restart restores from.
-func (g *routerRegistry) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "use POST", http.StatusMethodNotAllowed)
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ckpt == nil {
-		http.Error(w, "snapshots disabled: start streamshard with -checkpoint-dir", http.StatusConflict)
-		return
-	}
-	members := g.dep.Members()
-	if len(members) == 0 {
-		fmt.Fprintln(w, "no live sessions; nothing to snapshot")
-		return
-	}
-	failed := 0
-	var lines []string
-	for _, m := range members {
-		line, err := g.snapshotOne(m.ID, m.Router, g.meta[m.ID])
-		if err != nil {
-			failed++
-			line = fmt.Sprintf("session %d: FAILED: %v", m.ID, err)
+// snapshotHandler serves POST /admin/snapshot: the front server cuts and
+// persists a checkpoint of every live session through its own checkpoint
+// path, so the files follow -checkpoint-dir's retention, count in the
+// streamd_checkpoint* metrics, and become durable only after the results
+// of the input they hold reach the client. Each line names a server
+// session id. A cold restart restores from the newest file.
+func snapshotHandler(srv *accelstream.Server, logf func(format string, args ...any)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "use POST", http.StatusMethodNotAllowed)
+			return
 		}
-		g.logf("admin: snapshot: %s", line)
-		lines = append(lines, line)
+		cps, err := srv.Checkpoint()
+		if err != nil {
+			http.Error(w, "snapshots disabled: start streamshard with -checkpoint-dir", http.StatusConflict)
+			return
+		}
+		if len(cps) == 0 {
+			fmt.Fprintln(w, "no live sessions; nothing to snapshot")
+			return
+		}
+		lines := make([]string, len(cps))
+		failed := false
+		for i, c := range cps {
+			lines[i] = fmt.Sprintf("session %d: %d window tuples at seqs (%d, %d), %d bytes in %v",
+				c.Session, c.Cut.TuplesR+c.Cut.TuplesS, c.Cut.SeqR, c.Cut.SeqS, c.Bytes, c.Took.Round(time.Millisecond))
+			if c.Err != nil {
+				failed = true
+				lines[i] = fmt.Sprintf("session %d: FAILED: %v", c.Session, c.Err)
+			}
+			logf("admin: snapshot: %s", lines[i])
+		}
+		if failed {
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+		for _, line := range lines {
+			fmt.Fprintln(w, line)
+		}
 	}
-	if failed > 0 {
-		w.WriteHeader(http.StatusInternalServerError)
-	}
-	for _, line := range lines {
-		fmt.Fprintln(w, line)
-	}
-}
-
-// snapshotOne cuts and persists one session's coordinated snapshot.
-func (g *routerRegistry) snapshotOne(id int64, r *shard.Router, meta routerMeta) (string, error) {
-	start := time.Now()
-	tuples, seqR, seqS, err := r.SnapshotState()
-	if err != nil {
-		return "", err
-	}
-	snap := checkpoint.Snapshot{
-		Meta: checkpoint.Meta{
-			Engine:     byte(wire.EngineSoftUni),
-			Cores:      meta.cores,
-			Window:     meta.window,
-			Ordered:    meta.ordered,
-			ShardCount: 1, // front-side sessions are unsharded from the client's view
-			ShardIndex: 0,
-			SeqR:       seqR,
-			SeqS:       seqS,
-			UnixNanos:  time.Now().UnixNano(),
-		},
-		Tuples: tuples,
-	}
-	n, err := g.ckpt.Write(snap)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("session %d: %d window tuples at seqs (%d, %d), %d bytes in %v",
-		id, len(tuples), seqR, seqS, n, time.Since(start).Round(time.Millisecond)), nil
 }
 
 func (g *routerRegistry) handleResize(w http.ResponseWriter, r *http.Request, grow bool) {

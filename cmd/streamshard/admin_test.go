@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"accelstream"
 	"accelstream/internal/checkpoint"
 	"accelstream/internal/leakcheck"
+	"accelstream/internal/wire"
 	"accelstream/internal/workload"
 )
 
@@ -70,7 +72,7 @@ func TestAdminResizeLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := reg.add(r, routerMeta{cores: 1, window: 8})
+	id := reg.dep.Join(r)
 	gen, err := workload.NewGenerator(workload.Spec{Seed: 9, KeyDomain: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -181,25 +183,101 @@ func TestAdminResizeLive(t *testing.T) {
 	}
 }
 
-// TestAdminSnapshot drives POST /admin/snapshot: refused without a
-// checkpoint store, a no-op note without sessions, and with a live
-// streaming session it persists a decodable snapshot whose manifest
-// carries the session's engine shape and arrival counters.
+// startSnapshotFront serves the daemon's engine factory over two fresh
+// backends behind a front server that checkpoints into dir (none when
+// dir is empty; automatic snapshots off), and mounts the daemon's
+// snapshot route on a mux. The server is shut down at cleanup.
+func startSnapshotFront(t *testing.T, dir string) (*accelstream.Server, *http.ServeMux) {
+	t.Helper()
+	cfg := accelstream.ServerConfig{
+		Logf:      t.Logf,
+		NewEngine: newEngine(newRouterRegistry([]string{startBackend(t), startBackend(t)}, t.Logf), accelstream.ShardConfig{}),
+	}
+	if dir != "" {
+		cfg.CheckpointDir, cfg.CheckpointInterval = dir, -1
+	}
+	front, err := accelstream.Serve("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		front.Shutdown(ctx)
+	})
+	mux := http.NewServeMux()
+	mux.Handle("/admin/snapshot", snapshotHandler(front, t.Logf))
+	return front, mux
+}
+
+// dialFront opens one front session with its results drained in the
+// background; stop closes it and waits for the drain.
+func dialFront(t *testing.T, front *accelstream.Server, window int) (c *accelstream.Client, stop func()) {
+	t.Helper()
+	c, err := accelstream.Dial(front.Addr().String(), accelstream.SessionConfig{
+		Engine: accelstream.EngineSoftwareUniFlow, Cores: 2, Window: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range c.Results() {
+		}
+	}()
+	return c, func() {
+		t.Helper()
+		if _, err := c.Close(); err != nil {
+			t.Error(err)
+		}
+		<-done
+	}
+}
+
+// sendAll streams inputs in batches of batchSz.
+func sendAll(c *accelstream.Client, inputs []accelstream.Input, batchSz int) error {
+	for i := 0; i < len(inputs); i += batchSz {
+		if err := c.SendBatch(inputs[i:min(i+batchSz, len(inputs))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waitIngested waits until the front server's session id has pushed
+// tuples input tuples to its engine, so a cut after it includes them.
+func waitIngested(t *testing.T, front *accelstream.Server, id uint64, tuples int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, m := range front.Metrics() {
+			if m.ID == id && m.TuplesIn == uint64(tuples) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %d never ingested %d tuples: %+v", id, tuples, front.Metrics())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdminSnapshot drives POST /admin/snapshot through a front server:
+// refused without a checkpoint directory, a no-op note without sessions,
+// answered while a producer streams, and once the stream is in it
+// persists a decodable snapshot whose manifest carries the session's
+// engine shape and arrival counters.
 func TestAdminSnapshot(t *testing.T) {
 	leakcheck.Check(t)
-	const window, tuples, batchSz = 64, 800, 32
-	backends := []string{startBackend(t), startBackend(t)}
-	reg := newRouterRegistry(backends, t.Logf)
-	mux := http.NewServeMux()
-	reg.registerAdmin(mux)
+	const window, tuples, batchSz = 64, 4000, 32
 
+	_, mux := startSnapshotFront(t, "")
 	if code, body := adminPost(t, mux, "/admin/snapshot", ""); code != http.StatusConflict {
 		t.Fatalf("snapshot without -checkpoint-dir: %d %q", code, body)
 	}
 	dir := t.TempDir()
-	if err := reg.enableCheckpoints(dir); err != nil {
-		t.Fatal(err)
-	}
+	front, mux := startSnapshotFront(t, dir)
 	if code, body := adminPost(t, mux, "/admin/snapshot", ""); code != http.StatusOK || !strings.Contains(body, "no live sessions") {
 		t.Fatalf("snapshot with no sessions: %d %q", code, body)
 	}
@@ -210,35 +288,36 @@ func TestAdminSnapshot(t *testing.T) {
 		t.Fatalf("GET /admin/snapshot: %d", rec.Code)
 	}
 
-	r, err := accelstream.DialSharded(accelstream.ShardConfig{
-		Addrs: reg.dep.Addrs(), Cores: 2, Window: window, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := reg.add(r, routerMeta{cores: 2, window: window})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range r.Results() {
-		}
-	}()
+	c, stop := dialFront(t, front, window)
+	defer stop()
 	gen, err := workload.NewGenerator(workload.Spec{Seed: 5, KeyDomain: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := gen.Take(tuples)
-	for i := 0; i < len(inputs); i += batchSz {
-		if err := r.SendBatch(inputs[i : i+batchSz]); err != nil {
-			t.Fatal(err)
+	// The session serves frames once its first batch is in; then cuts
+	// land between the producer's frames.
+	if err := sendAll(c, inputs[:batchSz], batchSz); err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, front, 1, batchSz)
+	sent := make(chan error, 1)
+	go func() { sent <- sendAll(c, inputs[batchSz:], batchSz) }()
+	for i := 0; i < 3; i++ {
+		if code, body := adminPost(t, mux, "/admin/snapshot", ""); code != http.StatusOK || !strings.Contains(body, "session 1:") {
+			t.Fatalf("snapshot while streaming: %d %q", code, body)
 		}
 	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, front, 1, tuples)
 
 	code, body := adminPost(t, mux, "/admin/snapshot", "")
 	if code != http.StatusOK || !strings.Contains(body, "session 1:") {
 		t.Fatalf("snapshot with a live session: %d %q", code, body)
 	}
-	st, err := checkpoint.NewStore(dir, 0, t.Logf)
+	st, err := checkpoint.NewStore(dir, 3, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +335,94 @@ func TestAdminSnapshot(t *testing.T) {
 		t.Fatalf("snapshot carries %d tuples, manifest says %d",
 			len(snap.Tuples), snap.Meta.TuplesR+snap.Meta.TuplesS)
 	}
+}
 
-	if _, err := r.Close(); err != nil {
+// TestAdminSnapshotKeepsRetention: an on-demand snapshot follows the
+// directory's retention (the server's default of 3), so with three older
+// snapshots on disk one POST leaves the three newest, the new one among
+// them.
+func TestAdminSnapshotKeepsRetention(t *testing.T) {
+	leakcheck.Check(t)
+	const window, tuples = 64, 320
+	dir := t.TempDir()
+	old, err := checkpoint.NewStore(dir, 3, t.Logf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	reg.remove(id)
+	// A window no session opens with, so none of them is restored.
+	for seq := uint64(1); seq <= 3; seq++ {
+		meta := checkpoint.Meta{Engine: byte(wire.EngineSoftUni), Cores: 1, Window: 2 * window, ShardCount: 1, SeqR: seq, UnixNanos: int64(seq)}
+		if _, err := old.Write(checkpoint.Snapshot{Meta: meta}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front, mux := startSnapshotFront(t, dir)
+	c, stop := dialFront(t, front, window)
+	defer stop()
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 7, KeyDomain: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sendAll(c, gen.Take(tuples), 32); err != nil {
+		t.Fatal(err)
+	}
+	waitIngested(t, front, 1, tuples)
+	if code, body := adminPost(t, mux, "/admin/snapshot", ""); code != http.StatusOK {
+		t.Fatalf("snapshot: %d %q", code, body)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 3 {
+		t.Fatalf("%d snapshots on disk after the POST, want the 3 retained: %v", len(names), names)
+	}
+	snap, ok, err := old.LatestValid()
+	if err != nil || !ok || snap.Meta.SeqR+snap.Meta.SeqS != tuples {
+		t.Fatalf("newest snapshot %+v (ok=%v, err=%v), want the POST's at %d tuples", snap.Meta, ok, err, tuples)
+	}
+}
+
+// TestAdminSnapshotCountsInMetrics: every session an on-demand snapshot
+// cuts is one more streamd_checkpoints_written_total.
+func TestAdminSnapshotCountsInMetrics(t *testing.T) {
+	leakcheck.Check(t)
+	const window, tuples = 64, 320
+	front, mux := startSnapshotFront(t, t.TempDir())
+	written := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		front.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "streamd_checkpoints_written_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no streamd_checkpoints_written_total in:\n%s", rec.Body.String())
+		return ""
+	}
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 8, KeyDomain: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 2; id++ {
+		c, stop := dialFront(t, front, window)
+		defer stop()
+		if err := sendAll(c, gen.Take(tuples), 32); err != nil {
+			t.Fatal(err)
+		}
+		waitIngested(t, front, id, tuples)
+	}
+	if got := written(); got != "0" {
+		t.Fatalf("streamd_checkpoints_written_total %s before the POST, want 0", got)
+	}
+	code, body := adminPost(t, mux, "/admin/snapshot", "")
+	if code != http.StatusOK || strings.Count(body, "\n") != 2 {
+		t.Fatalf("snapshot of two sessions: %d %q", code, body)
+	}
+	if got := written(); got != "2" {
+		t.Errorf("streamd_checkpoints_written_total %s after snapshotting 2 sessions, want 2", got)
+	}
 }
 
 // TestAdminResizeRefusedOnIndivisibleWindow checks a resize that no live
@@ -282,7 +443,7 @@ func TestAdminResizeRefusedOnIndivisibleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.add(r, routerMeta{cores: 1, window: 8})
+	reg.dep.Join(r)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

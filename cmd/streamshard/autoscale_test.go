@@ -60,7 +60,7 @@ func TestDaemonAutoscaleLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := reg.add(r, routerMeta{cores: 1, window: window})
+	id := reg.dep.Join(r)
 	var results []accelstream.Result
 	done := make(chan struct{})
 	go func() {

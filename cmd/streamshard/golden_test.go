@@ -72,7 +72,7 @@ func dialIdle(t *testing.T, reg *routerRegistry, addrs []string) (*accelstream.S
 		}
 	}()
 	t.Cleanup(func() { r.Close() })
-	return r, reg.add(r, routerMeta{cores: 1, window: 64})
+	return r, reg.dep.Join(r)
 }
 
 // TestMetricsGoldenAutoscaleOff pins the streamshard_* router and

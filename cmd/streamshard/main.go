@@ -49,6 +49,13 @@
 //
 //	curl -X POST http://localhost:9100/admin/snapshot
 //
+// The on-demand snapshot is the front server's own checkpoint, the one
+// the interval and the drain write: it keeps -checkpoint-dir's retention,
+// counts in the streamd_checkpoint* metrics, and is written only once the
+// results of the input it holds have reached the client. Each line of
+// the answer names a server session id, as the daemon's "session N: open
+// from …" log lines do.
+//
 // Both sides of the router can be secured independently: the front
 // listener with -tls-cert/-tls-key/-auth-token (like streamd), and the
 // back-side shard dials with -shard-tls/-shard-tls-ca/-shard-auth-token —
@@ -246,8 +253,7 @@ func newEngine(reg *routerRegistry, tmpl accelstream.ShardConfig) func(accelstre
 		if err != nil {
 			return nil, err
 		}
-		meta := routerMeta{cores: oc.Cores, window: oc.Window, ordered: oc.Ordered}
-		return &routerEngine{r: r, reg: reg, id: reg.add(r, meta)}, nil
+		return &routerEngine{r: r, reg: reg, id: reg.dep.Join(r)}, nil
 	}
 }
 
@@ -275,16 +281,12 @@ func run(ctx context.Context, args []string) error {
 	logf := d.Logger.Printf
 	reg := newRouterRegistry(addrs, logf)
 	d.Config.NewEngine = newEngine(reg, tmpl)
-	if dir := d.Config.CheckpointDir; dir != "" {
-		if err := reg.enableCheckpoints(dir); err != nil {
-			return err
-		}
-	}
 	hooks := daemon.Hooks{
 		Listening: fmt.Sprintf(", routing over %d shards: %s", len(addrs), strings.Join(addrs, ", ")),
 		Mux: func(mux *http.ServeMux, srv *accelstream.Server) {
 			mux.Handle("/metrics", metricsHandler(srv, reg))
 			reg.registerAdmin(mux)
+			mux.Handle("/admin/snapshot", snapshotHandler(srv, logf))
 			logf("admin on the metrics listener at /admin/{shards,add-shard,remove-shard,snapshot,autoscale}")
 		},
 	}

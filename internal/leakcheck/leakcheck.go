@@ -24,8 +24,8 @@ func Check(t testing.TB) {
 		for runtime.NumGoroutine() > base {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
-				t.Errorf("%d goroutines outlive the test, %d ran at its start:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				t.Errorf("%s: %d goroutines outlive the test, %d ran at its start:\n%s",
+					t.Name(), runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 				return
 			}
 			time.Sleep(5 * time.Millisecond)

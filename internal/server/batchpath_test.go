@@ -1,6 +1,8 @@
 package server
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,6 +80,13 @@ func TestResultPathAllocFree(t *testing.T) {
 			b.Release()
 		}
 	}
+	// The count is process-wide, and a collection inside the rounds would
+	// read as allocations: it empties the sync.Pools the path reuses and
+	// runs the runtime's own cleanups. So collect once now and run the
+	// warm-up and the rounds with the collector off.
+	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	for i := 0; i < warm; i++ {
 		round() // fills the windows and grows every pooled buffer to size
 	}

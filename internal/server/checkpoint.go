@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"accelstream/internal/checkpoint"
@@ -20,11 +22,11 @@ import (
 //     resumes the engine's BaseSeqR/S from it, imports the window, and
 //     tells the client via the OpenAck resume tail.
 //   - cutSnapshot (FrameCheckpoint / FrameRebalancePrepare / the
-//     automatic interval / final teardown): quiesce the live engine at a
-//     punctuation boundary and wait until every result the snapshotted
-//     input produced has been handed to the connection (so a restored
-//     client never misses results it was never sent); every path but the
-//     rebalance hand-off then persists.
+//     automatic interval / Server.Checkpoint / final teardown): quiesce
+//     the live engine at a punctuation boundary and wait until every
+//     result the snapshotted input produced has been handed to the
+//     connection (so a restored client never misses results it was never
+//     sent); every path but the rebalance hand-off then persists.
 //
 // The result-flush barrier is what makes a snapshot safe to resume from:
 // a snapshot only becomes durable after every result implied by its
@@ -97,8 +99,9 @@ func (s *session) flushResults(target uint64) {
 
 // cutSnapshot quiesces the live engine at the current punctuation
 // boundary and returns its window state and transfer summary. Must run
-// on the session's read-loop goroutine (or after it has exited): the
-// quiesce requires the single producer to be paused.
+// on the session's read-loop goroutine, under its cutMu, or after the
+// read loop has exited: the quiesce requires the single producer to be
+// paused.
 func (s *session) cutSnapshot() ([]core.Input, wire.RebalanceInfo, error) {
 	snap, ok := s.eng.(Snapshotter)
 	if !ok {
@@ -121,11 +124,12 @@ func (s *session) cutSnapshot() ([]core.Input, wire.RebalanceInfo, error) {
 }
 
 // persistSnapshot writes a cut snapshot to the store. sync selects a
-// synchronous write (client-requested checkpoints and the final teardown
-// snapshot, where the acknowledgement must imply durability); the
-// automatic interval path writes in the background behind a
-// single-flight gate so ingest never stalls on fsync.
-func (s *session) persistSnapshot(tuples []core.Input, info wire.RebalanceInfo, sync bool) {
+// synchronous write (client-requested and on-demand checkpoints and the
+// final teardown snapshot, where the acknowledgement must imply
+// durability) and returns the file's size; the automatic interval path
+// writes in the background behind a single-flight gate so ingest never
+// stalls on fsync.
+func (s *session) persistSnapshot(tuples []core.Input, info wire.RebalanceInfo, sync bool) (int, error) {
 	file := checkpoint.Snapshot{
 		Meta: checkpoint.Meta{
 			Engine:     byte(s.engCfg.Engine),
@@ -143,34 +147,88 @@ func (s *session) persistSnapshot(tuples []core.Input, info wire.RebalanceInfo, 
 		Tuples: tuples,
 	}
 	if sync {
-		s.srv.writeSnapshot(file)
-		return
+		return s.srv.writeSnapshot(file)
 	}
 	// Background write: the tuple slice is freshly collected by
 	// SnapshotState, so the engine never touches it again.
 	if !s.srv.ckptWriting.CompareAndSwap(false, true) {
 		s.srv.ckptSkipped.Add(1)
-		return
+		return 0, nil
 	}
 	go func() {
 		defer s.srv.ckptWriting.Store(false)
 		s.srv.writeSnapshot(file)
 	}()
+	return 0, nil
+}
+
+// SessionCheckpoint is one session's outcome of Server.Checkpoint.
+type SessionCheckpoint struct {
+	// Session is the server-assigned session identifier.
+	Session uint64
+	// Cut is the arrival counters the snapshot was cut at and the window
+	// tuples it holds per side.
+	Cut wire.RebalanceInfo
+	// Bytes is the file's size.
+	Bytes int
+	// Took is the wall time from the cut's start to the file's sync.
+	Took time.Duration
+	// Err is why the cut or the write failed; nil on success.
+	Err error
 }
 
 // checkpointNow cuts and persists a snapshot for the automatic-interval
-// ("auto") and final-teardown ("final") paths, logging a failed cut under
-// that name. An engine without snapshots has nothing to cut.
-func (s *session) checkpointNow(sync bool, what string) {
+// ("auto"), on-demand ("admin") and final-teardown ("final") paths,
+// logging a failed cut under that name. An engine without snapshots has
+// nothing to cut, and ok is false.
+func (s *session) checkpointNow(sync bool, what string) (c SessionCheckpoint, ok bool) {
 	if _, ok := s.eng.(Snapshotter); !ok {
-		return
+		return c, false
 	}
+	start := time.Now()
+	c.Session = s.id
 	tuples, info, err := s.cutSnapshot()
 	if err != nil {
 		s.srv.logf("session %d: %s checkpoint: %v", s.id, what, err)
-		return
+	} else {
+		c.Cut = info
+		c.Bytes, err = s.persistSnapshot(tuples, info, sync)
 	}
-	s.persistSnapshot(tuples, info, sync)
+	c.Took, c.Err = time.Since(start), err
+	return c, true
+}
+
+// Checkpoint cuts and synchronously persists a snapshot of every session
+// whose read loop is serving, through the path the automatic interval
+// takes: the cut runs with the session's producer paused between frames,
+// and the file is written only once every result the cut input produced
+// has reached the connection. A session whose read loop has not started
+// holds none of its client's input yet, and one whose read loop has
+// returned is covered by its final checkpoint; both are skipped.
+// Outcomes come in session order. It fails only when the server has no
+// checkpoint store.
+func (s *Server) Checkpoint() ([]SessionCheckpoint, error) {
+	if s.ckpt == nil {
+		return nil, errors.New("server: checkpoints need Config.CheckpointDir")
+	}
+	s.mu.Lock()
+	live := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		live = append(live, sess)
+	}
+	s.mu.Unlock()
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	var out []SessionCheckpoint
+	for _, sess := range live {
+		sess.cutMu.Lock()
+		if sess.serving {
+			if c, ok := sess.checkpointNow(true, "admin"); ok {
+				out = append(out, c)
+			}
+		}
+		sess.cutMu.Unlock()
+	}
+	return out, nil
 }
 
 // serveCut serves a Checkpoint or RebalancePrepare frame: cut the
@@ -194,14 +252,15 @@ func (s *session) serveCut(persist bool) (wire.RebalanceInfo, error) {
 	return info, nil
 }
 
-// writeSnapshot persists one snapshot and updates the metrics.
-func (s *Server) writeSnapshot(file checkpoint.Snapshot) {
+// writeSnapshot persists one snapshot, updates the metrics and returns
+// the file's size.
+func (s *Server) writeSnapshot(file checkpoint.Snapshot) (int, error) {
 	start := time.Now()
 	n, err := s.ckpt.Write(file)
 	if err != nil {
 		s.ckptErrors.Add(1)
 		s.logf("checkpoint: write failed: %v", err)
-		return
+		return 0, err
 	}
 	s.ckptTotal.Add(1)
 	s.ckptLastNanos.Store(file.Meta.UnixNanos)
@@ -209,6 +268,7 @@ func (s *Server) writeSnapshot(file checkpoint.Snapshot) {
 	s.ckptLastDur.Store(time.Since(start).Nanoseconds())
 	s.logf("checkpoint: wrote %d bytes at seqs (%d, %d), %d window tuples, in %v",
 		n, file.Meta.SeqR, file.Meta.SeqS, len(file.Tuples), time.Since(start).Round(time.Microsecond))
+	return n, nil
 }
 
 // maybeAutoCheckpoint cuts a background snapshot when the configured

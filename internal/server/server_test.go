@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 	"accelstream/internal/workload"
@@ -20,10 +20,11 @@ import (
 
 // startServer launches a server on a loopback listener and returns it
 // with its dial address. The server is shut down at test cleanup, and
-// every goroutine started since must end with it (see checkGoroutines).
+// every goroutine started since must end with it (leakcheck.Check, whose
+// cleanup runs after the shutdown's).
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,27 +42,8 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 		if err := <-serveDone; err != nil {
 			t.Errorf("Serve returned %v", err)
 		}
-		checkGoroutines(t, base)
 	})
 	return srv, ln.Addr().String()
-}
-
-// checkGoroutines waits at most a second for the goroutine count to fall
-// back to base, and otherwise fails the test with the stacks still
-// running. No test in this package runs in parallel, so any goroutine
-// beyond base was started by the test and outlived its server.
-func checkGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines outlive the server, %d ran at its start:\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // drainAll collects every result from the client until the channel closes.

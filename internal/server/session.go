@@ -79,6 +79,13 @@ type session struct {
 	// touched only by the read-loop goroutine.
 	lastCkpt time.Time
 
+	// cutMu is held by the read loop while it serves a frame and released
+	// while it waits for the next, so Server.Checkpoint can cut the engine
+	// with its one producer paused. serving, guarded by cutMu, is true
+	// while the read loop runs.
+	cutMu   sync.Mutex
+	serving bool
+
 	// closing is latched (via closeOnce) when the session is being torn
 	// down; throttle withholds select against it so shutdown never waits
 	// out a rate debt.
@@ -409,12 +416,20 @@ func (s *session) handshake() error {
 // so nothing is persisted. An error aborts the session. Batch frames go
 // to the ingest; the control frames are served here.
 func (s *session) readLoop() (bool, error) {
+	s.cutMu.Lock()
+	s.serving = true
+	defer func() {
+		s.serving = false
+		s.cutMu.Unlock()
+	}()
 	// imported accumulates the client-pushed state-chunk counts until the
 	// client's RebalanceCommit closes the import.
 	var imported wire.RebalanceInfo
 	importDone := false
 	for {
+		s.cutMu.Unlock()
 		f, err := s.in.next()
+		s.cutMu.Lock()
 		if err != nil {
 			return false, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"accelstream/internal/autoscale"
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 	"accelstream/internal/workload"
@@ -73,7 +74,7 @@ type fakeShard struct {
 
 func startFakeShard(t *testing.T, retryAfter time.Duration) *fakeShard {
 	t.Helper()
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

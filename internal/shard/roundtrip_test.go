@@ -8,6 +8,7 @@ import (
 
 	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/server"
 	"accelstream/internal/shard"
 	"accelstream/internal/stream"
@@ -98,7 +99,7 @@ func TestRunRoundTripWritesNoSnapshot(t *testing.T) {
 // Every goroutine started since must end with the server.
 func startCheckpointServer(t *testing.T, dir string) (*server.Server, string) {
 	t.Helper()
-	shard.CheckGoroutines(t)
+	leakcheck.Check(t)
 	srv, err := server.New(server.Config{CheckpointDir: dir, CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)

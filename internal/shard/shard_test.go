@@ -3,11 +3,11 @@ package shard
 import (
 	"context"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/server"
 	"accelstream/internal/stream"
 	"accelstream/internal/workload"
@@ -27,10 +27,10 @@ func startShardServer(t *testing.T) (*server.Server, string) {
 
 // serveOn serves a server built from cfg on ln until test cleanup and
 // returns it with its address. Every goroutine started since must end with
-// the server (see checkGoroutines).
+// the server (leakcheck.Check, whose cleanup runs after the shutdown's).
 func serveOn(t *testing.T, cfg server.Config, ln net.Listener) (*server.Server, string) {
 	t.Helper()
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,31 +43,6 @@ func serveOn(t *testing.T, cfg server.Config, ln net.Listener) (*server.Server, 
 	})
 	return srv, ln.Addr().String()
 }
-
-// checkGoroutines fails t at its cleanup, once every cleanup registered
-// after this call has run, if the goroutine count does not fall back
-// within a second to what it was at the call; it prints the stacks still
-// running. No test in this package runs in parallel, so any goroutine
-// beyond that count was started by the test and outlived the servers (and
-// the routers dialing them) it started.
-func checkGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("%d goroutines outlive the test's servers, %d ran at the first one's start:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	})
-}
-
-// CheckGoroutines is checkGoroutines for the package's external tests.
-var CheckGoroutines = checkGoroutines
 
 // abortServer force-kills a server: every live session's connection is
 // closed without a Closed frame, and the listener stops accepting.
