@@ -36,7 +36,7 @@ test:
 # under -race (they run in `make test`).
 test-race:
 	$(GO) test -race . ./cmd/streamload/ ./cmd/streamshard/ ./internal/admission/ ./internal/autoscale/ \
-		./internal/checkpoint/ ./internal/daemon/ ./internal/metrics/ ./internal/server/ ./internal/shard/ \
+		./internal/checkpoint/ ./internal/daemon/ ./internal/leakcheck/ ./internal/metrics/ ./internal/server/ ./internal/shard/ \
 		./internal/softjoin/ ./internal/stream/ ./internal/wire/
 	$(GO) test -race -short ./internal/experiments/
 

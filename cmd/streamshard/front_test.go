@@ -275,3 +275,71 @@ func TestFrontSessionFinalSnapshot(t *testing.T) {
 			snap.Meta.SeqR, snap.Meta.SeqS, snap.Meta.Window, tuples, window)
 	}
 }
+
+// TestFrontResetBeforeOpenAckReleasesRouter: a client that resets its
+// connection after the front session built its router, before the
+// OpenAck reaches it, must not strand that router. The factory holds the
+// engine back until the reset has happened, so the OpenAck write is
+// certain to fail. Once the front has shut down, the router has left the
+// registry, its backend sessions are closed, and no goroutine is left.
+func TestFrontResetBeforeOpenAckReleasesRouter(t *testing.T) {
+	leakcheck.Check(t)
+	backends := []*accelstream.Server{startBackendServer(t), startBackendServer(t)}
+	reg := newRouterRegistry([]string{backends[0].Addr().String(), backends[1].Addr().String()}, t.Logf)
+	factory := newEngine(reg, accelstream.ShardConfig{})
+	built, reset := make(chan struct{}), make(chan struct{})
+	front, err := accelstream.Serve("127.0.0.1:0", accelstream.ServerConfig{
+		Logf: t.Logf,
+		NewEngine: func(oc accelstream.SessionConfig) (accelstream.SessionEngineImpl, error) {
+			eng, err := factory(oc)
+			close(built)
+			<-reset
+			return eng, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", front.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open bytes.Buffer
+	if err := wire.NewWriter(&open).WriteOpen(wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(open.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	<-built
+	conn.(*net.TCPConn).SetLinger(0)
+	conn.Close()
+	close(reset)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := front.Shutdown(ctx); err != nil {
+		t.Fatalf("front shutdown: %v", err)
+	}
+	if ms := front.Metrics(); len(ms) != 1 || ms[0].Open {
+		t.Fatalf("front sessions %+v, want the one, closed", ms)
+	}
+	if n := len(reg.dep.Members()); n != 0 {
+		t.Errorf("%d routers still registered after the front shut down", n)
+	}
+	for i, b := range backends {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			ms := b.Metrics()
+			if len(ms) == 1 && !ms[0].Open {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("backend %d sessions %+v, want the router's one, closed", i, ms)
+				break
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+}

@@ -34,8 +34,9 @@ func swSelectivitySpec(seed int64, selectivity float64) workload.Spec {
 // swThroughput measures the software uni-flow engine under a saturated
 // stream with the given per-comparison match probability, returning the
 // ingest rate (million tuples/s) and the result emission rate (million
-// results/s) over the timed region.
-func swThroughput(cores, window int, selectivity float64, measureTuples int, kernel stream.ProbeKernel, opt Options) (inMtps, outMrps float64, err error) {
+// results/s) over the timed region. The timed region pushes at least
+// measureTuples tuples and lasts at least minDur.
+func swThroughput(cores, window int, selectivity float64, measureTuples int, minDur time.Duration, kernel stream.ProbeKernel, opt Options) (inMtps, outMrps float64, err error) {
 	spec := swSelectivitySpec(opt.Seed, selectivity)
 	r, s, err := workload.WindowFill(spec, window)
 	if err != nil {
@@ -72,7 +73,7 @@ func swThroughput(cores, window int, selectivity float64, measureTuples int, ker
 	collected0 := e.Collected()
 	start := time.Now()
 	pushed := 0
-	for pushed < measureTuples {
+	for pushed < measureTuples || time.Since(start) < minDur {
 		fill()
 		e.PushBatch(batch)
 		pushed += batchSize
@@ -201,7 +202,7 @@ func SoftwareBaseline(opt Options) (sel, micro Figure, err error) {
 					measure = 8192
 				}
 			}
-			inM, outM, err := swThroughput(cores, window, s, measure, kernel, opt)
+			inM, outM, err := swThroughput(cores, window, s, measure, 0, kernel, opt)
 			if err != nil {
 				return Figure{}, Figure{}, err
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"accelstream/internal/stream"
 )
@@ -28,16 +29,18 @@ func LoadLatency(opt Options) (Figure, error) {
 		probes = 8
 	}
 
-	// Saturation throughput first: the best of three short runs, since
-	// every load point is a share of it and one slow run would shift them
-	// all.
-	measure := 4096
+	// Saturation throughput first: the best of three runs, since every
+	// load point is a share of it and one slow run would shift them all.
+	// Each run lasts a fixed time rather than a fixed tuple count: a few
+	// thousand tuples take tens of milliseconds, where one scheduler hiccup
+	// moves the rate, and so every load point, by tens of percent.
+	saturate := 250 * time.Millisecond
 	if opt.Quick {
-		measure = 2048
+		saturate = 100 * time.Millisecond
 	}
 	var maxMtps float64
 	for range 3 {
-		mtps, _, err := swThroughput(cores, window, 0, measure, stream.KernelScan, opt)
+		mtps, _, err := swThroughput(cores, window, 0, 2048, saturate, stream.KernelScan, opt)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -60,7 +63,7 @@ func LoadLatency(opt Options) (Figure, error) {
 	}
 	fig.Series = append(fig.Series, lat, backlog)
 	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("saturation throughput on this host (best of 3 runs): %.4f M tuples/s; the climb toward 90%% load is queueing delay", maxMtps),
+		fmt.Sprintf("saturation throughput on this host (best of 3 runs of %v): %.4f M tuples/s; the climb toward 90%% load is queueing delay", saturate, maxMtps),
 		"backlog = Injected − Processed/cores sampled just before each probe push, averaged over the probes")
 	return fig, nil
 }

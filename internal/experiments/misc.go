@@ -69,7 +69,7 @@ func HwVsSw(opt Options) (string, error) {
 	if opt.Quick {
 		swMeasure, swBurst = 1024, 64
 	}
-	swMtps, _, err := swThroughput(28, window, 0, swMeasure, stream.KernelScan, opt)
+	swMtps, _, err := swThroughput(28, window, 0, swMeasure, 0, stream.KernelScan, opt)
 	if err != nil {
 		return "", err
 	}

@@ -86,7 +86,7 @@ func Fig14d(opt Options) (Figure, error) {
 					measure = 256
 				}
 			}
-			mtps, _, err := swThroughput(cores, window, 0, measure, stream.KernelScan, opt)
+			mtps, _, err := swThroughput(cores, window, 0, measure, 0, stream.KernelScan, opt)
 			if err != nil {
 				return Figure{}, err
 			}

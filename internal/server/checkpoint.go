@@ -18,9 +18,11 @@ import (
 //   - initCheckpoints (New): open the store and load the newest valid
 //     snapshot before the listener accepts anything.
 //   - takeRestored (handshake): hand the loaded snapshot to the first
-//     session whose engine shape matches, exactly once; the session
-//     resumes the engine's BaseSeqR/S from it, imports the window, and
-//     tells the client via the OpenAck resume tail.
+//     session whose engine shape matches; the session resumes the
+//     engine's BaseSeqR/S from it, imports the window, and tells the
+//     client via the OpenAck resume tail. A session that fails before
+//     that OpenAck is written hands it back at teardown (putRestored),
+//     so the next matching session resumes instead.
 //   - cutSnapshot (FrameCheckpoint / FrameRebalancePrepare / the
 //     automatic interval / Server.Checkpoint / final teardown): quiesce
 //     the live engine at a punctuation boundary and wait until every
@@ -59,7 +61,7 @@ func (s *Server) initCheckpoints() error {
 	return nil
 }
 
-// takeRestored consumes the loaded snapshot for a session whose Open
+// takeRestored takes the loaded snapshot for a session whose Open
 // config matches its shape: same engine kind, window, ordering, and
 // shard role, and a client that is not already resuming its own base
 // sequence numbers (a shard router redial carries non-zero bases and
@@ -83,8 +85,16 @@ func (s *Server) takeRestored(cfg wire.OpenConfig) *checkpoint.Snapshot {
 		cfg.BaseSeqR != 0 || cfg.BaseSeqS != 0 {
 		return nil
 	}
-	s.restored = nil // consumed: a second session starts fresh
+	s.restored = nil // taken: a concurrent session starts fresh
 	return snap
+}
+
+// putRestored hands back a snapshot takeRestored gave a session that
+// failed before its client could resume from it.
+func (s *Server) putRestored(snap *checkpoint.Snapshot) {
+	s.restoredMu.Lock()
+	s.restored = snap
+	s.restoredMu.Unlock()
 }
 
 // flushResults spin-waits until the writer has handed at least target

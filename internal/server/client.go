@@ -184,7 +184,12 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 // open runs the session handshake over an established connection and
 // starts the client's reader and writer goroutines. On failure it closes
 // conn.
-func open(conn net.Conn, cfg wire.OpenConfig, timeout time.Duration) (*Client, error) {
+func open(conn net.Conn, cfg wire.OpenConfig, timeout time.Duration) (_ *Client, err error) {
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	c := &Client{
 		conn:       conn,
 		out:        outbox{conn: conn, wake: make(chan struct{}, 1)},
@@ -198,32 +203,26 @@ func open(conn net.Conn, cfg wire.OpenConfig, timeout time.Duration) (*Client, e
 	}
 	c.w = wire.NewWriter(&c.out)
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := c.w.WriteOpen(cfg); err != nil {
-		conn.Close()
+	if err = c.w.WriteOpen(cfg); err != nil {
 		return nil, err
 	}
 	r := wire.NewReader(conn)
 	f, err := r.ReadFrame()
 	if err != nil {
-		conn.Close()
 		return nil, fmt.Errorf("server: reading open-ack: %w", err)
 	}
 	switch f.Type {
 	case wire.FrameOpenAck:
 	case wire.FrameError:
-		conn.Close()
 		return nil, fmt.Errorf("server: session rejected: %s", wire.DecodeError(f.Payload))
 	default:
-		conn.Close()
 		return nil, fmt.Errorf("server: unexpected %v frame during handshake", f.Type)
 	}
 	ack, err := wire.DecodeOpenAck(f.Payload)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	if ack.Reject != wire.RejectNone {
-		conn.Close()
 		if ack.Reject == wire.RejectUnauthorized {
 			return nil, ErrUnauthorized
 		}
@@ -254,9 +253,6 @@ func (c *Client) Credits() int { return cap(c.credits) }
 // the server (batches sent but not yet acknowledged) — the per-session
 // backpressure signal the shard router exports per shard.
 func (c *Client) CreditsOutstanding() int {
-	if c.credits == nil {
-		return 0
-	}
 	return cap(c.credits) - len(c.credits)
 }
 
@@ -326,18 +322,10 @@ func (c *Client) SendBatch(batch []core.Input) error {
 	// frames those credits pay for follow this one back to back.
 	gather := waited && c.lastGrant > 1
 	c.rttMu.Unlock()
-	if err := c.lockOut(gather); err != nil {
-		return err
-	}
-	c.batchSeq++
-	err := c.w.WriteBatch(c.batchSeq, batch)
-	c.wmu.Unlock()
-	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
-		c.setErr(err)
-		return err
-	}
-	return nil
+	return c.write(gather, func(w *wire.Writer) error {
+		c.batchSeq++
+		return w.WriteBatch(c.batchSeq, batch)
+	})
 }
 
 // Batches returns the stream of join results as the reader decoded them:
@@ -365,13 +353,8 @@ func (c *Client) Close() (wire.Stats, error) {
 	c.mu.Unlock()
 	// A session whose writer already failed or ended has nothing to send:
 	// its error, or its clean end, stands.
-	if !alreadySent && c.lockOut(false) == nil {
-		err := c.w.WriteClose()
-		c.wmu.Unlock()
-		if err != nil {
-			c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-			c.conn.Close()
-		}
+	if !alreadySent {
+		c.write(false, (*wire.Writer).WriteClose)
 	}
 	<-c.readerDone
 	c.conn.Close()
@@ -391,17 +374,13 @@ func (c *Client) Close() (wire.Stats, error) {
 func (c *Client) ImportState(tuples []core.Input) error {
 	info := wire.RebalanceInfo{SeqR: c.baseSeqR, SeqS: c.baseSeqS}
 	info.Tally(tuples)
-	if err := c.lockOut(false); err != nil {
-		return err
-	}
-	err := c.w.WriteState(tuples)
-	if err == nil {
-		err = c.w.WriteRebalanceCommit(info)
-	}
-	c.wmu.Unlock()
+	err := c.write(false, func(w *wire.Writer) error {
+		if err := w.WriteState(tuples); err != nil {
+			return err
+		}
+		return w.WriteRebalanceCommit(info)
+	})
 	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
-		c.setErr(err)
 		return err
 	}
 	select {
@@ -481,29 +460,20 @@ func (c *Client) cut(handOff bool) ([]core.Input, wire.RebalanceInfo, error) {
 	c.ckptTuples = nil
 	c.closeSent = handOff
 	c.mu.Unlock()
-	if c.lockOut(false) == nil {
-		var err error
-		if handOff {
-			err = c.w.WriteRebalancePrepare()
-		} else {
-			err = c.w.WriteCheckpoint()
-		}
-		c.wmu.Unlock()
-		if err != nil {
-			c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-			c.conn.Close()
-		}
+	send := (*wire.Writer).WriteCheckpoint
+	if handOff {
+		send = (*wire.Writer).WriteRebalancePrepare
 	}
+	c.write(false, send)
+	// ckptCh is never closed: done reports a summary received.
 	var info wire.RebalanceInfo
-	done := false
+	var done bool
 	select {
-	case info = <-c.ckptCh:
-		done = true
+	case info, done = <-c.ckptCh:
 	case <-c.readerDone:
 		// The summary may have landed just before the reader exited.
 		select {
-		case info = <-c.ckptCh:
-			done = true
+		case info, done = <-c.ckptCh:
 		default:
 		}
 	}
@@ -553,105 +523,106 @@ func (c *Client) readLoop(r *wire.Reader) {
 			c.setErr(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 			return
 		}
-		switch f.Type {
-		case wire.FrameResults:
-			b := frameBatches.Get()
-			results, err := wire.DecodeResultsInto(f.Payload, b.Results)
-			if err != nil {
-				b.Release()
-				c.setErr(err)
-				return
-			}
-			b.Results = results
-			c.batches <- b
-			// Counted after the hand-off: a coordinated-snapshot flush
-			// barrier reads this as "delivered into the channel".
-			c.resultsRecv.Add(uint64(len(results)))
-		case wire.FrameCredit:
-			n, err := wire.DecodeCredit(f.Payload)
+		if end, err := c.serve(f); end {
 			if err != nil {
 				c.setErr(err)
-				return
 			}
-			now := time.Now()
-			c.rttMu.Lock()
-			if n > c.sendLen {
-				unacked := c.sendLen
-				c.rttMu.Unlock()
-				c.setErr(fmt.Errorf("%w: %d credits returned with %d batches unacknowledged", ErrCreditOverGrant, n, unacked))
-				return
-			}
-			c.lastGrant = n
-			for i := 0; i < n; i++ {
-				rtt := now.Sub(c.sendTime[c.sendHead])
-				c.sendHead = (c.sendHead + 1) % len(c.sendTime)
-				c.sendLen--
-				c.rttSum += rtt
-				c.rttCount++
-				if rtt > c.rttMax {
-					c.rttMax = rtt
-				}
-			}
-			c.rttMu.Unlock()
-			// Every unacknowledged send took a credit out of the channel, so
-			// the check above leaves room for all n.
-			for i := 0; i < n; i++ {
-				c.credits <- struct{}{}
-			}
-		case wire.FrameStateChunk:
-			tuples, err := wire.DecodeStateChunk(f.Payload)
-			if err != nil {
-				c.setErr(err)
-				return
-			}
-			c.mu.Lock()
-			active := c.ckptActive
-			if active {
-				c.ckptTuples = append(c.ckptTuples, tuples...)
-			}
-			c.mu.Unlock()
-			if !active {
-				c.setErr(fmt.Errorf("server: state chunk outside a checkpoint"))
-				return
-			}
-		case wire.FrameRebalanceCommit:
-			info, err := wire.DecodeRebalanceCommit(f.Payload)
-			if err != nil {
-				c.setErr(err)
-				return
-			}
-			select {
-			case c.commitCh <- info:
-			default:
-			}
-		case wire.FrameCheckpointDone:
-			info, err := wire.DecodeCheckpointDone(f.Payload)
-			if err != nil {
-				c.setErr(err)
-				return
-			}
-			select {
-			case c.ckptCh <- info:
-			default:
-			}
-		case wire.FrameClosed:
-			st, err := wire.DecodeClosed(f.Payload)
-			if err != nil {
-				c.setErr(err)
-				return
-			}
-			c.mu.Lock()
-			c.stats = st
-			c.mu.Unlock()
-			return
-		case wire.FrameError:
-			c.setErr(fmt.Errorf("server: %s", wire.DecodeError(f.Payload)))
-			return
-		default:
-			c.setErr(fmt.Errorf("server: unexpected %v frame", f.Type))
 			return
 		}
 	}
+}
+
+// serve handles one frame for readLoop. It reports end once the session
+// is over: cleanly on the Closed frame, or with err, which fails it.
+func (c *Client) serve(f wire.Frame) (end bool, err error) {
+	switch f.Type {
+	case wire.FrameResults:
+		b := frameBatches.Get()
+		results, err := wire.DecodeResultsInto(f.Payload, b.Results)
+		if err != nil {
+			b.Release()
+			return true, err
+		}
+		b.Results = results
+		c.batches <- b
+		// Counted after the hand-off: a coordinated-snapshot flush
+		// barrier reads this as "delivered into the channel".
+		c.resultsRecv.Add(uint64(len(results)))
+	case wire.FrameCredit:
+		n, err := wire.DecodeCredit(f.Payload)
+		if err != nil {
+			return true, err
+		}
+		now := time.Now()
+		c.rttMu.Lock()
+		if n > c.sendLen {
+			unacked := c.sendLen
+			c.rttMu.Unlock()
+			return true, fmt.Errorf("%w: %d credits returned with %d batches unacknowledged", ErrCreditOverGrant, n, unacked)
+		}
+		c.lastGrant = n
+		for i := 0; i < n; i++ {
+			rtt := now.Sub(c.sendTime[c.sendHead])
+			c.sendHead = (c.sendHead + 1) % len(c.sendTime)
+			c.sendLen--
+			c.rttSum += rtt
+			c.rttCount++
+			if rtt > c.rttMax {
+				c.rttMax = rtt
+			}
+		}
+		c.rttMu.Unlock()
+		// Every unacknowledged send took a credit out of the channel, so
+		// the check above leaves room for all n.
+		for i := 0; i < n; i++ {
+			c.credits <- struct{}{}
+		}
+	case wire.FrameStateChunk:
+		tuples, err := wire.DecodeStateChunk(f.Payload)
+		if err != nil {
+			return true, err
+		}
+		c.mu.Lock()
+		active := c.ckptActive
+		if active {
+			c.ckptTuples = append(c.ckptTuples, tuples...)
+		}
+		c.mu.Unlock()
+		if !active {
+			return true, fmt.Errorf("server: state chunk outside a checkpoint")
+		}
+	case wire.FrameRebalanceCommit:
+		info, err := wire.DecodeRebalanceCommit(f.Payload)
+		if err != nil {
+			return true, err
+		}
+		select {
+		case c.commitCh <- info:
+		default:
+		}
+	case wire.FrameCheckpointDone:
+		info, err := wire.DecodeCheckpointDone(f.Payload)
+		if err != nil {
+			return true, err
+		}
+		select {
+		case c.ckptCh <- info:
+		default:
+		}
+	case wire.FrameClosed:
+		st, err := wire.DecodeClosed(f.Payload)
+		if err == nil {
+			c.mu.Lock()
+			c.stats = st
+			c.mu.Unlock()
+		}
+		return true, err
+	case wire.FrameError:
+		return true, fmt.Errorf("server: %s", wire.DecodeError(f.Payload))
+	default:
+		return true, fmt.Errorf("server: unexpected %v frame", f.Type)
+	}
+	return false, nil
 }
 
 // outbox is the client connection's write side, the io.Writer under the
@@ -699,6 +670,25 @@ func (c *Client) lockOut(gather bool) error {
 	}
 	c.out.queue = gather || c.out.busy || len(c.out.pending) > 0
 	return nil
+}
+
+// write encodes frames through the outbox under the write lock, on the
+// path lockOut picks. A write that fails fails the session: the error is
+// recorded as ErrConnectionLost and the connection closed, so the reader
+// exits with it. Once the writer has ended, write fails with the error
+// it ended on and encodes nothing.
+func (c *Client) write(gather bool, frames func(*wire.Writer) error) error {
+	if err := c.lockOut(gather); err != nil {
+		return err
+	}
+	err := frames(c.w)
+	c.wmu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrConnectionLost, err)
+		c.setErr(err)
+		c.conn.Close()
+	}
+	return err
 }
 
 // writeLoop is the client's writer goroutine: each time frames are

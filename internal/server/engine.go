@@ -19,7 +19,10 @@ import (
 // after returning — the session decodes every frame into one persistent
 // buffer and reuses it immediately (copy the batch if the implementation
 // needs it beyond the call). Results is closed after Close once all
-// in-flight work has drained. Config.NewEngine lets an embedder substitute
+// in-flight work has drained. Close releases what the factory acquired,
+// even if Start failed or never ran: a session calls it exactly once on
+// every engine its factory returned, on every exit, before the session's
+// admission lease is released. Config.NewEngine lets an embedder substitute
 // its own implementation (the shard router daemon serves a whole cluster
 // behind this interface).
 //

@@ -69,10 +69,8 @@ func DialPool(addr string, conns int, cfg wire.OpenConfig, opts DialOptions) (*C
 	for i := range p.conns {
 		c, err := DialWith(addr, cfg, opts)
 		if err != nil {
-			for _, prev := range p.conns {
-				if prev != nil {
-					prev.Close()
-				}
+			for _, prev := range p.conns[:i] {
+				prev.Close()
 			}
 			return nil, fmt.Errorf("server: pool conn %d/%d: %w", i+1, conns, err)
 		}

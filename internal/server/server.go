@@ -167,7 +167,7 @@ type Server struct {
 
 	// Durable-checkpoint state (see checkpoint.go). ckpt is nil when
 	// checkpoints are disabled; restored holds the newest valid snapshot
-	// loaded at construction until the first matching session consumes it.
+	// loaded at construction until a matching session's client resumes from it.
 	ckpt       *checkpoint.Store
 	restoredMu sync.Mutex
 	restored   *checkpoint.Snapshot

@@ -24,13 +24,20 @@ import (
 // cleanup runs after the shutdown's).
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	leakcheck.Check(t)
-	srv, err := New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return serveOn(t, cfg, ln)
+}
+
+// serveOn is startServer over a listener the test built.
+func serveOn(t *testing.T, cfg Config, ln net.Listener) (*Server, string) {
+	t.Helper()
+	leakcheck.Check(t)
+	srv, err := New(cfg)
 	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)

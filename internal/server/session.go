@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"accelstream/internal/admission"
+	"accelstream/internal/checkpoint"
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
@@ -63,15 +64,24 @@ type session struct {
 	w   *wire.Writer
 	in  *ingest // the read side: frames in, batches to the engine, credits out
 
-	eng    Engine
 	engCfg wire.OpenConfig
 	opened atomic.Bool
 	live   atomic.Bool
 
-	// lease is the session's hold on its tenant's admission quotas,
-	// acquired during the handshake (before the engine is built) and
-	// released at teardown. Written before opened publishes it.
-	lease *admission.Lease
+	// What the handshake acquires, each recorded the moment it is held
+	// and released by run's one teardown: lease is the session's hold on
+	// its tenant's admission quotas, taken before the engine is built;
+	// eng is the engine build returned, started or not; restored is the
+	// loaded snapshot the session took, nil again once the OpenAck that
+	// resumes the client from it is written. lease and eng are written
+	// before opened publishes them.
+	lease    *admission.Lease
+	eng      Engine
+	restored *checkpoint.Snapshot
+
+	// writerDone closes when the result writer exits. It stays nil when
+	// the handshake fails: no writer runs and no Closed frame is owed.
+	writerDone chan struct{}
 
 	resultsOut, resultFrames atomic.Uint64
 
@@ -243,35 +253,36 @@ func (e *sessionError) reply(w *wire.Writer) error {
 
 // run owns the session from handshake to teardown.
 func (s *session) run() {
-	defer s.live.Store(false)
-	defer s.conn.Close()
-	// The admission lease is acquired mid-handshake; release it on every
-	// exit path (including handshake failures after the gate).
-	defer func() {
-		if s.lease != nil {
-			s.lease.Release()
-		}
-	}()
+	var err error
+	var handOff bool
+	defer func() { s.teardown(err, handOff) }()
 
-	if err := s.handshake(); err != nil {
-		s.end(fmt.Errorf("handshake failed: %w", err))
+	if err = s.handshake(); err != nil {
+		err = fmt.Errorf("handshake failed: %w", err)
+		s.end(err)
 		return
 	}
 	s.srv.logf("session %d: open from %s (%v, %d cores, window %d, tenant %s)",
 		s.id, s.conn.RemoteAddr(), s.engCfg.Engine, s.engCfg.Cores, s.engCfg.Window, s.lease.Tenant())
 
 	// Writer: stream engine results back, a batch at a time.
-	writerDone := make(chan struct{})
+	s.writerDone = make(chan struct{})
 	go func() {
-		defer close(writerDone)
+		defer close(s.writerDone)
 		s.pumpResults()
 	}()
 
-	handOff, err := s.readLoop()
-	if err != nil {
+	if handOff, err = s.readLoop(); err != nil {
 		s.end(err)
 	}
+}
 
+// teardown releases what the session acquired, in one order on every
+// exit, the handshake's failures included: the terminal window state is
+// cut while the engine still runs, the engine closes before its lease
+// goes back, and the connection closes last. err is why the session
+// ended (nil for a graceful close).
+func (s *session) teardown(err error, handOff bool) {
 	// Persist the terminal window state (the SIGTERM-drain / crash-restart
 	// snapshot) before the engine closes: no input follows, and the writer
 	// still runs, so the cut's result-flush barrier holds. An engine that
@@ -280,22 +291,35 @@ func (s *session) run() {
 	s.finalCheckpoint(handOff)
 
 	// Stop the engine. Close flushes in-flight work, after which its
-	// output closes and the writer finishes streaming.
-	if err := s.eng.Close(); err != nil {
-		s.srv.logf("session %d: engine close: %v", s.id, err)
-	}
-	<-writerDone
-
-	m := s.metrics()
-	if err == nil {
-		st := wire.Stats{TuplesIn: m.TuplesIn, BatchesIn: m.BatchesIn, ResultsOut: m.ResultsOut}
-		s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if err := s.send(func(w *wire.Writer) error { return w.WriteClosed(st) }); err != nil {
-			s.srv.logf("session %d: writing closed frame: %v", s.id, err)
+	// output closes and the writer finishes streaming. An engine whose
+	// Start failed is closed too: Close releases what its factory took.
+	if s.eng != nil {
+		if err := s.eng.Close(); err != nil {
+			s.srv.logf("session %d: engine close: %v", s.id, err)
 		}
 	}
-	s.srv.logf("session %d: closed (graceful=%v): %d tuples in / %d batches, %d results out, avg batch latency %v",
-		s.id, err == nil, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
+	// A snapshot no client resumed from goes back for the next session.
+	if s.restored != nil {
+		s.srv.putRestored(s.restored)
+	}
+	if s.writerDone != nil {
+		<-s.writerDone
+		m := s.metrics()
+		if err == nil {
+			st := wire.Stats{TuplesIn: m.TuplesIn, BatchesIn: m.BatchesIn, ResultsOut: m.ResultsOut}
+			s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			if err := s.send(func(w *wire.Writer) error { return w.WriteClosed(st) }); err != nil {
+				s.srv.logf("session %d: writing closed frame: %v", s.id, err)
+			}
+		}
+		s.srv.logf("session %d: closed (graceful=%v): %d tuples in / %d batches, %d results out, avg batch latency %v",
+			s.id, err == nil, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
+	}
+	if s.lease != nil {
+		s.lease.Release()
+	}
+	s.conn.Close()
+	s.live.Store(false)
 }
 
 // sessionWindowBytes is the window-memory cost one session is accounted
@@ -372,42 +396,43 @@ func (s *session) handshake() error {
 	// Restore path: when a loaded checkpoint matches this session's shape,
 	// build the engine with the snapshot's arrival counters so the client
 	// replays only the post-snapshot suffix of the streams.
-	restored := s.srv.takeRestored(cfg)
-	if restored != nil {
-		cfg.BaseSeqR, cfg.BaseSeqS = restored.Meta.SeqR, restored.Meta.SeqS
+	if s.restored = s.srv.takeRestored(cfg); s.restored != nil {
+		cfg.BaseSeqR, cfg.BaseSeqS = s.restored.Meta.SeqR, s.restored.Meta.SeqS
 	}
 	var eng Engine
 	if err = cfg.Validate(); err == nil {
 		eng, err = build(cfg)
 	}
 	if err == nil {
+		s.eng, s.engCfg = eng, cfg
 		err = eng.Start()
 	}
 	if err != nil {
 		return &sessionError{reason: rejectEngine, msg: err.Error(), err: err}
 	}
 	ack := wire.OpenAck{Credits: s.srv.cfg.InitialCredits, Session: s.id}
-	if restored != nil {
+	if snap := s.restored; snap != nil {
 		imp, ok := eng.(StateImporter)
 		if !ok {
 			err = fmt.Errorf("engine %v cannot import restored state", cfg.Engine)
 		} else {
-			err = imp.ImportState(restored.Tuples)
+			err = imp.ImportState(snap.Tuples)
 		}
 		if err != nil {
-			eng.Close()
 			return &sessionError{reason: rejectEngine, msg: err.Error(), err: fmt.Errorf("restoring checkpoint: %w", err)}
 		}
 		s.srv.ckptRestores.Add(1)
-		s.srv.ckptRestoreTuples.Add(uint64(len(restored.Tuples)))
+		s.srv.ckptRestoreTuples.Add(uint64(len(snap.Tuples)))
 		s.srv.logf("session %d: restored checkpoint at seqs (%d, %d), %d window tuples",
-			s.id, restored.Meta.SeqR, restored.Meta.SeqS, len(restored.Tuples))
-		ack.Resumed, ack.ResumeSeqR, ack.ResumeSeqS = true, restored.Meta.SeqR, restored.Meta.SeqS
+			s.id, snap.Meta.SeqR, snap.Meta.SeqS, len(snap.Tuples))
+		ack.Resumed, ack.ResumeSeqR, ack.ResumeSeqS = true, snap.Meta.SeqR, snap.Meta.SeqS
 	}
-	s.eng = eng
-	s.engCfg = cfg
 	s.opened.Store(true)
-	return s.send(func(w *wire.Writer) error { return w.WriteOpenAck(ack) })
+	if err := s.send(func(w *wire.Writer) error { return w.WriteOpenAck(ack) }); err != nil {
+		return err
+	}
+	s.restored = nil // the client resumes from it: the snapshot is this session's now
+	return nil
 }
 
 // readLoop serves frames until Close, RebalancePrepare or an error. After

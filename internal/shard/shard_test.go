@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -426,6 +427,45 @@ func TestRouterFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+}
+
+// TestRouterDialFailureReleasesOpenedShards: when one shard cannot be
+// reached, Dial fails naming it and closes the sessions it had already
+// opened on the others: their servers see those sessions closed and hold
+// no admission usage for them, and no goroutine is left.
+func TestRouterDialFailureReleasesOpenedShards(t *testing.T) {
+	srvA, addrA := startShardServer(t)
+	srvB, addrB := startShardServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	_, err = Dial(Config{Addrs: []string{addrA, addrB, dead}, Cores: 1, Window: 96})
+	if err == nil || !strings.Contains(err.Error(), "shard 2 ("+dead+")") {
+		t.Fatalf("Dial = %v, want the error naming shard 2 (%s)", err, dead)
+	}
+	for i, srv := range []*server.Server{srvA, srvB} {
+		deadline := time.Now().Add(5 * time.Second)
+		for ms := srv.Metrics(); len(ms) != 1 || ms[0].Open; ms = srv.Metrics() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d sessions %+v, want the one Dial opened, closed", i, ms)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		tenants, _ := srv.TenantMetrics()
+		for _, u := range tenants {
+			if u.Admitted != 1 || u.Sessions != 0 || u.WindowBytes != 0 {
+				t.Errorf("shard %d tenant %q: %d admitted, %d sessions and %d window bytes held; want 1, 0 and 0",
+					i, u.Tenant, u.Admitted, u.Sessions, u.WindowBytes)
+			}
+		}
+		if len(tenants) != 1 {
+			t.Errorf("shard %d accounts %d tenants, want the router's one", i, len(tenants))
+		}
+	}
 }
 
 // TestConfigValidate exercises the router config checks.

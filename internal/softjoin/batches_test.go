@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -73,6 +74,7 @@ func sortedPairIDs(results []stream.Result) []uint64 {
 // multiset the per-result Results() adaptor yields for the same input —
 // one engine path, two views of it.
 func TestBatchesMatchOracleAndResults(t *testing.T) {
+	leakcheck.Check(t)
 	const window, tuples = 64, 3000
 	for _, kernel := range []stream.ProbeKernel{stream.KernelHash, stream.KernelScan} {
 		for _, ordered := range []bool{false, true} {
@@ -121,6 +123,7 @@ func TestBatchesMatchOracleAndResults(t *testing.T) {
 // arithmetic's borrow corners — relaxed and ordered, through Batches() and
 // through Results(), always equal to the single-process oracle.
 func TestScanKernelTailAndWrapOracle(t *testing.T) {
+	leakcheck.Check(t)
 	const cores = 2
 	corners := []uint32{0, 1, 1<<31 - 1, 1 << 31, 1<<32 - 1}
 	conds := []struct {
@@ -161,6 +164,7 @@ func TestScanKernelTailAndWrapOracle(t *testing.T) {
 // block on the send — Quiesce still terminates, ResultsEmitted is exact
 // at every boundary, and nothing is lost or duplicated.
 func TestQuiesceWithSlowBatchConsumer(t *testing.T) {
+	leakcheck.Check(t)
 	const window, total, step = 32, 1200, 200
 	for _, ordered := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {

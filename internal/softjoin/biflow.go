@@ -147,8 +147,8 @@ func (e *BiFlow) Preload(r, s []stream.Tuple) error {
 
 // Start launches the chain and the result gatherers.
 func (e *BiFlow) Start() error {
-	if e.started {
-		return fmt.Errorf("softjoin: engine already started")
+	if e.started || e.closed {
+		return fmt.Errorf("softjoin: engine already started or closed")
 	}
 	e.started = true
 	for _, c := range e.cores {
@@ -320,15 +320,17 @@ func (e *BiFlow) Push(side stream.Side, t stream.Tuple) {
 func (e *BiFlow) Results() <-chan stream.Result { return e.results }
 
 // Close stops ingest and waits for the chain to drain. Results must be
-// consumed concurrently.
+// consumed concurrently. Closing a chain that was never started only
+// closes its output; it cannot be started after.
 func (e *BiFlow) Close() error {
-	if !e.started {
-		return fmt.Errorf("softjoin: engine not started")
-	}
 	if e.closed {
 		return nil
 	}
 	e.closed = true
+	if !e.started {
+		close(e.results)
+		return nil
+	}
 	close(e.cores[0].inS)
 	close(e.cores[len(e.cores)-1].inR)
 	e.wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -41,6 +42,7 @@ func suffixOracle(t *testing.T, window int, workload []core.Input, cut int) []st
 // an oracle replay, which under the hash kernel is only possible if
 // ImportState kept the probe indexes in sync with the restored windows.
 func TestKernelCheckpointRestoreContinuation(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		window = 64
 		total  = 1600
@@ -111,6 +113,7 @@ func TestKernelCheckpointRestoreContinuation(t *testing.T) {
 // now also proving the restored engines' probe indexes see the imported
 // tuples.
 func TestKernelRebalanceContinuation(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		oldShards = 2
 		newShards = 3

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -34,6 +35,7 @@ func globalArrivalIndex(inputs []core.Input) (idxR, idxS map[uint64]int) {
 // multiset must still equal the oracle exactly. Run with -race to cover
 // the slab/pool hand-offs.
 func TestOrderedReleaseMatchesOracle(t *testing.T) {
+	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		cores := 1 + rng.Intn(8)
@@ -87,6 +89,7 @@ func TestOrderedReleaseMatchesOracle(t *testing.T) {
 // the generic Scan probe path (a non-equi condition bypasses the fast
 // path but still emits through slabs).
 func TestOrderedReleaseGenericCondition(t *testing.T) {
+	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(7))
 	cond := stream.JoinCondition{LHS: stream.FieldKey, RHS: stream.FieldKey, Cmp: stream.CmpLT}
 	inputs := randomWorkload(rng, 600, 12)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -44,6 +45,7 @@ func runShardEngine(t *testing.T, cfg Config, workload []core.Input) *UniFlow {
 // the last Window arrivals of each side whose sequence ≡ ShardIndex
 // (mod ShardCount), in ascending sequence order.
 func TestExportStateMatchesResidueWindow(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		shards = 3
 		window = 40 // per-shard slice; global window = shards*window = 120
@@ -134,6 +136,7 @@ func TestExportStateMatchesResidueWindow(t *testing.T) {
 // residue class of the same global window: the state-migration invariant
 // a grow rebalance relies on.
 func TestImportExportRoundTrip(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		oldShards = 3
 		newShards = 5

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -15,6 +16,7 @@ import (
 // R-before-S ascending per-side seq, and the engine keeps producing the
 // full oracle-equal result set afterwards.
 func TestUniFlowSnapshotState(t *testing.T) {
+	leakcheck.Check(t)
 	for _, ordered := range []bool{false, true} {
 		for _, cores := range []int{1, 4} {
 			const window, total, batch = 64, 1200, 100
@@ -108,6 +110,7 @@ func checkSnapshotImage(t *testing.T, tuples []core.Input, prefix []core.Input, 
 // the pushed input implies has been counted by ResultsEmitted — the exact
 // flush target the server's durability barrier spins on.
 func TestUniFlowQuiesceResultsEmitted(t *testing.T) {
+	leakcheck.Check(t)
 	const window, total = 32, 600
 	rng := rand.New(rand.NewSource(3))
 	workload := randomWorkload(rng, total, 16)
@@ -147,6 +150,7 @@ func TestUniFlowQuiesceResultsEmitted(t *testing.T) {
 }
 
 func TestUniFlowSnapshotLifecycle(t *testing.T) {
+	leakcheck.Check(t)
 	e, err := NewUniFlow(Config{NumCores: 1, WindowSize: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"accelstream/internal/core"
+	"accelstream/internal/leakcheck"
 	"accelstream/internal/stream"
 )
 
@@ -64,6 +65,7 @@ func randomWorkload(rng *rand.Rand, n, keyDomain int) []core.Input {
 // TestUniFlowMatchesOracle: the software SplitJoin must produce exactly the
 // oracle's multiset for any arrival order, any core count, any batch size.
 func TestUniFlowMatchesOracle(t *testing.T) {
+	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(21))
 	cases := []struct {
 		cores, window, batch int
@@ -103,6 +105,7 @@ func TestUniFlowMatchesOracle(t *testing.T) {
 // TestUniFlowRoundRobinBalance: the storage discipline balances within one
 // tuple across cores.
 func TestUniFlowRoundRobinBalance(t *testing.T) {
+	leakcheck.Check(t)
 	e, err := NewUniFlow(Config{NumCores: 8, WindowSize: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +138,7 @@ func TestUniFlowRoundRobinBalance(t *testing.T) {
 
 // TestUniFlowPreload: preloaded windows join like streamed ones.
 func TestUniFlowPreload(t *testing.T) {
+	leakcheck.Check(t)
 	const window = 64
 	s := make([]stream.Tuple, window)
 	for i := range s {
@@ -162,6 +166,7 @@ func TestUniFlowPreload(t *testing.T) {
 }
 
 func TestUniFlowPreloadAfterStartFails(t *testing.T) {
+	leakcheck.Check(t)
 	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +184,45 @@ func TestUniFlowPreloadAfterStartFails(t *testing.T) {
 	wg.Wait()
 }
 
-func TestUniFlowLifecycleErrors(t *testing.T) {
-	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
+// TestCloseBeforeStart: an engine whose Start never ran closes without
+// an error — Close releases what construction took, which is only the
+// output — and its output ends, so a consumer started before the Close
+// returns; the engine cannot be started after.
+func TestCloseBeforeStart(t *testing.T) {
+	leakcheck.Check(t)
+	uni, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err == nil {
-		t.Error("Close before Start succeeded, want error")
+	bi, err := NewBiFlow(Config{NumCores: 2, WindowSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniDone, _ := drain(uni.Results())
+	biDone, _ := drain(bi.Results())
+	for name, e := range map[string]interface {
+		Start() error
+		Close() error
+	}{"uni": uni, "bi": bi} {
+		if err := e.Close(); err != nil {
+			t.Errorf("%s: Close before Start = %v, want nil", name, err)
+		}
+		if err := e.Close(); err != nil {
+			t.Errorf("%s: repeated Close = %v, want nil", name, err)
+		}
+		if err := e.Start(); err == nil {
+			t.Errorf("%s: Start after Close succeeded, want error", name)
+		}
+	}
+	uniDone.Wait()
+	biDone.Wait()
+}
+
+func TestUniFlowLifecycleErrors(t *testing.T) {
+	leakcheck.Check(t)
+	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -206,6 +243,7 @@ func TestUniFlowLifecycleErrors(t *testing.T) {
 // TestBiFlowOneDirectionMatchesOracle mirrors the hardware test: static S
 // side, R-only traffic plus flush gives strict-semantics results.
 func TestBiFlowOneDirectionMatchesOracle(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		cores  = 4
 		window = 32
@@ -271,6 +309,7 @@ func TestBiFlowOneDirectionMatchesOracle(t *testing.T) {
 // TestBiFlowNoDuplicatesUnderConcurrency: with both streams flowing, no
 // pair is ever emitted twice and all emitted pairs satisfy the condition.
 func TestBiFlowNoDuplicatesUnderConcurrency(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		cores  = 4
 		window = 64
@@ -317,6 +356,7 @@ func TestBiFlowNoDuplicatesUnderConcurrency(t *testing.T) {
 // TestUniFlowOrderedResults: with OrderedResults, results are released in
 // the arrival order of their probing tuples, and the multiset is unchanged.
 func TestUniFlowOrderedResults(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		cores  = 8
 		window = 64
@@ -376,6 +416,7 @@ func TestUniFlowOrderedResults(t *testing.T) {
 // an absent key examines (nearly) nothing: that asymmetry is the whole
 // point of the index.
 func TestUniFlowComparisonsPerTuple(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		cores  = 4
 		window = 128
@@ -452,6 +493,7 @@ func TestUniFlowAutoKernelResolution(t *testing.T) {
 // kernels — equi condition for both, plus a non-equi condition on the scan
 // kernel — and checks each against the exactly-once oracle.
 func TestUniFlowKernelsOracleEqual(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		window = 64
 		tuples = 4000
@@ -500,6 +542,7 @@ func TestUniFlowKernelsOracleEqual(t *testing.T) {
 // oracle over the global window W, with no duplicates (the slices are
 // disjoint, so no result can be produced twice).
 func TestUniFlowShardedUnionMatchesOracle(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		shards = 3
 		window = 96 // per shard slice: 32
@@ -581,6 +624,7 @@ func TestUniFlowShardedUnionMatchesOracle(t *testing.T) {
 // an engine opened with base sequence offsets must continue the global
 // residue-class alignment and stamp globally consistent Seq numbers.
 func TestUniFlowBaseSeqResume(t *testing.T) {
+	leakcheck.Check(t)
 	const (
 		shards = 2
 		slice  = 8
@@ -648,6 +692,7 @@ func TestUniFlowBaseSeqResume(t *testing.T) {
 // shard router re-opening a session mid-stream), or advanced by Preload.
 // Each core's windows must hold exactly the arrivals that rule gives it.
 func TestStoreTurnMatchesPartition(t *testing.T) {
+	leakcheck.Check(t)
 	const pushed = 40 // per side; no window fills, so nothing expires
 	check := func(t *testing.T, cfg Config, preR, preS int) {
 		t.Helper()

@@ -456,8 +456,8 @@ func (e *UniFlow) ResultsEmitted() uint64 { return e.collected.Load() }
 // Start launches the distributor, the join cores, and — in ordered mode —
 // the reorder stage.
 func (e *UniFlow) Start() error {
-	if e.started {
-		return fmt.Errorf("softjoin: engine already started")
+	if e.started || e.closed {
+		return fmt.Errorf("softjoin: engine already started or closed")
 	}
 	e.started = true
 
@@ -842,15 +842,17 @@ func (e *UniFlow) Results() <-chan stream.Result {
 
 // Close flushes pending input, stops the pipeline, and waits for every
 // goroutine to exit. The output (Batches or Results) must be drained
-// concurrently or Close may block forever.
+// concurrently or Close may block forever. Closing an engine that was
+// never started only closes its output; it cannot be started after.
 func (e *UniFlow) Close() error {
-	if !e.started {
-		return fmt.Errorf("softjoin: engine not started")
-	}
 	if e.closed {
 		return nil
 	}
 	e.closed = true
+	if !e.started {
+		close(e.batches)
+		return nil
+	}
 	e.flushBatch()
 	close(e.in)
 	e.wg.Wait()
