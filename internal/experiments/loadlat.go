@@ -24,9 +24,14 @@ func LoadLatency(opt Options) (Figure, error) {
 	}
 	cores := 8
 	window := 1 << 15
-	probes := 16
+	// Each load point's probe phase lasts about a fixed time, however
+	// fast the load: at least 16 probes (8 quick), and as many as the
+	// offered rate pushes in the phase. A fixed probe count made the 25 %
+	// point last ~10 ms, where one scheduler hiccup moved its averaged
+	// backlog by tens of percent.
+	probes, phase := 16, 100*time.Millisecond
 	if opt.Quick {
-		probes = 8
+		probes, phase = 8, 40*time.Millisecond
 	}
 
 	// Saturation throughput first: the best of three runs, since every
@@ -54,7 +59,9 @@ func LoadLatency(opt Options) (Figure, error) {
 	// overload, where the engine's bounded queues stay full and every
 	// probe rides a maximal backlog.
 	for _, pct := range []int{25, 50, 75, 90, 200} {
-		l, b, err := swProbeLatency(cores, window, probes, 64, maxRate*float64(pct)/100, opt)
+		rate := maxRate * float64(pct) / 100
+		n := max(probes, int(phase.Seconds()*rate)/(64+1))
+		l, b, err := swProbeLatency(cores, window, n, 64, rate, opt)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -64,6 +71,6 @@ func LoadLatency(opt Options) (Figure, error) {
 	fig.Series = append(fig.Series, lat, backlog)
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("saturation throughput on this host (best of 3 runs of %v): %.4f M tuples/s; the climb toward 90%% load is queueing delay", saturate, maxMtps),
-		"backlog = Injected − Processed/cores sampled just before each probe push, averaged over the probes")
+		fmt.Sprintf("backlog = Injected − Processed/cores sampled just before each probe push, averaged over a probe phase of about %v per load point", phase))
 	return fig, nil
 }

@@ -100,21 +100,16 @@ func Fig14d(opt Options) (Figure, error) {
 }
 
 // swProbeLatency measures the software engine's per-tuple latency under
-// load: probes with planted matches ride a stream of burst-tuple
-// background batches, and latency is the wall time from a probe's push to
-// its result arriving at the gatherer. Rate 0 pushes flat out; a positive
-// rate paces the offered load in tuples/s. It also returns the mean
-// engine backlog just before each probe push, Injected() − Processed()/cores:
-// the tuples a probe queues behind.
+// load: probes ride a stream of burst-tuple background batches, each
+// burst planting its probe's one match, and latency is the wall time from
+// a probe's push to its result reaching the drain goroutine. Rate 0 pushes
+// flat out; a positive rate paces the offered load in tuples/s. It also
+// returns the mean engine backlog just before each probe push,
+// Injected() − Processed()/cores: the tuples a probe queues behind.
 func swProbeLatency(cores, window, probes, burst int, rate float64, opt Options) (time.Duration, float64, error) {
 	r, s, err := workload.WindowFill(workload.Spec{Seed: opt.Seed, Dist: workload.Disjoint}, window)
 	if err != nil {
 		return 0, 0, err
-	}
-	// Plant one match per probe key at scattered positions. Probe keys use
-	// a range disjoint from the workload's.
-	for i := 0; i < probes; i++ {
-		s[(i*2048+window/3)%window].Key = probeKeyBase + uint32(i)
 	}
 	pushTimes := make([]time.Time, probes)
 	arrivals := make([]time.Duration, probes)
@@ -151,6 +146,11 @@ func swProbeLatency(cores, window, probes, burst int, rate float64, opt Options)
 		for j := range batch {
 			batch[j] = next()
 		}
+		// The burst's last tuple is the probe's match: stored on arrival,
+		// it cannot leave the window before its probe however many probes
+		// a run pushes. Probe keys use a range disjoint from the
+		// workload's.
+		batch[burst-1] = core.Input{Side: stream.SideS, Tuple: stream.Tuple{Key: probeKeyBase + uint32(i)}}
 		if pacer != nil {
 			pacer.WaitBatch(burst)
 		}

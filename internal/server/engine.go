@@ -102,7 +102,7 @@ func buildEngine(cfg wire.OpenConfig) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &uniEngine{UniFlow: e}, nil
+		return &uniEngine{UniFlow: e, batchOutput: batchOutput{src: e}}, nil
 	case wire.EngineSoftBi:
 		e, err := softjoin.NewBiFlow(softjoin.Config{
 			NumCores:   cfg.Cores,
@@ -111,7 +111,7 @@ func buildEngine(cfg wire.OpenConfig) (Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &biEngine{e}, nil
+		return &biEngine{BiFlow: e, batchOutput: batchOutput{src: e}}, nil
 	case wire.EngineSimUni:
 		return newSimEngine(cfg.Cores, cfg.Window)
 	default:
@@ -125,32 +125,32 @@ type kernelReporter interface {
 	Kernel() stream.ProbeKernel
 }
 
-// uniEngine adapts softjoin.UniFlow. Kernel() is promoted from the
-// embedded engine, so uniEngine satisfies kernelReporter.
-type uniEngine struct {
-	*softjoin.UniFlow
+// batchOutput is the ResultBatcher both software engines are served
+// through: the session drains the engine's batch output, and Backlog is
+// answered from counters, since nothing but the session may touch the
+// output.
+type batchOutput struct {
+	src interface {
+		Batches() <-chan *stream.ResultBatch
+		Collected() uint64 // results handed to Batches
+	}
 	// taken counts results handed to the session by NextResultBatch.
 	taken atomic.Uint64
 }
 
-func (e *uniEngine) PushBatch(batch []core.Input) error {
-	e.UniFlow.PushBatch(batch)
-	return nil
-}
-
 // NextResultBatch implements ResultBatcher over the engine's batch output.
-func (e *uniEngine) NextResultBatch(wait bool) (*stream.ResultBatch, bool) {
-	b, ok := stream.ReceiveBatch(e.UniFlow.Batches(), wait)
+func (o *batchOutput) NextResultBatch(wait bool) (*stream.ResultBatch, bool) {
+	b, ok := stream.ReceiveBatch(o.src.Batches(), wait)
 	if b != nil {
-		e.taken.Add(uint64(len(b.Results)))
+		o.taken.Add(uint64(len(b.Results)))
 	}
 	return b, ok
 }
 
 // Backlog is the results emitted by the cores but not yet taken by the
-// session, from counters: nothing but the session may touch the output.
-func (e *uniEngine) Backlog() int {
-	emitted, taken := e.UniFlow.ResultsEmitted(), e.taken.Load()
+// session.
+func (o *batchOutput) Backlog() int {
+	emitted, taken := o.src.Collected(), o.taken.Load()
 	if taken > emitted {
 		// A batch is counted as emitted only after its hand-off, so the
 		// session can have taken it a moment before the core counts it.
@@ -159,8 +159,23 @@ func (e *uniEngine) Backlog() int {
 	return int(emitted - taken)
 }
 
+// uniEngine adapts softjoin.UniFlow. Kernel() is promoted from the
+// embedded engine, so uniEngine satisfies kernelReporter.
+type uniEngine struct {
+	*softjoin.UniFlow
+	batchOutput
+}
+
+func (e *uniEngine) PushBatch(batch []core.Input) error {
+	e.UniFlow.PushBatch(batch)
+	return nil
+}
+
 // biEngine adapts softjoin.BiFlow, whose ingest API is per tuple.
-type biEngine struct{ *softjoin.BiFlow }
+type biEngine struct {
+	*softjoin.BiFlow
+	batchOutput
+}
 
 func (e *biEngine) PushBatch(batch []core.Input) error {
 	for i := range batch {
@@ -168,8 +183,6 @@ func (e *biEngine) PushBatch(batch []core.Input) error {
 	}
 	return nil
 }
-
-func (e *biEngine) Backlog() int { return len(e.BiFlow.Results()) }
 
 // simEngine adapts the cycle-level simulated uni-flow FPGA design to the
 // streaming interface: each pushed batch is queued onto the simulated

@@ -15,10 +15,11 @@ var frameBatches stream.ResultBatchPool
 
 // resultSource returns the pull function pumpResults drains (the
 // ResultBatcher contract: block only when asked to wait): the engine's own
-// batch output when it offers the capability, otherwise a coalescing
-// reader over its Results channel that packs whatever is immediately
-// ready (up to one frame's worth) into a pooled batch. Either way the
-// session is the output's only consumer.
+// batch output when it offers the capability (both software engines
+// do), otherwise — the simulated design, an embedder's engine — a
+// coalescing reader over its Results channel that packs whatever is
+// immediately ready (up to one frame's worth) into a pooled batch. Either
+// way the session is the output's only consumer.
 func (s *session) resultSource() func(wait bool) (*stream.ResultBatch, bool) {
 	if rb, ok := s.eng.(ResultBatcher); ok {
 		return rb.NextResultBatch

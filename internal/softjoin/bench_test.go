@@ -14,18 +14,9 @@ import (
 // benchCore builds one warm softCore whose opposite window is full, with
 // roughly one match per `selInv` stored tuples for probe key 7.
 func benchCore(window, selInv int, kernel stream.ProbeKernel) *softCore {
-	c := &softCore{
-		part:    core.Partition{NumCores: 1, Position: 0},
-		cond:    stream.EquiJoinOnKey(),
-		kernel:  kernel,
-		windowR: stream.NewSlidingWindow(window),
-		windowS: stream.NewSlidingWindow(window),
-	}
-	if kernel == stream.KernelHash {
-		c.idxR = stream.NewKeyIndex(c.windowR)
-		c.idxS = stream.NewKeyIndex(c.windowS)
-		c.matchBuf = make([]stream.Tuple, 0, 64)
-	}
+	cfg := Config{NumCores: 1, WindowSize: window, ProbeKernel: kernel}
+	cfg.applyDefaults()
+	c := newCore(cfg, 0)
 	for i := 0; i < window; i++ {
 		c.store(stream.SideS, stream.Tuple{Key: uint32(7 + (i%selInv)*1000), Val: uint32(i)})
 	}
@@ -266,4 +257,58 @@ func benchPushShape(b *testing.B, spec workload.Spec, batchSize int, full bool) 
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/tuple")
+}
+
+// BenchmarkBiFlowPush is the handshake chain's whole-pipeline benchmark:
+// 4 cores over W = 1024, both windows preloaded, tuples pushed one at a
+// time (as the server's adaptor pushes them) on alternating sides over
+// 256 keys, so each tuple meets about W/256 = 4 matches on its way along
+// the chain. The output is drained batch-wise, as a server session
+// drains it.
+func BenchmarkBiFlowPush(b *testing.B) {
+	const (
+		cores  = 4
+		window = 1 << 10
+		keys   = 256
+	)
+	key := func(i int) uint32 { return uint32(i*37) % keys }
+	fill := make([]stream.Tuple, window)
+	for i := range fill {
+		fill[i] = stream.Tuple{Key: key(i)}
+	}
+	e, err := NewBiFlow(Config{NumCores: cores, WindowSize: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Preload(fill, fill); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	var results int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for rb := range e.Batches() {
+			results += len(rb.Results)
+			rb.Release()
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		side := stream.SideR
+		if i%2 == 1 {
+			side = stream.SideS
+		}
+		e.Push(side, stream.Tuple{Key: key(i / 2)})
+	}
+	if err := e.Close(); err != nil {
+		b.Fatal(err)
+	}
+	<-done
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	b.ReportMetric(float64(results)/float64(b.N), "results/tuple")
 }

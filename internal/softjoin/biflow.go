@@ -19,16 +19,23 @@ import (
 // exactly as the paper notes for handshake join — tuples can be in flight
 // between cores and the result set follows handshake join's relaxed window
 // semantics rather than strict arrival-order semantics.
+//
+// The output contract is UniFlow's: consume Batches (or Results, never
+// both), and Close to drain and release every goroutine.
 type BiFlow struct {
 	cfg       Config
 	subWindow int
 	cores     []*biSoftCore
-	results   chan stream.Result
+	// batches is the engine's one output: every chain core sends the
+	// matches of each probing tuple into it as one pooled batch. results
+	// is the per-result view of it, started by the first Results call.
+	batches chan *stream.ResultBatch
+	results stream.ResultsView
 
-	wg       sync.WaitGroup
-	gatherWG sync.WaitGroup
-	started  bool
-	closed   bool
+	wg      sync.WaitGroup
+	running atomic.Int32 // chain cores still running; the last closes batches
+	started bool
+	closed  bool
 
 	seqR, seqS uint64
 	injected   atomic.Uint64
@@ -42,11 +49,10 @@ type biSoftCore struct {
 	subWindow int
 	cond      stream.JoinCondition
 
-	inS  chan stream.Tuple     // from the left
-	inR  chan stream.Tuple     // from the right
-	outS chan stream.Tuple     // to the right (nil at the right end: expiry)
-	outR chan stream.Tuple     // to the left (nil at the left end: expiry)
-	out  chan *[]stream.Result // pooled per-tuple match vectors
+	inS  chan stream.Tuple // from the left
+	inR  chan stream.Tuple // from the right
+	outS chan stream.Tuple // to the right (nil at the right end: expiry)
+	outR chan stream.Tuple // to the left (nil at the left end: expiry)
 
 	segR *stream.SlidingWindow
 	segS *stream.SlidingWindow
@@ -67,14 +73,16 @@ func NewBiFlow(cfg Config) (*BiFlow, error) {
 	if cfg.sharded() || cfg.BaseSeqR != 0 || cfg.BaseSeqS != 0 {
 		return nil, fmt.Errorf("softjoin: sharded storage and sequence offsets require the uni-flow engine")
 	}
-	e := &BiFlow{
-		cfg:       cfg,
-		subWindow: cfg.subWindowSize(),
-		results:   make(chan stream.Result, cfg.ChannelDepth*cfg.BatchSize+1),
-	}
 	depth := cfg.ChannelDepth * cfg.BatchSize
 	if depth < 1 {
 		depth = 1
+	}
+	e := &BiFlow{
+		cfg:       cfg,
+		subWindow: cfg.subWindowSize(),
+		// Up to depth per-tuple batches per core, the depth of a core's
+		// inputs: a core blocked on the output forwards nothing.
+		batches: make(chan *stream.ResultBatch, cfg.NumCores*depth),
 	}
 	for i := 0; i < cfg.NumCores; i++ {
 		e.cores = append(e.cores, &biSoftCore{
@@ -83,7 +91,6 @@ func NewBiFlow(cfg Config) (*BiFlow, error) {
 			cond:      cfg.Condition,
 			inS:       make(chan stream.Tuple, depth),
 			inR:       make(chan stream.Tuple, depth),
-			out:       make(chan *[]stream.Result, depth),
 			segR:      stream.NewSlidingWindow(e.subWindow + 1),
 			segS:      stream.NewSlidingWindow(e.subWindow + 1),
 		})
@@ -145,40 +152,23 @@ func (e *BiFlow) Preload(r, s []stream.Tuple) error {
 	return nil
 }
 
-// Start launches the chain and the result gatherers.
+// Start launches the chain. The last core to exit closes the output.
 func (e *BiFlow) Start() error {
 	if e.started || e.closed {
 		return fmt.Errorf("softjoin: engine already started or closed")
 	}
 	e.started = true
+	e.running.Store(int32(len(e.cores)))
 	for _, c := range e.cores {
-		c := c
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			c.run()
-		}()
-	}
-	for _, c := range e.cores {
-		c := c
-		e.gatherWG.Add(1)
-		go func() {
-			defer e.gatherWG.Done()
-			for vec := range c.out {
-				for i := range *vec {
-					e.results <- (*vec)[i]
-				}
-				e.collected.Add(uint64(len(*vec)))
-				putResultVec(vec)
+			c.run(e)
+			if e.running.Add(-1) == 0 {
+				close(e.batches)
 			}
 		}()
 	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.gatherWG.Wait()
-		close(e.results)
-	}()
 	return nil
 }
 
@@ -186,8 +176,7 @@ func (e *BiFlow) Start() error {
 // and forward evictions. Pending evictions are sent opportunistically via
 // the nil-channel select idiom, so a core never blocks on a send while
 // refusing to receive — the chain cannot deadlock.
-func (c *biSoftCore) run() {
-	defer close(c.out)
+func (c *biSoftCore) run(e *BiFlow) {
 	var pendingS, pendingR []stream.Tuple
 	inS, inR := c.inS, c.inR
 	sDone, rDone := false, false
@@ -242,13 +231,13 @@ func (c *biSoftCore) run() {
 				inS = nil
 				continue
 			}
-			pendingS = c.process(t, stream.SideS, pendingS)
+			pendingS = c.process(e, t, stream.SideS, pendingS)
 		case t, ok := <-inR:
 			if !ok {
 				inR = nil
 				continue
 			}
-			pendingR = c.process(t, stream.SideR, pendingR)
+			pendingR = c.process(e, t, stream.SideR, pendingR)
 		case sendS <- sVal:
 			pendingS = pendingS[1:]
 		case sendR <- rVal:
@@ -259,34 +248,37 @@ func (c *biSoftCore) run() {
 
 // process entry-scans a tuple against the opposite segment, stores it, and
 // queues the displaced oldest tuple (if any) for forwarding. Matches for
-// the tuple accumulate in a pooled vector handed to the gatherer with one
-// send — a tuple with no matches sends nothing at all.
-func (c *biSoftCore) process(t stream.Tuple, side stream.Side, pending []stream.Tuple) []stream.Tuple {
+// the tuple accumulate in a pooled batch handed to the engine's output
+// with one send — a tuple with no matches sends nothing at all.
+func (c *biSoftCore) process(e *BiFlow, t stream.Tuple, side stream.Side, pending []stream.Tuple) []stream.Tuple {
 	var own, other *stream.SlidingWindow
 	if side == stream.SideR {
 		own, other = c.segR, c.segS
 	} else {
 		own, other = c.segS, c.segR
 	}
-	var vec *[]stream.Result
+	var out *stream.ResultBatch
 	var scanned uint64
 	other.Scan(func(stored stream.Tuple) bool {
 		scanned++
 		if c.cond.Match(t, stored) {
-			if vec == nil {
-				vec = getResultVec()
+			if out == nil {
+				out = chainBatches.Get()
 			}
 			if side == stream.SideR {
-				*vec = append(*vec, stream.Result{R: t, S: stored})
+				out.Results = append(out.Results, stream.Result{R: t, S: stored})
 			} else {
-				*vec = append(*vec, stream.Result{R: stored, S: t})
+				out.Results = append(out.Results, stream.Result{R: stored, S: t})
 			}
 		}
 		return true
 	})
 	c.compared.Add(scanned)
-	if vec != nil {
-		c.out <- vec
+	if out != nil {
+		n := uint64(len(out.Results))
+		e.batches <- out
+		// Counted after the hand-off, as UniFlow counts it.
+		e.collected.Add(n)
 	}
 	own.Insert(t)
 	if own.Len() > c.subWindow {
@@ -316,8 +308,19 @@ func (e *BiFlow) Push(side stream.Side, t stream.Tuple) {
 	e.injected.Add(1)
 }
 
-// Results returns the merged result channel.
-func (e *BiFlow) Results() <-chan stream.Result { return e.results }
+// Batches returns the engine's output: one pooled batch per probing
+// tuple that matched, holding all of its matches. The receiver owns each
+// batch and must Release it. The channel is closed after Close once the
+// chain has drained. Batches and Results are mutually exclusive
+// consumers: whichever is used first owns the output for the engine's
+// lifetime.
+func (e *BiFlow) Batches() <-chan *stream.ResultBatch { return e.batches }
+
+// Results returns the output one result at a time: the view over Batches
+// that UniFlow.Results also is.
+func (e *BiFlow) Results() <-chan stream.Result {
+	return e.results.Of(e.batches, e.cfg.ChannelDepth*e.cfg.BatchSize+1)
+}
 
 // Close stops ingest and waits for the chain to drain. Results must be
 // consumed concurrently. Closing a chain that was never started only
@@ -328,7 +331,7 @@ func (e *BiFlow) Close() error {
 	}
 	e.closed = true
 	if !e.started {
-		close(e.results)
+		close(e.batches)
 		return nil
 	}
 	close(e.cores[0].inS)

@@ -49,9 +49,10 @@ func (b *inputBatch) release() {
 }
 
 // Result vectors are pooled per producing site, so each pool circulates
-// one size class: coreBatches holds the join cores' per-input-batch
-// vectors, releaseBatches the reorder stage's bounded release runs.
-var coreBatches, releaseBatches stream.ResultBatchPool
+// one size class: coreBatches holds the uni-flow join cores'
+// per-input-batch vectors, releaseBatches the reorder stage's bounded
+// release runs, chainBatches the bi-flow chain cores' per-tuple matches.
+var coreBatches, releaseBatches, chainBatches stream.ResultBatchPool
 
 // resultSlab is what an ordered-mode core hands the reorder stage for one
 // input batch: the batch's result vector, the arrival index of the probing
@@ -81,22 +82,5 @@ func putSlab(s *resultSlab) {
 	s.batch = nil
 	if cap(s.idx) <= maxPooledItems {
 		slabPool.Put(s)
-	}
-}
-
-// resultVec is the BiFlow per-tuple match vector (the handshake chain has
-// no batching or ordering, so a bare slice suffices). Pooled via pointer
-// so Put does not allocate a slice-header box.
-var resultVecPool = sync.Pool{New: func() any { return new([]stream.Result) }}
-
-func getResultVec() *[]stream.Result {
-	v := resultVecPool.Get().(*[]stream.Result)
-	*v = (*v)[:0]
-	return v
-}
-
-func putResultVec(v *[]stream.Result) {
-	if cap(*v) <= maxPooledItems {
-		resultVecPool.Put(v)
 	}
 }

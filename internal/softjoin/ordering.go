@@ -2,6 +2,7 @@ package softjoin
 
 import (
 	"container/heap"
+	"math"
 
 	"accelstream/internal/stream"
 )
@@ -58,9 +59,61 @@ func (rb *reorderBuffer) release(watermark uint64, emit func(stream.Result)) {
 	}
 }
 
-// flush emits everything left, in order.
-func (rb *reorderBuffer) flush(emit func(stream.Result)) {
-	for rb.heap.Len() > 0 {
-		emit(heap.Pop(&rb.heap).(taggedResult).res)
+// releaseBatchResults caps one ordered-mode output batch, so a release
+// round that frees a long run of buffered results reaches the consumer in
+// bounded pieces instead of one vector the pool would refuse to keep.
+const releaseBatchResults = 1024
+
+// reorder is the ordered-mode gathering stage: the cores feed one shared
+// slab channel drained by this single goroutine, which emits each release
+// round as one output batch and closes the engine's output once the last
+// core has closed the slab channel.
+func (e *UniFlow) reorder() {
+	defer close(e.batches)
+	var rb reorderBuffer
+	watermarks := make([]uint64, len(e.cores))
+	out := releaseBatches.Get()
+	flush := func() {
+		if len(out.Results) == 0 {
+			return
+		}
+		n := uint64(len(out.Results))
+		e.batches <- out
+		// Counted after the hand-off: ResultsEmitted is a flush
+		// target, so it may only cover results a consumer can reach.
+		e.collected.Add(n)
+		out = releaseBatches.Get()
 	}
+	emit := func(r stream.Result) {
+		out.Results = append(out.Results, r)
+		if len(out.Results) == releaseBatchResults {
+			flush()
+		}
+	}
+	for slab := range e.slabs {
+		for i, idx := range slab.idx {
+			rb.add(taggedResult{res: slab.batch.Results[i], idx: idx})
+		}
+		// The slab header is the punctuation: everything this core
+		// produced for arrivals below its watermark is now buffered.
+		watermarks[slab.core] = slab.processed
+		putSlab(slab)
+		low := watermarks[0]
+		for _, w := range watermarks[1:] {
+			if w < low {
+				low = w
+			}
+		}
+		rb.release(low, emit)
+		flush()
+		// Counted only after the release is handed off: at a quiesce
+		// point every core's watermark equals the injected count, so
+		// the final release drains the buffer before the count goes
+		// final.
+		e.slabsDone.Add(1)
+	}
+	// Every core has exited: everything left is released, in order.
+	rb.release(math.MaxUint64, emit)
+	flush()
+	out.Release()
 }

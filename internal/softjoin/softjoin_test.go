@@ -11,31 +11,6 @@ import (
 	"accelstream/internal/stream"
 )
 
-func TestConfigValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		cfg     Config
-		wantErr bool
-	}{
-		{"ok", Config{NumCores: 4, WindowSize: 64}, false},
-		{"indivisible ok (software rounds up)", Config{NumCores: 3, WindowSize: 64}, false},
-		{"zero cores", Config{NumCores: 0, WindowSize: 64}, true},
-		{"zero window", Config{NumCores: 4, WindowSize: 0}, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewUniFlow(tt.cfg)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("NewUniFlow() error = %v, wantErr %v", err, tt.wantErr)
-			}
-			_, err = NewBiFlow(tt.cfg)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("NewBiFlow() error = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
-	}
-}
-
 // drain consumes an engine's result channel into a slice concurrently.
 func drain(results <-chan stream.Result) (*sync.WaitGroup, *[]stream.Result) {
 	var wg sync.WaitGroup
@@ -100,144 +75,6 @@ func TestUniFlowMatchesOracle(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestUniFlowRoundRobinBalance: the storage discipline balances within one
-// tuple across cores.
-func TestUniFlowRoundRobinBalance(t *testing.T) {
-	leakcheck.Check(t)
-	e, err := NewUniFlow(Config{NumCores: 8, WindowSize: 1 << 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	wg, _ := drain(e.Results())
-	const nR, nS = 1000, 900
-	for i := 0; i < nR; i++ {
-		e.Push(stream.SideR, stream.Tuple{Key: uint32(i)})
-	}
-	for i := 0; i < nS; i++ {
-		e.Push(stream.SideS, stream.Tuple{Key: 1 << 20})
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if err := core.VerifyRoundRobinBalance(nR, e.StoredPerCore(stream.SideR)); err != nil {
-		t.Error(err)
-	}
-	if err := core.VerifyRoundRobinBalance(nS, e.StoredPerCore(stream.SideS)); err != nil {
-		t.Error(err)
-	}
-	if got, want := e.Processed(), uint64((nR+nS)*8); got != want {
-		t.Errorf("Processed() = %d, want %d (every core sees every tuple)", got, want)
-	}
-}
-
-// TestUniFlowPreload: preloaded windows join like streamed ones.
-func TestUniFlowPreload(t *testing.T) {
-	leakcheck.Check(t)
-	const window = 64
-	s := make([]stream.Tuple, window)
-	for i := range s {
-		s[i] = stream.Tuple{Key: uint32(i % 8), Seq: uint64(i)}
-	}
-	e, err := NewUniFlow(Config{NumCores: 4, WindowSize: window, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Preload(nil, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	wg, got := drain(e.Results())
-	e.Push(stream.SideR, stream.Tuple{Key: 3})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if len(*got) != window/8 {
-		t.Errorf("probe matched %d tuples, want %d", len(*got), window/8)
-	}
-}
-
-func TestUniFlowPreloadAfterStartFails(t *testing.T) {
-	leakcheck.Check(t)
-	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Preload(nil, nil); err == nil {
-		t.Error("Preload after Start succeeded, want error")
-	}
-	wg, _ := drain(e.Results())
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// TestCloseBeforeStart: an engine whose Start never ran closes without
-// an error — Close releases what construction took, which is only the
-// output — and its output ends, so a consumer started before the Close
-// returns; the engine cannot be started after.
-func TestCloseBeforeStart(t *testing.T) {
-	leakcheck.Check(t)
-	uni, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi, err := NewBiFlow(Config{NumCores: 2, WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniDone, _ := drain(uni.Results())
-	biDone, _ := drain(bi.Results())
-	for name, e := range map[string]interface {
-		Start() error
-		Close() error
-	}{"uni": uni, "bi": bi} {
-		if err := e.Close(); err != nil {
-			t.Errorf("%s: Close before Start = %v, want nil", name, err)
-		}
-		if err := e.Close(); err != nil {
-			t.Errorf("%s: repeated Close = %v, want nil", name, err)
-		}
-		if err := e.Start(); err == nil {
-			t.Errorf("%s: Start after Close succeeded, want error", name)
-		}
-	}
-	uniDone.Wait()
-	biDone.Wait()
-}
-
-func TestUniFlowLifecycleErrors(t *testing.T) {
-	leakcheck.Check(t)
-	e, err := NewUniFlow(Config{NumCores: 2, WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err == nil {
-		t.Error("double Start succeeded, want error")
-	}
-	wg, _ := drain(e.Results())
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Errorf("repeated Close = %v, want nil", err)
-	}
-	wg.Wait()
 }
 
 // TestBiFlowOneDirectionMatchesOracle mirrors the hardware test: static S
@@ -306,53 +143,6 @@ func TestBiFlowOneDirectionMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBiFlowNoDuplicatesUnderConcurrency: with both streams flowing, no
-// pair is ever emitted twice and all emitted pairs satisfy the condition.
-func TestBiFlowNoDuplicatesUnderConcurrency(t *testing.T) {
-	leakcheck.Check(t)
-	const (
-		cores  = 4
-		window = 64
-	)
-	rng := rand.New(rand.NewSource(41))
-	e, err := NewBiFlow(Config{NumCores: cores, WindowSize: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	wg, got := drain(e.Results())
-	for i := 0; i < 2000; i++ {
-		side := stream.SideR
-		if i%2 == 1 {
-			side = stream.SideS
-		}
-		e.Push(side, stream.Tuple{Key: uint32(rng.Intn(6))})
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	seen := map[uint64]bool{}
-	for _, r := range *got {
-		if r.R.Key != r.S.Key {
-			t.Fatalf("pair violates condition: %v", r)
-		}
-		if seen[r.PairID()] {
-			t.Fatalf("pair emitted twice: %v", r)
-		}
-		seen[r.PairID()] = true
-	}
-	if len(*got) == 0 {
-		t.Error("no results; vacuous test")
-	}
-	expR, expS := e.Expired()
-	if expR == 0 || expS == 0 {
-		t.Errorf("expected expiry on both ends, got R=%d S=%d", expR, expS)
-	}
-}
-
 // TestUniFlowOrderedResults: with OrderedResults, results are released in
 // the arrival order of their probing tuples, and the multiset is unchanged.
 func TestUniFlowOrderedResults(t *testing.T) {
@@ -407,85 +197,6 @@ func TestUniFlowOrderedResults(t *testing.T) {
 	// Same multiset as relaxed mode.
 	if diffs := core.NewResultSet(relaxed).Diff(core.NewResultSet(ordered)); len(diffs) != 0 {
 		t.Errorf("ordered mode changed the result multiset: %v", diffs[:min(4, len(diffs))])
-	}
-}
-
-// TestUniFlowComparisonsPerTuple: Comparisons() stays meaningful per
-// kernel. Under the scan kernel each tuple sweeps one full sub-window per
-// core — the N·(W/N)=W work invariant. Under the hash kernel a probe for
-// an absent key examines (nearly) nothing: that asymmetry is the whole
-// point of the index.
-func TestUniFlowComparisonsPerTuple(t *testing.T) {
-	leakcheck.Check(t)
-	const (
-		cores  = 4
-		window = 128
-		probes = 50
-	)
-	run := func(kernel stream.ProbeKernel) uint64 {
-		r := make([]stream.Tuple, window)
-		s := make([]stream.Tuple, window)
-		for i := range r {
-			r[i] = stream.Tuple{Key: 0xF0000000 + uint32(i)}
-			s[i] = stream.Tuple{Key: 0xE0000000 + uint32(i)}
-		}
-		e, err := NewUniFlow(Config{NumCores: cores, WindowSize: window, ProbeKernel: kernel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := e.Kernel(); got != kernel {
-			t.Fatalf("Kernel() = %v, want %v", got, kernel)
-		}
-		if err := e.Preload(r, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		wg, _ := drain(e.Results())
-		for i := 0; i < probes; i++ {
-			e.Push(stream.SideR, stream.Tuple{Key: 1})
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		return e.Comparisons()
-	}
-	if got, want := run(stream.KernelScan), uint64(probes*window); got != want {
-		t.Errorf("scan kernel Comparisons() = %d, want %d (full window per tuple)", got, want)
-	}
-	// Hash kernel: far below a full-window sweep (distinct keys, so probe
-	// chains are short; the exact count depends on hash collisions).
-	if got, limit := run(stream.KernelHash), uint64(probes*window/4); got >= limit {
-		t.Errorf("hash kernel Comparisons() = %d, want < %d (index probes, not sweeps)", got, limit)
-	}
-}
-
-// TestUniFlowAutoKernelResolution: auto picks hash for the default
-// equi-join condition and scan for anything else; forcing hash with a
-// non-equi condition is a configuration error.
-func TestUniFlowAutoKernelResolution(t *testing.T) {
-	e, err := NewUniFlow(Config{NumCores: 1, WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Kernel() != stream.KernelHash {
-		t.Errorf("auto kernel for equi-join = %v, want hash", e.Kernel())
-	}
-	band := stream.JoinCondition{LHS: stream.FieldKey, RHS: stream.FieldKey, Cmp: stream.CmpLT}
-	e, err = NewUniFlow(Config{NumCores: 1, WindowSize: 8, Condition: band})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Kernel() != stream.KernelScan {
-		t.Errorf("auto kernel for non-equi condition = %v, want scan", e.Kernel())
-	}
-	if _, err := NewUniFlow(Config{NumCores: 1, WindowSize: 8, Condition: band, ProbeKernel: stream.KernelHash}); err == nil {
-		t.Error("forcing the hash kernel with a non-equi condition succeeded, want error")
-	}
-	if _, err := NewUniFlow(Config{NumCores: 1, WindowSize: 8, ProbeKernel: stream.ProbeKernel(7)}); err == nil {
-		t.Error("invalid kernel code accepted, want error")
 	}
 }
 
@@ -681,98 +392,5 @@ func TestUniFlowBaseSeqResume(t *testing.T) {
 	// Per-side arrivals 20..39: residue-1 indices are 21,23,..,39 → 10.
 	if sum != 10 {
 		t.Errorf("resumed shard stored %d R tuples, want 10", sum)
-	}
-}
-
-// TestStoreTurnMatchesPartition holds the division-free store schedule
-// (setCounts, and the counters run and prefetch advance) to the two-level
-// rule it replaces — arrival n is core k's iff shard.StoreTurn(n) and
-// part.StoreTurn(n/shardN) — over shards {1,2,3} × cores {1,2,3,4}, every
-// shard index, and arrival counters opened at 0, resumed at an offset (a
-// shard router re-opening a session mid-stream), or advanced by Preload.
-// Each core's windows must hold exactly the arrivals that rule gives it.
-func TestStoreTurnMatchesPartition(t *testing.T) {
-	leakcheck.Check(t)
-	const pushed = 40 // per side; no window fills, so nothing expires
-	check := func(t *testing.T, cfg Config, preR, preS int) {
-		t.Helper()
-		e, err := NewUniFlow(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fill := func(n int) []stream.Tuple {
-			out := make([]stream.Tuple, n)
-			for i := range out {
-				out[i] = stream.Tuple{Key: uint32(i), Seq: uint64(i)}
-			}
-			return out
-		}
-		if preR+preS > 0 {
-			if err := e.Preload(fill(preR), fill(preS)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for rb := range e.Batches() {
-				rb.Release()
-			}
-		}()
-		batch := make([]core.Input, 0, 2*pushed)
-		for i := 0; i < pushed; i++ {
-			batch = append(batch,
-				core.Input{Side: stream.SideR, Tuple: stream.Tuple{Key: uint32(i)}},
-				core.Input{Side: stream.SideS, Tuple: stream.Tuple{Key: 1 << 20}})
-		}
-		e.PushBatch(batch[:7]) // batch edges fall mid-stride too
-		e.PushBatch(batch[7:])
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		shardN := uint64(cfg.ShardCount)
-		shard := core.Partition{NumCores: cfg.ShardCount, Position: cfg.ShardIndex}
-		for k, c := range e.cores {
-			part := core.Partition{NumCores: cfg.NumCores, Position: k}
-			for _, side := range []struct {
-				win      *stream.SlidingWindow
-				from, to uint64
-			}{
-				{c.windowR, cfg.BaseSeqR, cfg.BaseSeqR + uint64(preR) + pushed},
-				{c.windowS, cfg.BaseSeqS, cfg.BaseSeqS + uint64(preS) + pushed},
-			} {
-				var want []uint64
-				for n := side.from; n < side.to; n++ {
-					if shard.StoreTurn(n) && part.StoreTurn(n/shardN) {
-						want = append(want, n)
-					}
-				}
-				var got []uint64
-				for _, tu := range side.win.Snapshot() {
-					got = append(got, tu.Seq)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("core %d stored seqs %v, Partition.StoreTurn gives %v", k, got, want)
-				}
-			}
-		}
-	}
-	for _, shards := range []int{1, 2, 3} {
-		for _, cores := range []int{1, 2, 3, 4} {
-			for idx := 0; idx < shards; idx++ {
-				for _, base := range [][2]uint64{{0, 0}, {1, 6}, {17, 5}, {1<<32 + 3, 1 << 33}} {
-					cfg := Config{NumCores: cores, WindowSize: cores * 4 * pushed, ShardCount: shards, ShardIndex: idx,
-						BaseSeqR: base[0], BaseSeqS: base[1]}
-					t.Run(fmt.Sprintf("shards=%d/%d/cores=%d/base=%v", idx, shards, cores, base), func(t *testing.T) {
-						check(t, cfg, 0, 0)
-					})
-				}
-			}
-		}
-	}
-	for _, pre := range [][2]int{{1, 0}, {5, 2}, {13, 9}} {
-		cfg := Config{NumCores: 3, WindowSize: 3 * 4 * pushed, ShardCount: 1}
-		t.Run(fmt.Sprintf("preload=%v", pre), func(t *testing.T) { check(t, cfg, pre[0], pre[1]) })
 	}
 }
